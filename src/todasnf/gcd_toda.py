@@ -17,21 +17,25 @@ diagonal entry divides the subdiagonal entry next to it.
 The map also conserves N quantities: the gcd over products of l pairwise
 non-adjacent entries of the interleaved word (q_0, e_0, q_1, ..., q_{N-1}),
 which are exactly the determinantal divisors of the bidiagonal matrix.
+
+The step, the divisor program, the termination test and the word are the
+semiring kernels of ud_toda.py, run here on raw payloads with the bound
+methods (ring.gcd, ring.mul, ring.exact_div, ring.canonical); RingValues
+are unwrapped on entry and only the results are wrapped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import (
-    Ring,
-    RingValue,
-    canonical,
-    divides,
-    exact_div,
-    gcd,
+from .ring import Ring, RingValue, divides, exact_div
+from .ud_toda import (
+    UdTodaState,
+    interleave,
+    non_adjacent_totals,
+    settled,
+    toda_step,
 )
-from .ud_toda import UdTodaState
 
 
 class IterationLimitError(RuntimeError):
@@ -72,7 +76,7 @@ class GcdTodaState:
                 raise TypeError(f"entries must be ring values, got {v!r}")
         ring = self.diagonal[0].ring
         for v in self.diagonal + self.subdiagonal:
-            if v.ring != ring:
+            if v.ring is not ring:
                 raise ValueError("entries must all live in the same ring")
 
     @property
@@ -100,31 +104,27 @@ class TodaRun:
         return self.trace[-1]
 
 
+def _unwrap(state: GcdTodaState) -> tuple[tuple, tuple]:
+    """The raw diagonal and subdiagonal payloads."""
+    return (tuple(v.payload for v in state.diagonal),
+            tuple(v.payload for v in state.subdiagonal))
+
+
+def _wrap(ring: Ring, payloads) -> tuple[RingValue, ...]:
+    return tuple(RingValue(ring, v) for v in payloads)
+
+
 def gcd_step(state: GcdTodaState) -> GcdTodaState:
     """Advance one time step; raises ExactDivisionError off the reachable set."""
-    q, e = state.diagonal, state.subdiagonal
-    n = state.n
-    new_q: list[RingValue] = []
-    a = q[0]
-    for i in range(n):
-        if i:
-            a = exact_div(a * q[i], new_q[i - 1])
-        new_q.append(gcd(e[i], a) if i < n - 1 else canonical(a))
-    new_e = tuple(
-        canonical(exact_div(e[i] * q[i + 1], new_q[i])) for i in range(n - 1)
-    )
-    return GcdTodaState(tuple(new_q), new_e)
+    ring = state.ring
+    q, e = toda_step(*_unwrap(state), ring.gcd, ring.mul, ring.exact_div,
+                     ring.canonical)
+    return GcdTodaState(_wrap(ring, q), _wrap(ring, e))
 
 
 def terminated(state: GcdTodaState) -> bool:
     """Whether the diagonal divides along itself and into the subdiagonal."""
-    q, e = state.diagonal, state.subdiagonal
-    for i in range(state.n - 1):
-        if not divides(q[i], q[i + 1]):
-            return False
-        if not divides(q[i], e[i]):
-            return False
-    return True
+    return settled(*_unwrap(state), state.ring.divides)
 
 
 def default_max_iters(state: GcdTodaState) -> int:
@@ -169,37 +169,20 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
 
 def interleaved(state: GcdTodaState) -> tuple[RingValue, ...]:
     """The word (q_0, e_0, q_1, e_1, ..., q_{N-1})."""
-    out = [state.diagonal[0]]
-    for i in range(state.n - 1):
-        out.append(state.subdiagonal[i])
-        out.append(state.diagonal[i + 1])
-    return tuple(out)
+    return interleave(state.diagonal, state.subdiagonal)
 
 
 def determinantal_divisors(state: GcdTodaState) -> tuple[RingValue, ...]:
     """Gcd over products of l pairwise non-adjacent word entries, l=1..N.
 
-    This is the gcd/product analogue of the min-plus conserved quantities
-    and is invariant under gcd_step; entry l-1 equals the gcd of all l by l
-    minors of the bidiagonal matrix.  A None slot marks an infeasible
-    choice, the absorbing element for gcd.
+    This is the gcd/product analogue of the min-plus conserved quantities,
+    computed by the same program, and is invariant under gcd_step; entry
+    l-1 equals the gcd of all l by l minors of the bidiagonal matrix.
     """
     ring = state.ring
-    word = interleaved(state)
-    n = state.n
-    base: list[RingValue | None] = [ring.one] + [None] * n
-    dp_prev2 = base[:]
-    dp_prev = base[:]
-    for w in word:
-        cur: list[RingValue | None] = [ring.one]
-        for l in range(1, n + 1):
-            best = dp_prev[l]
-            if dp_prev2[l - 1] is not None:
-                prod = dp_prev2[l - 1] * w
-                best = prod if best is None else gcd(best, prod)
-            cur.append(best)
-        dp_prev2, dp_prev = dp_prev, cur
-    return tuple(canonical(v) for v in dp_prev[1:])
+    return _wrap(ring, non_adjacent_totals(
+        *_unwrap(state), ring.gcd, ring.mul, ring.canonical, ring.coerce(1)
+    ))
 
 
 def exponent_lift(state: GcdTodaState, base: RingValue) -> UdTodaState:

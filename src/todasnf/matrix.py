@@ -62,7 +62,7 @@ class DenseMatrix:
         return DenseMatrix(self.ring, grid)
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("matrix product across different rings")
         if self.ncols != other.nrows:
             raise ValueError(
@@ -91,7 +91,7 @@ class DenseMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        return self.ring == other.ring and self._rows == other._rows
+        return self.ring is other.ring and self._rows == other._rows
 
     def __hash__(self) -> int:
         return hash((self.ring, self._rows))

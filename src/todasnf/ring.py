@@ -10,6 +10,10 @@ Every element is carried as a :class:`RingValue`, a thin wrapper that tags
 an opaque payload with the ring it lives in.  Mixing values from different
 rings raises :class:`RingMismatchError` instead of producing garbage.
 
+Rings are interned: ``IntegerRing()`` is ``ZZ`` and ``PolyModP(p)`` returns
+one instance per prime, so ring equality is identity (``is``).  Hot loops
+skip the wrapper and call the ring's payload methods directly.
+
 Gcds are always returned as *canonical associates*: nonnegative integers,
 monic polynomials.  By convention ``gcd(0, 0) == 0`` and every element
 divides zero, so a gcd accumulated over an empty or all-zero collection
@@ -19,7 +23,7 @@ degrades gracefully instead of raising.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class RingMismatchError(TypeError):
@@ -80,7 +84,7 @@ class RingValue:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingValue):
             return NotImplemented
-        return self.ring == other.ring and self.payload == other.payload
+        return self.ring is other.ring and self.payload == other.payload
 
     def __hash__(self) -> int:
         return hash((self.ring, self.payload))
@@ -93,7 +97,7 @@ class RingValue:
 
 
 def _common_ring(a: RingValue, b: RingValue) -> "Ring":
-    if a.ring != b.ring:
+    if a.ring is not b.ring:
         raise RingMismatchError(
             f"cannot combine values from {a.ring.name} and {b.ring.name}"
         )
@@ -134,9 +138,6 @@ class Ring:
         """A unit u with u*a canonical; the identity when a == 0."""
         raise NotImplementedError
 
-    def unit_inverse(self, u):
-        raise NotImplementedError
-
     def size(self, a) -> int:
         """A nonnegative measure of a (bit length or degree), used for caps."""
         raise NotImplementedError
@@ -162,11 +163,30 @@ class Ring:
             a, b = b, self.divmod(a, b)[1]
         return self.canonical(a)
 
+    def exact_div(self, a, b):
+        """a / b when b divides a exactly; ExactDivisionError otherwise."""
+        if self.is_zero(b):
+            raise ExactDivisionError("division by zero")
+        quot, rem = self.divmod(a, b)
+        if not self.is_zero(rem):
+            raise ExactDivisionError(
+                f"{self.render(b)} does not divide {self.render(a)}"
+            )
+        return quot
+
+    def divides(self, a, b) -> bool:
+        """Whether a divides b; everything divides 0, only 0 is divided by 0."""
+        if self.is_zero(b):
+            return True
+        if self.is_zero(a):
+            return False
+        return self.is_zero(self.divmod(b, a)[1])
+
     # -- RingValue construction -----------------------------------------
 
     def __call__(self, value) -> RingValue:
         if isinstance(value, RingValue):
-            if value.ring != self:
+            if value.ring is not self:
                 raise RingMismatchError(
                     f"value from {value.ring.name} passed to {self.name}"
                 )
@@ -181,17 +201,6 @@ class Ring:
     def one(self) -> RingValue:
         return RingValue(self, self.coerce(1))
 
-    def _key(self):
-        return (type(self),)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ring):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return self.name
 
@@ -200,6 +209,9 @@ class IntegerRing(Ring):
     """The rational integers; canonical associates are nonnegative."""
 
     name = "ZZ"
+
+    def __new__(cls):
+        return ZZ
 
     def add(self, a: int, b: int) -> int:
         return a + b
@@ -224,9 +236,6 @@ class IntegerRing(Ring):
     def canonicalizing_unit(self, a: int) -> int:
         return -1 if a < 0 else 1
 
-    def unit_inverse(self, u: int) -> int:
-        return u
-
     def size(self, a: int) -> int:
         return a.bit_length()
 
@@ -248,8 +257,8 @@ class IntegerRing(Ring):
             raise ValueError(f"not an integer literal: {text!r}") from None
 
 
-#: The ring of rational integers, shared by everyone.
-ZZ = IntegerRing()
+#: The ring of rational integers, the only instance of IntegerRing.
+ZZ = object.__new__(IntegerRing)
 
 
 def _is_prime(n: int) -> bool:
@@ -276,22 +285,28 @@ class PolyModP(Ring):
     """
 
     __slots__ = ("p",)
+    # One instance per prime; at most 6542 primes lie below 2**16.
+    _interned: dict[int, "PolyModP"] = {}
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
             raise TypeError("modulus must be an int")
         if not 2 <= p < 2**16:
             raise ValueError(f"modulus out of range: {p}")
         if not _is_prime(p):
             raise ValueError(f"modulus is not prime: {p}")
-        self.p = p
+        ring = cls._interned.get(p)
+        if ring is None:
+            ring = cls._interned[p] = super().__new__(cls)
+            ring.p = p
+        return ring
+
+    def __reduce__(self):
+        return PolyModP, (self.p,)
 
     @property
     def name(self) -> str:
         return f"GF({self.p})[x]"
-
-    def _key(self):
-        return (type(self), self.p)
 
     def _trim(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         n = len(coeffs)
@@ -347,9 +362,6 @@ class PolyModP(Ring):
             return (1,)
         return (pow(a[-1], -1, self.p),)
 
-    def unit_inverse(self, u):
-        return (pow(u[0], -1, self.p),)
-
     def size(self, a) -> int:
         return len(a) - 1 if a else 0
 
@@ -400,16 +412,6 @@ def gcd(a: RingValue, b: RingValue) -> RingValue:
     return RingValue(ring, ring.gcd(a.payload, b.payload))
 
 
-def gcd_all(values: Iterable[RingValue], ring: Ring) -> RingValue:
-    """Canonical gcd of an iterable, 0 when it is empty or all zero."""
-    out = ring.zero
-    for v in values:
-        out = gcd(out, v)
-        if out.is_unit():
-            break
-    return out
-
-
 def extended_gcd(a: RingValue, b: RingValue):
     """Solve the Bezout identity with cofactors of the gcd.
 
@@ -442,21 +444,9 @@ def extended_gcd(a: RingValue, b: RingValue):
 def exact_div(a: RingValue, b: RingValue) -> RingValue:
     """a / b when b divides a exactly; ExactDivisionError otherwise."""
     ring = _common_ring(a, b)
-    if b.is_zero():
-        raise ExactDivisionError("division by zero")
-    quot, rem = ring.divmod(a.payload, b.payload)
-    if not ring.is_zero(rem):
-        raise ExactDivisionError(
-            f"{ring.render(b.payload)} does not divide {ring.render(a.payload)}"
-        )
-    return RingValue(ring, quot)
+    return RingValue(ring, ring.exact_div(a.payload, b.payload))
 
 
 def divides(a: RingValue, b: RingValue) -> bool:
     """Whether a divides b; everything divides 0, only 0 is divided by 0."""
-    ring = _common_ring(a, b)
-    if b.is_zero():
-        return True
-    if a.is_zero():
-        return False
-    return ring.is_zero(ring.divmod(b.payload, a.payload)[1])
+    return _common_ring(a, b).divides(a.payload, b.payload)

@@ -206,7 +206,7 @@ def verify(matrix: DenseMatrix, result: SnfResult) -> bool:
     if len(result.factors) != size:
         return False
     for v in result.factors:
-        if v.ring != matrix.ring or v != canonical(v):
+        if v.ring is not matrix.ring or v != canonical(v):
             return False
     for a, b in zip(result.factors, result.factors[1:]):
         if not divides(a, b):

@@ -12,11 +12,20 @@ no two of which are adjacent in the word.  Once the state is sorted
 (blocks weakly increasing and each block no longer than the gap to its
 right) the blocks themselves are frozen by further evolution, and
 consecutive differences of the conserved quantities recover them.
+
+The step, the non-adjacent-subset program, the sortedness test and the
+word are written once, as kernels over an exact-division semiring given
+as callables (add, mul, div, canon): (min, +, -, identity) on ints here,
+(gcd, *, exact /, canonical associate) on ring payloads in gcd_toda.py.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+#: (add, mul, div, canon) of the min-plus semiring; pos is the int identity.
+MIN_PLUS = (min, operator.add, operator.sub, operator.pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,13 +81,56 @@ class BbsState:
         return tuple(self.offset + i for i, c in enumerate(self.cells) if c)
 
 
+def interleave(q, e) -> tuple:
+    """The word (q_0, e_0, q_1, e_1, ..., q_{N-1})."""
+    return (q[0],) + tuple(v for pair in zip(e, q[1:]) for v in pair)
+
+
+def toda_step(q, e, add, mul, div, canon) -> tuple[tuple, tuple]:
+    """One time step over a semiring, returning the new (q, e).
+
+    a_0 = q_0, a_i = a_{i-1} q_i / q'_{i-1};  q'_i = add(e_i, a_i) but
+    q'_{N-1} = canon(a_{N-1});  e'_i = canon(e_i q_{i+1} / q'_i).
+    """
+    n = len(q)
+    new_q = []
+    a = q[0]
+    for i in range(n):
+        if i:
+            a = div(mul(a, q[i]), new_q[i - 1])
+        new_q.append(add(e[i], a) if i < n - 1 else canon(a))
+    new_e = tuple(
+        canon(div(mul(e[i], q[i + 1]), new_q[i])) for i in range(n - 1)
+    )
+    return tuple(new_q), new_e
+
+
+def non_adjacent_totals(q, e, add, mul, canon, one) -> tuple:
+    """For l = 1..N, add over every l pairwise non-adjacent entries of the
+    word interleave(q, e) of their mul-product, by a two-back program.
+
+    After k word entries prev[l] covers the l-subsets of that prefix; the
+    list is only as long as such subsets exist; one is the empty product.
+    """
+    prev2 = prev = [one]
+    for w in interleave(q, e):
+        cur = [one] + [mul(v, w) for v in prev2]
+        for l in range(1, len(prev)):
+            cur[l] = add(prev[l], cur[l])
+        prev2, prev = prev, cur
+    return tuple(canon(v) for v in prev[1:])
+
+
+def settled(q, e, below) -> bool:
+    """Whether below(q_i, q_{i+1}) and below(q_i, e_i) hold for every i."""
+    return all(
+        below(q[i], q[i + 1]) and below(q[i], e[i]) for i in range(len(e))
+    )
+
+
 def interleaved(state: UdTodaState) -> tuple[int, ...]:
     """The word (Q_0, E_0, Q_1, E_1, ..., Q_{N-1})."""
-    out = [state.blocks[0]]
-    for i in range(state.n - 1):
-        out.append(state.gaps[i])
-        out.append(state.blocks[i + 1])
-    return tuple(out)
+    return interleave(state.blocks, state.gaps)
 
 
 def ud_step(state: UdTodaState) -> UdTodaState:
@@ -88,47 +140,21 @@ def ud_step(state: UdTodaState) -> UdTodaState:
     so far; the last block absorbs everything left (the boundary gap is
     infinite).  New gaps keep the total balance: E' = E + Q_next - Q'.
     """
-    blocks, gaps = state.blocks, state.gaps
-    n = state.n
-    new_blocks = []
-    carry = 0
-    for i in range(n):
-        carry += blocks[i]
-        q = min(gaps[i], carry) if i < n - 1 else carry
-        new_blocks.append(q)
-        carry -= q
-    new_gaps = tuple(
-        gaps[i] + blocks[i + 1] - new_blocks[i] for i in range(n - 1)
-    )
-    return UdTodaState(tuple(new_blocks), new_gaps)
+    return UdTodaState(*toda_step(state.blocks, state.gaps, *MIN_PLUS))
 
 
 def conserved_quantities(state: UdTodaState) -> tuple[int, ...]:
     """Minimum weight of l pairwise non-adjacent entries of the word, l=1..N.
 
-    Computed by a two-back dynamic program over the interleaved word; the
-    result is invariant under ud_step.
+    Computed by non_adjacent_totals; the result is invariant under ud_step.
     """
-    word = interleaved(state)
-    n = state.n
-    inf = sum(word) + 1
-    base = [0] + [inf] * n
-    dp_prev2 = base[:]
-    dp_prev = base[:]
-    for w in word:
-        cur = [0] + [
-            min(dp_prev[l], dp_prev2[l - 1] + w) for l in range(1, n + 1)
-        ]
-        dp_prev2, dp_prev = dp_prev, cur
-    return tuple(dp_prev[1:])
+    add, mul, _, canon = MIN_PLUS
+    return non_adjacent_totals(state.blocks, state.gaps, add, mul, canon, 0)
 
 
 def is_sorted(state: UdTodaState) -> bool:
     """Blocks weakly increasing and each block at most the gap after it."""
-    b, g = state.blocks, state.gaps
-    if any(b[i] > b[i + 1] for i in range(len(b) - 1)):
-        return False
-    return all(b[i] <= g[i] for i in range(len(g)))
+    return settled(state.blocks, state.gaps, operator.le)
 
 
 def to_bbs(state: UdTodaState) -> BbsState:

@@ -11,12 +11,14 @@ from conftest import (
     non_adjacent_gcd_brute,
 )
 from todasnf import (
+    ExactDivisionError,
     GcdTodaState,
     IterationLimitError,
     PolyModP,
     UdTodaState,
     ZZ,
     canonical,
+    conserved_quantities,
     default_max_iters,
     determinantal_divisors,
     divides,
@@ -89,6 +91,15 @@ def test_step_outputs_are_canonical():
         nxt = gcd_step(state)
         for v in nxt.diagonal + nxt.subdiagonal:
             assert v == canonical(v), f"non-canonical entry {v} from {state}"
+
+
+def test_step_division_by_zero_is_exact_division_error():
+    # gcd(e_0, a_0) = gcd(0, 0) = 0 is then a divisor of a_1.
+    with pytest.raises(ExactDivisionError):
+        gcd_step(_int_state((0, 3), (0,)))
+    ring = PolyModP(3)
+    with pytest.raises(ExactDivisionError):
+        gcd_step(GcdTodaState((ring(0), ring([1, 1])), (ring(0),)))
 
 
 def test_iteration_cap_raises_with_trace():
@@ -227,3 +238,57 @@ def test_poly_exponent_lift():
         (x ** 2, ring([2]) * x, ring(1)), (x ** 3, x)
     )
     assert exponent_lift(state, x) == UdTodaState((2, 1, 0), (3, 1))
+
+
+def _int_valuation(value: int, prime: int) -> int:
+    k = 0
+    while value % prime == 0:
+        value //= prime
+        k += 1
+    assert value == 1, f"not a power of {prime}"
+    return k
+
+
+def _x_valuation(payload: tuple[int, ...]) -> int:
+    k = len(payload) - 1
+    assert payload == (0,) * k + (1,), f"{payload} is not a power of x"
+    return k
+
+
+def test_divisors_lift_to_conserved_quantities():
+    rng = random.Random(26)
+    for prime in (2, 3, 5):
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            state = _int_state(
+                [
+                    rng.choice([-1, 1]) * prime ** rng.randint(0, 6)
+                    for _ in range(n)
+                ],
+                [
+                    rng.choice([-1, 1]) * prime ** rng.randint(0, 6)
+                    for _ in range(n - 1)
+                ],
+            )
+            valuations = tuple(
+                _int_valuation(d.payload, prime)
+                for d in determinantal_divisors(state)
+            )
+            lifted = exponent_lift(state, ZZ(prime))
+            assert valuations == conserved_quantities(lifted)
+    for p in (2, 3, 7):
+        ring = PolyModP(p)
+        x = ring([0, 1])
+
+        def entry():
+            return ring(rng.randrange(1, p)) * x ** rng.randint(0, 5)
+
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            state = GcdTodaState(
+                [entry() for _ in range(n)], [entry() for _ in range(n - 1)]
+            )
+            valuations = tuple(
+                _x_valuation(d.payload) for d in determinantal_divisors(state)
+            )
+            assert valuations == conserved_quantities(exponent_lift(state, x))

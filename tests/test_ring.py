@@ -1,5 +1,7 @@
 """Ring arithmetic, gcds and the Bezout contract."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from conftest import int_gcd_brute, pgcd_brute, pmul
 from todasnf import (
     ExactDivisionError,
+    IntegerRing,
     PolyModP,
     RingMismatchError,
     RingValue,
@@ -161,6 +164,22 @@ def test_poly_modulus_validation():
         PolyModP("3")
     assert PolyModP(2) == PolyModP(2)
     assert PolyModP(65521).p == 65521
+
+
+def test_rings_are_interned():
+    assert IntegerRing() is ZZ
+    assert PolyModP(7) is PolyModP(7)
+    assert PolyModP(5) is not PolyModP(7)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            PolyModP(4)
+        with pytest.raises(TypeError):
+            PolyModP(7.0)
+    for ring in (ZZ, PolyModP(7)):
+        assert copy.deepcopy(ring) is ring
+        assert pickle.loads(pickle.dumps(ring)) is ring
+        value = ring(3)
+        assert copy.deepcopy(value) + value == ring(6)
 
 
 def test_poly_payload_normalization():
