@@ -15,31 +15,40 @@ left strictly below and to the right of a freshly finished pivot, the
 subdiagonal entry under that pivot is forced to be nonzero (by adding a
 column that still has mass).  A decoupled zero subdiagonal would freeze
 the lattice evolution before the factors are sorted.
+
+The sweeps run on raw payloads: the padded matrix (and the identity
+transforms) are unwrapped once on entry, every rotation comes from
+Ring.xgcd and is applied with the payload kernels mix_rows / mix_cols,
+and the grids are wrapped back into RingValues once on exit.
+gcd_rotation is the RingValue wrapper of the payload rotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import (
-    Block,
-    DenseMatrix,
-    combine_cols,
-    combine_rows,
-    transpose_block,
-)
-from .ring import RingValue, extended_gcd
+from .matrix import Block, DenseMatrix, mix_cols, mix_rows, transpose_block
+from .ring import Ring, RingValue, _common_ring
 from .gcd_toda import GcdTodaState
 
 
-def gcd_rotation(a: RingValue, b: RingValue) -> Block:
-    """A determinant-one block G with (a, b) G == (gcd(a, b), 0).
+def rotation(ring: Ring, a, b):
+    """A determinant-one payload block G with (a, b) G == (gcd(a, b), 0).
 
     Built from the Bezout cofactors: G = ((p, t), (q, s)) where
     a p + b q = d, s = a / d, t = -b / d, so det G = p s - t q = 1.
     """
-    d, p, q, s, t = extended_gcd(a, b)
+    d, p, q, s, t = ring.xgcd(a, b)
     return ((p, t), (q, s))
+
+
+def gcd_rotation(a: RingValue, b: RingValue) -> Block:
+    """rotation on ring values: (a, b) G == (gcd(a, b), 0), det G == 1."""
+    ring = _common_ring(a, b)
+    return tuple(
+        tuple(RingValue(ring, v) for v in row)
+        for row in rotation(ring, a.payload, b.payload)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,51 +90,54 @@ class BidiagonalForm:
             raise ValueError("corner flag does not match the matrix")
 
 
-def _level(grid: list[list[RingValue]], t: int, n: int,
+def _level(ring: Ring, grid: list[list], t: int, n: int,
            p_grid, q_grid) -> bool:
-    """Process pivot level t in place; False when nothing nonzero is left."""
+    """Process pivot level t of a payload grid in place.
+
+    Returns False when nothing nonzero is left.
+    """
+    is_zero = ring.is_zero
+    one, zero = ring.coerce(1), ring.coerce(0)
     # Pivot row fix: steal mass from a lower row when row t is empty.
-    if all(grid[t][j].is_zero() for j in range(t, n)):
+    if all(is_zero(grid[t][j]) for j in range(t, n)):
         donor = next(
             (i for i in range(t + 1, n)
-             if any(not grid[i][j].is_zero() for j in range(t, n))),
+             if any(not is_zero(grid[i][j]) for j in range(t, n))),
             None,
         )
         if donor is None:
             return False
-        one, zero = grid[t][t].ring.one, grid[t][t].ring.zero
-        combine_rows(grid, t, donor, ((one, one), (zero, one)))
+        mix_rows(ring, grid, t, donor, ((one, one), (zero, one)))
         if p_grid is not None:
-            combine_rows(p_grid, t, donor, ((one, one), (zero, one)))
+            mix_rows(ring, p_grid, t, donor, ((one, one), (zero, one)))
 
     # Column sweep: collect the row gcd at (t, t), zeros to its right.
     for j in range(t + 1, n):
-        if not grid[t][j].is_zero():
-            block = gcd_rotation(grid[t][t], grid[t][j])
-            combine_cols(grid, t, j, block)
+        if not is_zero(grid[t][j]):
+            block = rotation(ring, grid[t][t], grid[t][j])
+            mix_cols(ring, grid, t, j, block)
             if q_grid is not None:
-                combine_cols(q_grid, t, j, block)
+                mix_cols(ring, q_grid, t, j, block)
 
     # Keep the subdiagonal alive while mass remains below the pivot.
-    if all(grid[i][t].is_zero() for i in range(t + 1, n)):
+    if all(is_zero(grid[i][t]) for i in range(t + 1, n)):
         donor_col = next(
             (j for j in range(t + 1, n)
-             if any(not grid[i][j].is_zero() for i in range(t + 1, n))),
+             if any(not is_zero(grid[i][j]) for i in range(t + 1, n))),
             None,
         )
         if donor_col is not None:
-            one, zero = grid[t][t].ring.one, grid[t][t].ring.zero
-            combine_cols(grid, t, donor_col, ((one, zero), (one, one)))
+            mix_cols(ring, grid, t, donor_col, ((one, zero), (one, one)))
             if q_grid is not None:
-                combine_cols(q_grid, t, donor_col, ((one, zero), (one, one)))
+                mix_cols(ring, q_grid, t, donor_col, ((one, zero), (one, one)))
 
     # Row sweep: concentrate the column gcd at (t+1, t).
     for i in range(t + 2, n):
-        if not grid[i][t].is_zero():
-            block = transpose_block(gcd_rotation(grid[t + 1][t], grid[i][t]))
-            combine_rows(grid, t + 1, i, block)
+        if not is_zero(grid[i][t]):
+            block = transpose_block(rotation(ring, grid[t + 1][t], grid[i][t]))
+            mix_rows(ring, grid, t + 1, i, block)
             if p_grid is not None:
-                combine_rows(p_grid, t + 1, i, block)
+                mix_rows(ring, p_grid, t + 1, i, block)
     return True
 
 
@@ -139,23 +151,23 @@ def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
     ring = matrix.ring
     padded = matrix.padded_square()
     n = padded.nrows
-    grid = padded.to_grid()
-    p_grid = DenseMatrix.identity(ring, n).to_grid() if transforms else None
-    q_grid = DenseMatrix.identity(ring, n).to_grid() if transforms else None
+    grid = padded.payload_grid()
+    eye = DenseMatrix.identity(ring, n) if transforms else None
+    p_grid = eye.payload_grid() if transforms else None
+    q_grid = eye.payload_grid() if transforms else None
 
     for t in range(n):
-        if not _level(grid, t, n, p_grid, q_grid):
+        if not _level(ring, grid, t, n, p_grid, q_grid):
             break
 
-    out = DenseMatrix(ring, grid)
     k = 0
-    while k < n and not out[k, k].is_zero():
+    while k < n and not ring.is_zero(grid[k][k]):
         k += 1
-    corner = 0 < k < n and not out[k, k - 1].is_zero()
-    form = BidiagonalForm(out, k, corner)
+    corner = 0 < k < n and not ring.is_zero(grid[k][k - 1])
+    form = BidiagonalForm(padded.with_payloads(grid), k, corner)
     if not transforms:
         return form
-    return form, DenseMatrix(ring, p_grid), DenseMatrix(ring, q_grid)
+    return form, eye.with_payloads(p_grid), eye.with_payloads(q_grid)
 
 
 def seed_state(form: BidiagonalForm) -> GcdTodaState:

@@ -1,4 +1,11 @@
-"""Dense matrices of ring values, plus 2x2 block row/column updates."""
+"""Dense matrices of ring values, plus 2x2 block row/column updates.
+
+The updates are payload kernels: mix_rows and mix_cols take the ring and
+work on a mutable grid of raw payloads with the ring's bound methods, so
+the elimination sweeps in bidiagonalize and classical_snf never build a
+RingValue.  combine_rows and combine_cols are their RingValue wrappers,
+unwrapping the touched entries on entry and wrapping them on exit.
+"""
 
 from __future__ import annotations
 
@@ -49,8 +56,33 @@ class DenseMatrix:
         return self._rows
 
     def to_grid(self) -> list[list[RingValue]]:
-        """A mutable copy, for in-place elimination."""
+        """A mutable copy of the entries as ring values."""
         return [list(row) for row in self._rows]
+
+    def payload_grid(self) -> list[list]:
+        """A mutable copy of the raw payloads, for the payload kernels."""
+        return [[v.payload for v in row] for row in self._rows]
+
+    def with_payloads(self, grid: list[list]) -> "DenseMatrix":
+        """A matrix of this ring and shape holding the payloads of grid.
+
+        The inverse of payload_grid after an in-place elimination.  Skips
+        the constructor's coercion and checks, so grid must hold valid
+        payloads in this shape, as the payload kernels leave them.  An
+        entry whose payload object is unchanged keeps its wrapper: on
+        inputs that are nearly bidiagonal already, fresh wrappers for all
+        n*n entries made bidiagonalize about a fifth slower, through the
+        garbage collections they trigger.
+        """
+        ring = self.ring
+        out = object.__new__(DenseMatrix)
+        out.ring = ring
+        out._rows = tuple(
+            tuple(v if v.payload is x else RingValue(ring, x)
+                  for v, x in zip(old, new))
+            for old, new in zip(self._rows, grid)
+        )
+        return out
 
     def padded_square(self) -> "DenseMatrix":
         """The matrix extended with zero rows or columns until square."""
@@ -103,31 +135,57 @@ class DenseMatrix:
         return f"DenseMatrix({self.ring.name}, {self.nrows}x{self.ncols}: {body})"
 
 
-def combine_cols(grid: list[list[RingValue]], j1: int, j2: int,
-                 block: Block) -> None:
-    """Right-multiply columns (j1, j2) of a mutable grid by a 2x2 block.
+def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, block) -> None:
+    """Right-multiply columns (j1, j2) of a payload grid by a payload block.
 
     new col_j1 = col_j1*b00 + col_j2*b10, new col_j2 = col_j1*b01 + col_j2*b11.
     """
     (b00, b01), (b10, b11) = block
+    add, mul = ring.add, ring.mul
     for row in grid:
         x, y = row[j1], row[j2]
-        row[j1] = x * b00 + y * b10
-        row[j2] = x * b01 + y * b11
+        row[j1] = add(mul(x, b00), mul(y, b10))
+        row[j2] = add(mul(x, b01), mul(y, b11))
 
 
-def combine_rows(grid: list[list[RingValue]], i1: int, i2: int,
-                 block: Block) -> None:
-    """Left-multiply rows (i1, i2) of a mutable grid by a 2x2 block.
+def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, block) -> None:
+    """Left-multiply rows (i1, i2) of a payload grid by a payload block.
 
     new row_i1 = b00*row_i1 + b01*row_i2, new row_i2 = b10*row_i1 + b11*row_i2.
     """
     (b00, b01), (b10, b11) = block
+    add, mul = ring.add, ring.mul
     r1, r2 = grid[i1], grid[i2]
-    grid[i1] = [b00 * x + b01 * y for x, y in zip(r1, r2)]
-    grid[i2] = [b10 * x + b11 * y for x, y in zip(r1, r2)]
+    grid[i1] = [add(mul(b00, x), mul(b01, y)) for x, y in zip(r1, r2)]
+    grid[i2] = [add(mul(b10, x), mul(b11, y)) for x, y in zip(r1, r2)]
 
 
-def transpose_block(block: Block) -> Block:
+def _unwrap_block(block: Block):
+    """The block's ring and payloads; RingMismatchError on mixed rings."""
+    ring = block[0][0].ring
+    return ring, tuple(tuple(ring(v).payload for v in row) for row in block)
+
+
+def combine_cols(grid: list[list[RingValue]], j1: int, j2: int,
+                 block: Block) -> None:
+    """mix_cols on a mutable grid of ring values."""
+    ring, raw = _unwrap_block(block)
+    pairs = [[ring(row[j1]).payload, ring(row[j2]).payload] for row in grid]
+    mix_cols(ring, pairs, 0, 1, raw)
+    for row, (x, y) in zip(grid, pairs):
+        row[j1], row[j2] = RingValue(ring, x), RingValue(ring, y)
+
+
+def combine_rows(grid: list[list[RingValue]], i1: int, i2: int,
+                 block: Block) -> None:
+    """mix_rows on a mutable grid of ring values."""
+    ring, raw = _unwrap_block(block)
+    pair = [[ring(v).payload for v in grid[i]] for i in (i1, i2)]
+    mix_rows(ring, pair, 0, 1, raw)
+    grid[i1], grid[i2] = ([RingValue(ring, v) for v in row] for row in pair)
+
+
+def transpose_block(block):
+    """The transposed 2x2 block, of ring values or of payloads alike."""
     (b00, b01), (b10, b11) = block
     return ((b00, b10), (b01, b11))

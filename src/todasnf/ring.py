@@ -75,11 +75,15 @@ class RingValue:
     def __pow__(self, exponent: int) -> "RingValue":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self.ring.one
-        base = self
-        for _ in range(exponent):
-            out = out * base
-        return out
+        ring = self.ring
+        out, base = ring.coerce(1), self.payload
+        while exponent:
+            if exponent & 1:
+                out = ring.mul(out, base)
+            exponent >>= 1
+            if exponent:
+                base = ring.mul(base, base)
+        return RingValue(ring, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingValue):
@@ -162,6 +166,33 @@ class Ring:
         while not self.is_zero(b):
             a, b = b, self.divmod(a, b)[1]
         return self.canonical(a)
+
+    def xgcd(self, a, b):
+        """Bezout data (d, p, q, s, t) of two payloads.
+
+        d is the canonical gcd of (a, b) and
+
+            a*p + b*q == d,    a == s*d,    b == -t*d.
+
+        Undefined (raises ValueError) when both inputs are zero.
+        """
+        if self.is_zero(a) and self.is_zero(b):
+            raise ValueError("extended gcd of (0, 0) is undefined")
+        one, zero = self.coerce(1), self.coerce(0)
+        r0, x0, y0 = a, one, zero
+        r1, x1, y1 = b, zero, one
+        while not self.is_zero(r1):
+            quot, rem = self.divmod(r0, r1)
+            r0, r1 = r1, rem
+            x0, x1 = x1, self.add(x0, self.neg(self.mul(quot, x1)))
+            y0, y1 = y1, self.add(y0, self.neg(self.mul(quot, y1)))
+        u = self.canonicalizing_unit(r0)
+        d = self.mul(u, r0)
+        p = self.mul(u, x0)
+        q = self.mul(u, y0)
+        s = self.divmod(a, d)[0]
+        t = self.neg(self.divmod(b, d)[0])
+        return d, p, q, s, t
 
     def exact_div(self, a, b):
         """a / b when b divides a exactly; ExactDivisionError otherwise."""
@@ -415,30 +446,11 @@ def gcd(a: RingValue, b: RingValue) -> RingValue:
 def extended_gcd(a: RingValue, b: RingValue):
     """Solve the Bezout identity with cofactors of the gcd.
 
-    Returns (d, p, q, s, t) with d the canonical gcd of (a, b) and
-
-        a*p + b*q == d,    a == s*d,    b == -t*d.
-
-    Undefined (raises ValueError) when both inputs are zero.
+    Returns (d, p, q, s, t) as in :meth:`Ring.xgcd`; raises ValueError
+    when both inputs are zero.
     """
     ring = _common_ring(a, b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("extended gcd of (0, 0) is undefined")
-    one, zero = ring.coerce(1), ring.coerce(0)
-    r0, x0, y0 = a.payload, one, zero
-    r1, x1, y1 = b.payload, zero, one
-    while not ring.is_zero(r1):
-        quot, rem = ring.divmod(r0, r1)
-        r0, r1 = r1, rem
-        x0, x1 = x1, ring.add(x0, ring.neg(ring.mul(quot, x1)))
-        y0, y1 = y1, ring.add(y0, ring.neg(ring.mul(quot, y1)))
-    u = ring.canonicalizing_unit(r0)
-    d = ring.mul(u, r0)
-    p = ring.mul(u, x0)
-    q = ring.mul(u, y0)
-    s = ring.divmod(a.payload, d)[0]
-    t = ring.neg(ring.divmod(b.payload, d)[0])
-    return tuple(RingValue(ring, v) for v in (d, p, q, s, t))
+    return tuple(RingValue(ring, v) for v in ring.xgcd(a.payload, b.payload))
 
 
 def exact_div(a: RingValue, b: RingValue) -> RingValue:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .bidiagonalize import bidiagonalize, gcd_rotation, seed_state
+from .bidiagonalize import bidiagonalize, rotation, seed_state
 from .gcd_toda import GcdTodaState, run
-from .matrix import DenseMatrix, combine_cols, combine_rows, transpose_block
-from .ring import RingValue, canonical, divides, exact_div, gcd
+from .matrix import DenseMatrix, mix_cols, mix_rows, transpose_block
+from .ring import RingValue, canonical, divides, gcd
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,22 +76,25 @@ def classical_snf(matrix: DenseMatrix) -> SnfResult:
 
     Independent of the lattice machinery: pivots are shrunk to gcds by
     rotations, cleared by division steps, and grown to divide the rest of
-    the block before moving on.
+    the block before moving on.  The elimination runs on raw payloads;
+    only the factors are wrapped.
     """
     ring = matrix.ring
-    grid = matrix.to_grid()
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    is_zero, ring_divides = ring.is_zero, ring.divides
+    grid = matrix.payload_grid()
     m, n = matrix.nrows, matrix.ncols
     size = min(m, n)
-    factors: list[RingValue] = []
+    factors: list = []
 
     for t in range(size):
         pivot_pos = next(
             ((i, j) for i in range(t, m) for j in range(t, n)
-             if not grid[i][j].is_zero()),
+             if not is_zero(grid[i][j])),
             None,
         )
         if pivot_pos is None:
-            factors.extend([ring.zero] * (size - t))
+            factors.extend([ring.coerce(0)] * (size - t))
             break
         i0, j0 = pivot_pos
         grid[t], grid[i0] = grid[i0], grid[t]
@@ -106,41 +109,42 @@ def classical_snf(matrix: DenseMatrix) -> SnfResult:
                 changed = False
                 for i in range(t + 1, m):
                     v = grid[i][t]
-                    if not v.is_zero() and not divides(grid[t][t], v):
-                        block = transpose_block(gcd_rotation(grid[t][t], v))
-                        combine_rows(grid, t, i, block)
+                    if not is_zero(v) and not ring_divides(grid[t][t], v):
+                        block = transpose_block(rotation(ring, grid[t][t], v))
+                        mix_rows(ring, grid, t, i, block)
                         changed = True
                 for j in range(t + 1, n):
                     v = grid[t][j]
-                    if not v.is_zero() and not divides(grid[t][t], v):
-                        block = gcd_rotation(grid[t][t], v)
-                        combine_cols(grid, t, j, block)
+                    if not is_zero(v) and not ring_divides(grid[t][t], v):
+                        block = rotation(ring, grid[t][t], v)
+                        mix_cols(ring, grid, t, j, block)
                         changed = True
             # Division steps clear the row and column without refills.
             pivot = grid[t][t]
             for i in range(t + 1, m):
-                if not grid[i][t].is_zero():
-                    q = exact_div(grid[i][t], pivot)
-                    grid[i] = [a - q * b for a, b in zip(grid[i], grid[t])]
+                if not is_zero(grid[i][t]):
+                    q = ring.exact_div(grid[i][t], pivot)
+                    grid[i] = [add(a, neg(mul(q, b)))
+                               for a, b in zip(grid[i], grid[t])]
             for j in range(t + 1, n):
-                if not grid[t][j].is_zero():
-                    q = exact_div(grid[t][j], pivot)
+                if not is_zero(grid[t][j]):
+                    q = ring.exact_div(grid[t][j], pivot)
                     for row in grid:
-                        row[j] = row[j] - q * row[t]
+                        row[j] = add(row[j], neg(mul(q, row[t])))
             # The pivot must divide the rest of the block; pull up a
             # witness row and start over when it does not.
             witness = next(
                 (i for i in range(t + 1, m)
-                 if any(not divides(pivot, grid[i][j])
+                 if any(not ring_divides(pivot, grid[i][j])
                         for j in range(t + 1, n))),
                 None,
             )
             if witness is None:
                 break
-            grid[t] = [a + b for a, b in zip(grid[t], grid[witness])]
-        factors.append(canonical(grid[t][t]))
+            grid[t] = [add(a, b) for a, b in zip(grid[t], grid[witness])]
+        factors.append(ring.canonical(grid[t][t]))
 
-    return SnfResult(tuple(factors), 0, "classical")
+    return SnfResult(tuple(RingValue(ring, v) for v in factors), 0, "classical")
 
 
 def determinant(matrix: DenseMatrix) -> RingValue:

@@ -105,6 +105,36 @@ def test_poly_reduction():
         assert p @ a.padded_square() @ q == form.matrix
 
 
+def _random_poly_matrix(rng, ring, m, n) -> DenseMatrix:
+    return DenseMatrix(ring, [
+        [[rng.randrange(ring.p) for _ in range(rng.randint(0, 3))]
+         for _ in range(n)]
+        for _ in range(m)
+    ])
+
+
+def test_transforms_at_pipeline_sizes():
+    rng = random.Random(45)
+    cases = []
+    for n in range(6, 11):
+        cases.append(_random_int_matrix(rng, n, n))
+        cases.append(_random_int_matrix(rng, n, rng.randint(6, 10)))
+        rank = rng.randint(2, n - 2)
+        cases.append(_random_int_matrix(rng, n, rank, bound=5, zero_prob=0)
+                     @ _random_int_matrix(rng, rank, n, bound=5, zero_prob=0))
+    for p in (2, 5, 7):
+        ring = PolyModP(p)
+        for n in (6, 8, 10):
+            cases.append(_random_poly_matrix(rng, ring, n, n))
+            cases.append(_random_poly_matrix(rng, ring, n, n - 3))
+            cases.append(_random_poly_matrix(rng, ring, n, 2)
+                         @ _random_poly_matrix(rng, ring, 2, n + 1))
+    for a in cases:
+        form, p, q = bidiagonalize(a, transforms=True)
+        assert p @ a.padded_square() @ q == form.matrix, f"broken for {a!r}"
+        assert bidiagonalize(a) == form
+
+
 def test_subdiagonal_forced_when_mass_remains():
     form = bidiagonalize(DenseMatrix(ZZ, [[2, 0], [0, 3]]))
     assert form.k == 2 and not form.corner

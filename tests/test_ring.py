@@ -219,6 +219,21 @@ def test_value_arithmetic_and_hashing():
         a ** -1
 
 
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(19)
+    bases = [ZZ(0), ZZ(1), ZZ(-1), ZZ(-3), ZZ(rng.randint(10**8, 10**9))]
+    for p in (2, 5, 7):
+        ring = PolyModP(p)
+        bases += [ring(0), ring(1), ring([0, 1])]
+        bases += [ring([rng.randrange(p) for _ in range(4)]) for _ in range(3)]
+    for base in bases:
+        ring = base.ring
+        expected = ring.coerce(1)
+        for exponent in range(41):
+            assert base ** exponent == RingValue(ring, expected), (base, exponent)
+            expected = ring.mul(expected, base.payload)
+
+
 def test_unit_detection():
     assert ZZ(-1).is_unit() and ZZ(1).is_unit()
     assert not ZZ(2).is_unit() and not ZZ(0).is_unit()

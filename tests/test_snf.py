@@ -8,8 +8,10 @@ from conftest import int_grid, minors_gcd_int_brute
 from todasnf import (
     DenseMatrix,
     PolyModP,
+    RingValue,
     SnfResult,
     ZZ,
+    bidiagonalize,
     classical_snf,
     minors_gcd,
     smith_normal_form,
@@ -161,3 +163,31 @@ def test_max_iters_is_honored():
     with pytest.raises(IterationLimitError):
         smith_normal_form(matrix, max_iters=2)
     assert smith_normal_form(matrix, max_iters=4).iterations == 4
+
+
+def _wraps(call) -> int:
+    """How many RingValues a call builds."""
+    count = 0
+    original = RingValue.__init__
+
+    def counting(self, ring, payload):
+        nonlocal count
+        count += 1
+        original(self, ring, payload)
+
+    RingValue.__init__ = counting
+    try:
+        call()
+    finally:
+        RingValue.__init__ = original
+    return count
+
+
+def test_elimination_wraps_values_only_at_the_boundary():
+    # The sweeps run on payloads; a RingValue per 2x2 update would build
+    # thousands of wrappers here instead of about one per entry.
+    n = 12
+    a = _random_int_matrix(random.Random(58), n, n, zero_prob=0)
+    assert _wraps(lambda: bidiagonalize(a)) <= 2 * n * n
+    assert _wraps(lambda: bidiagonalize(a, transforms=True)) <= 4 * n * n
+    assert _wraps(lambda: classical_snf(a)) <= 2 * n * n
