@@ -43,6 +43,7 @@ from .gcd_toda import (
     determinantal_divisors,
     exponent_lift,
     gcd_step,
+    iterate,
     run,
     terminated,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "gcd_rotation",
     "gcd_step",
     "is_sorted",
+    "iterate",
     "minors_gcd",
     "parse_state_literal",
     "render_bbs",

@@ -17,9 +17,9 @@ column that still has mass).  A decoupled zero subdiagonal would freeze
 the lattice evolution before the factors are sorted.
 
 The sweeps run on raw payloads: the padded matrix (and the identity
-transforms) are unwrapped once on entry, every rotation comes from
+transforms) are copied out with payload_grid, every rotation comes from
 Ring.xgcd and is applied with the payload kernels mix_rows / mix_cols,
-and the grids are wrapped back into RingValues once on exit.
+and the grids become matrices again through DenseMatrix.from_payloads.
 gcd_rotation is the RingValue wrapper of the payload rotation.
 """
 
@@ -164,10 +164,11 @@ def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
     while k < n and not ring.is_zero(grid[k][k]):
         k += 1
     corner = 0 < k < n and not ring.is_zero(grid[k][k - 1])
-    form = BidiagonalForm(padded.with_payloads(grid), k, corner)
+    form = BidiagonalForm(DenseMatrix.from_payloads(ring, grid), k, corner)
     if not transforms:
         return form
-    return form, eye.with_payloads(p_grid), eye.with_payloads(q_grid)
+    return (form, DenseMatrix.from_payloads(ring, p_grid),
+            DenseMatrix.from_payloads(ring, q_grid))
 
 
 def seed_state(form: BidiagonalForm) -> GcdTodaState:

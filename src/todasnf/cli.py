@@ -24,15 +24,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 from .gcd_toda import (
     GcdTodaState,
     IterationLimitError,
     determinantal_divisors,
-    gcd_step,
+    iterate,
 )
 from .matrix import DenseMatrix
-from .ring import ExactDivisionError, PolyModP, Ring, RingValue, ZZ
+from .ring import ExactDivisionError, PolyModP, Ring, ZZ
 from .snf import classical_snf, smith_normal_form, verify
 from .ud_toda import (
     bbs_step,
@@ -133,13 +134,13 @@ def parse_matrix_text(text: str) -> DenseMatrix:
         row = []
         for token in tokens:
             try:
-                row.append(RingValue(ring, ring.parse(token)))
+                row.append(ring.parse(token))
             except ValueError as exc:
                 raise MatrixParseError(lineno, str(exc)) from None
         grid.append(row)
     if cursor != len(lines):
         raise MatrixParseError(lines[cursor][0], "unexpected trailing content")
-    return DenseMatrix(ring, grid)
+    return DenseMatrix.from_payloads(ring, grid)
 
 
 def render_matrix_text(matrix: DenseMatrix) -> str:
@@ -250,14 +251,12 @@ def cmd_toda_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    state = GcdTodaState(diag, tuple(
+    seed = GcdTodaState(diag, tuple(
         matrix[i + 1, i] for i in range(matrix.nrows - 1)
     ))
-    for t in range(args.steps + 1):
+    for state in islice(iterate(seed), args.steps + 1):
         divisors = " ".join(str(v) for v in determinantal_divisors(state))
         print(f"{render_trace_line(state)} | d: {divisors}")
-        if t < args.steps:
-            state = gcd_step(state)
     return EXIT_OK
 
 

@@ -21,12 +21,16 @@ which are exactly the determinantal divisors of the bidiagonal matrix.
 The step, the divisor program, the termination test and the word are the
 semiring kernels of ud_toda.py, run here on raw payloads with the bound
 methods (ring.gcd, ring.mul, ring.exact_div, ring.canonical); RingValues
-are unwrapped on entry and only the results are wrapped.
+are unwrapped on entry and only the results are wrapped.  run keeps just
+the seed and the final state; the trace of a TodaRun or of an
+IterationLimitError replays the deterministic map with iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .ring import Ring, RingValue, divides, exact_div
 from .ud_toda import (
@@ -41,16 +45,20 @@ from .ud_toda import (
 class IterationLimitError(RuntimeError):
     """The step cap was reached before the termination test fired.
 
-    Carries the trace walked so far, seed included, for diagnostics.
+    trace replays the states walked, seed included, for diagnostics.
     """
 
-    def __init__(self, limit: int, trace: tuple["GcdTodaState", ...]):
+    def __init__(self, limit: int, seed: GcdTodaState, last: GcdTodaState):
         super().__init__(
             f"no termination within {limit} steps; "
-            f"last diagonal {[str(v) for v in trace[-1].diagonal]}"
+            f"last diagonal {[str(v) for v in last.diagonal]}"
         )
         self.limit = limit
-        self.trace = trace
+        self.seed = seed
+
+    @property
+    def trace(self) -> tuple[GcdTodaState, ...]:
+        return tuple(islice(iterate(self.seed), self.limit + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,18 +98,19 @@ class GcdTodaState:
 
 @dataclass(frozen=True, slots=True)
 class TodaRun:
-    """Outcome of iterating gcd_step to termination."""
+    """Outcome of iterating gcd_step to termination; trace is replayed."""
 
-    factors: tuple[RingValue, ...]
-    trace: tuple[GcdTodaState, ...]
-
-    @property
-    def iterations(self) -> int:
-        return len(self.trace) - 1
+    seed: GcdTodaState
+    iterations: int
+    final: GcdTodaState
 
     @property
-    def final(self) -> GcdTodaState:
-        return self.trace[-1]
+    def factors(self) -> tuple[RingValue, ...]:
+        return self.final.diagonal
+
+    @property
+    def trace(self) -> tuple[GcdTodaState, ...]:
+        return tuple(islice(iterate(self.seed), self.iterations + 1))
 
 
 def _unwrap(state: GcdTodaState) -> tuple[tuple, tuple]:
@@ -114,12 +123,16 @@ def _wrap(ring: Ring, payloads) -> tuple[RingValue, ...]:
     return tuple(RingValue(ring, v) for v in payloads)
 
 
+def _state(ring: Ring, q, e) -> GcdTodaState:
+    """The state of diagonal payloads q and subdiagonal payloads e."""
+    return GcdTodaState(_wrap(ring, q), _wrap(ring, e))
+
+
 def gcd_step(state: GcdTodaState) -> GcdTodaState:
     """Advance one time step; raises ExactDivisionError off the reachable set."""
     ring = state.ring
-    q, e = toda_step(*_unwrap(state), ring.gcd, ring.mul, ring.exact_div,
-                     ring.canonical)
-    return GcdTodaState(_wrap(ring, q), _wrap(ring, e))
+    return _state(ring, *toda_step(*_unwrap(state), ring.gcd, ring.mul,
+                                   ring.exact_div, ring.canonical))
 
 
 def terminated(state: GcdTodaState) -> bool:
@@ -136,13 +149,11 @@ def default_max_iters(state: GcdTodaState) -> int:
     return max(64, state.n * total)
 
 
-def _check_interior(state: GcdTodaState) -> None:
-    for v in state.diagonal[:-1]:
-        if v.is_zero():
-            raise ValueError(
-                "interior diagonal entries must be nonzero; only the last "
-                "may vanish"
-            )
+def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
+    """The state, then each gcd_step after it, without end."""
+    while True:
+        yield state
+        state = gcd_step(state)
 
 
 def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
@@ -150,21 +161,26 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
 
     At least one step is always taken, so the returned diagonal is made of
     canonical associates even when the seed already passes the test.  The
-    trace contains the seed followed by every state visited.
+    steps run on payloads; only the final state is wrapped, and the trace
+    is replayed on request.
     """
-    _check_interior(state)
+    ring = state.ring
+    q, e = _unwrap(state)
+    if any(ring.is_zero(v) for v in q[:-1]):
+        raise ValueError(
+            "interior diagonal entries must be nonzero; only the last "
+            "may vanish"
+        )
     if max_iters is None:
         max_iters = default_max_iters(state)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    trace = [state]
-    cur = state
-    for _ in range(max_iters):
-        cur = gcd_step(cur)
-        trace.append(cur)
-        if terminated(cur):
-            return TodaRun(factors=cur.diagonal, trace=tuple(trace))
-    raise IterationLimitError(max_iters, tuple(trace))
+    gcd, mul, div, canon = ring.gcd, ring.mul, ring.exact_div, ring.canonical
+    for steps in range(1, max_iters + 1):
+        q, e = toda_step(q, e, gcd, mul, div, canon)
+        if settled(q, e, ring.divides):
+            return TodaRun(state, steps, _state(ring, q, e))
+    raise IterationLimitError(max_iters, state, _state(ring, q, e))
 
 
 def interleaved(state: GcdTodaState) -> tuple[RingValue, ...]:

@@ -1,10 +1,11 @@
-"""Dense matrices of ring values, plus 2x2 block row/column updates.
+"""Dense matrices over a ring, stored as raw payloads, plus 2x2 block updates.
 
-The updates are payload kernels: mix_rows and mix_cols take the ring and
-work on a mutable grid of raw payloads with the ring's bound methods, so
-the elimination sweeps in bidiagonalize and classical_snf never build a
-RingValue.  combine_rows and combine_cols are their RingValue wrappers,
-unwrapping the touched entries on entry and wrapping them on exit.
+A DenseMatrix keeps its entries as the ring's payloads and wraps them
+into RingValues only when they are read through [i, j], row, rows or
+to_grid.  The elimination code reads a mutable copy with payload_grid,
+updates it in place with the payload kernels mix_rows and mix_cols, and
+turns the result back into a matrix with the trusted from_payloads; no
+RingValue is built on the way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class DenseMatrix:
     __slots__ = ("ring", "_rows")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence]):
-        grid = tuple(tuple(ring(v) for v in row) for row in rows)
+        grid = tuple(tuple(ring(v).payload for v in row) for row in rows)
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(grid[0])
@@ -32,10 +33,24 @@ class DenseMatrix:
         self._rows = grid
 
     @classmethod
+    def from_payloads(cls, ring: Ring, grid: Sequence[Sequence]) -> "DenseMatrix":
+        """A matrix holding the payloads of grid, the inverse of payload_grid.
+
+        Skips the constructor's coercion and checks, so grid must be a
+        nonempty rectangle of valid payloads of ring, as the payload
+        kernels leave it.
+        """
+        out = object.__new__(cls)
+        out.ring = ring
+        out._rows = tuple(tuple(row) for row in grid)
+        return out
+
+    @classmethod
     def identity(cls, ring: Ring, n: int) -> "DenseMatrix":
-        one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)]
-                          for i in range(n)])
+        one, zero = ring.coerce(1), ring.coerce(0)
+        return cls.from_payloads(
+            ring, [[one if i == j else zero for j in range(n)] for i in range(n)]
+        )
 
     @property
     def nrows(self) -> int:
@@ -47,51 +62,32 @@ class DenseMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> RingValue:
         i, j = key
-        return self._rows[i][j]
+        return RingValue(self.ring, self._rows[i][j])
 
     def row(self, i: int) -> tuple[RingValue, ...]:
-        return self._rows[i]
+        ring = self.ring
+        return tuple(RingValue(ring, v) for v in self._rows[i])
 
     def rows(self) -> tuple[tuple[RingValue, ...], ...]:
-        return self._rows
+        return tuple(self.row(i) for i in range(self.nrows))
 
     def to_grid(self) -> list[list[RingValue]]:
         """A mutable copy of the entries as ring values."""
-        return [list(row) for row in self._rows]
+        return [list(self.row(i)) for i in range(self.nrows)]
 
     def payload_grid(self) -> list[list]:
         """A mutable copy of the raw payloads, for the payload kernels."""
-        return [[v.payload for v in row] for row in self._rows]
-
-    def with_payloads(self, grid: list[list]) -> "DenseMatrix":
-        """A matrix of this ring and shape holding the payloads of grid.
-
-        The inverse of payload_grid after an in-place elimination.  Skips
-        the constructor's coercion and checks, so grid must hold valid
-        payloads in this shape, as the payload kernels leave them.  An
-        entry whose payload object is unchanged keeps its wrapper: on
-        inputs that are nearly bidiagonal already, fresh wrappers for all
-        n*n entries made bidiagonalize about a fifth slower, through the
-        garbage collections they trigger.
-        """
-        ring = self.ring
-        out = object.__new__(DenseMatrix)
-        out.ring = ring
-        out._rows = tuple(
-            tuple(v if v.payload is x else RingValue(ring, x)
-                  for v, x in zip(old, new))
-            for old, new in zip(self._rows, grid)
-        )
-        return out
+        return [list(row) for row in self._rows]
 
     def padded_square(self) -> "DenseMatrix":
         """The matrix extended with zero rows or columns until square."""
+        if self.nrows == self.ncols:
+            return self
         n = max(self.nrows, self.ncols)
-        zero = self.ring.zero
-        grid = [list(row) + [zero] * (n - self.ncols) for row in self._rows]
-        for _ in range(n - self.nrows):
-            grid.append([zero] * n)
-        return DenseMatrix(self.ring, grid)
+        zero = self.ring.coerce(0)
+        grid = [row + (zero,) * (n - self.ncols) for row in self._rows]
+        grid += [(zero,) * n] * (n - self.nrows)
+        return DenseMatrix.from_payloads(self.ring, grid)
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.ring is not other.ring:
@@ -101,22 +97,24 @@ class DenseMatrix:
                 f"shape mismatch: {self.nrows}x{self.ncols} times "
                 f"{other.nrows}x{other.ncols}"
             )
+        add, mul, zero = self.ring.add, self.ring.mul, self.ring.coerce(0)
         out = []
-        for i in range(self.nrows):
+        for a_row in self._rows:
             row = []
             for j in range(other.ncols):
-                acc = self.ring.zero
-                for k in range(self.ncols):
-                    acc = acc + self._rows[i][k] * other._rows[k][j]
+                acc = zero
+                for k, a in enumerate(a_row):
+                    acc = add(acc, mul(a, other._rows[k][j]))
                 row.append(acc)
             out.append(row)
-        return DenseMatrix(self.ring, out)
+        return DenseMatrix.from_payloads(self.ring, out)
 
     def is_lower_bidiagonal(self) -> bool:
         """Only the diagonal and the first subdiagonal may be nonzero."""
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                if j != i and j != i - 1 and not self._rows[i][j].is_zero():
+        is_zero = self.ring.is_zero
+        for i, row in enumerate(self._rows):
+            for j, v in enumerate(row):
+                if j != i and j != i - 1 and not is_zero(v):
                     return False
         return True
 
@@ -129,8 +127,9 @@ class DenseMatrix:
         return hash((self.ring, self._rows))
 
     def __repr__(self) -> str:
+        render = self.ring.render
         body = "; ".join(
-            " ".join(str(v) for v in row) for row in self._rows
+            " ".join(render(v) for v in row) for row in self._rows
         )
         return f"DenseMatrix({self.ring.name}, {self.nrows}x{self.ncols}: {body})"
 
@@ -158,31 +157,6 @@ def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, block) -> None:
     r1, r2 = grid[i1], grid[i2]
     grid[i1] = [add(mul(b00, x), mul(b01, y)) for x, y in zip(r1, r2)]
     grid[i2] = [add(mul(b10, x), mul(b11, y)) for x, y in zip(r1, r2)]
-
-
-def _unwrap_block(block: Block):
-    """The block's ring and payloads; RingMismatchError on mixed rings."""
-    ring = block[0][0].ring
-    return ring, tuple(tuple(ring(v).payload for v in row) for row in block)
-
-
-def combine_cols(grid: list[list[RingValue]], j1: int, j2: int,
-                 block: Block) -> None:
-    """mix_cols on a mutable grid of ring values."""
-    ring, raw = _unwrap_block(block)
-    pairs = [[ring(row[j1]).payload, ring(row[j2]).payload] for row in grid]
-    mix_cols(ring, pairs, 0, 1, raw)
-    for row, (x, y) in zip(grid, pairs):
-        row[j1], row[j2] = RingValue(ring, x), RingValue(ring, y)
-
-
-def combine_rows(grid: list[list[RingValue]], i1: int, i2: int,
-                 block: Block) -> None:
-    """mix_rows on a mutable grid of ring values."""
-    ring, raw = _unwrap_block(block)
-    pair = [[ring(v).payload for v in grid[i]] for i in (i1, i2)]
-    mix_rows(ring, pair, 0, 1, raw)
-    grid[i1], grid[i2] = ([RingValue(ring, v) for v in row] for row in pair)
 
 
 def transpose_block(block):

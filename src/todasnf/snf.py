@@ -152,32 +152,33 @@ def determinant(matrix: DenseMatrix) -> RingValue:
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant needs a square matrix")
     ring = matrix.ring
-    rows = matrix.rows()
+    add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
+    rows = matrix.payload_grid()
     n = matrix.nrows
-    memo: dict[tuple[int, int], RingValue] = {}
+    memo: dict[tuple[int, int], object] = {}
 
-    def expand(i: int, mask: int) -> RingValue:
+    def expand(i: int, mask: int):
         if i == n:
-            return ring.one
+            return ring.coerce(1)
         key = (i, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        total = ring.zero
+        total = ring.coerce(0)
         positive = True
         rest = mask
         while rest:
             bit = rest & -rest
             rest ^= bit
             entry = rows[i][bit.bit_length() - 1]
-            if not entry.is_zero():
-                term = entry * expand(i + 1, mask ^ bit)
-                total = total + term if positive else total - term
+            if not is_zero(entry):
+                term = mul(entry, expand(i + 1, mask ^ bit))
+                total = add(total, term if positive else neg(term))
             positive = not positive
         memo[key] = total
         return total
 
-    return expand(0, (1 << n) - 1)
+    return RingValue(ring, expand(0, (1 << n) - 1))
 
 
 def minors_gcd(matrix: DenseMatrix, k: int) -> RingValue:
@@ -185,11 +186,12 @@ def minors_gcd(matrix: DenseMatrix, k: int) -> RingValue:
     if not 1 <= k <= min(matrix.nrows, matrix.ncols):
         raise ValueError(f"minor order {k} out of range")
     ring = matrix.ring
+    grid = matrix.payload_grid()
     best = ring.zero
     for row_sel in combinations(range(matrix.nrows), k):
-        chosen = [matrix.row(i) for i in row_sel]
+        chosen = [grid[i] for i in row_sel]
         for col_sel in combinations(range(matrix.ncols), k):
-            sub = DenseMatrix(
+            sub = DenseMatrix.from_payloads(
                 ring, [[r[j] for j in col_sel] for r in chosen]
             )
             best = gcd(best, determinant(sub))

@@ -15,6 +15,7 @@ from todasnf import (
     GcdTodaState,
     IterationLimitError,
     PolyModP,
+    RingValue,
     UdTodaState,
     ZZ,
     canonical,
@@ -292,3 +293,51 @@ def test_divisors_lift_to_conserved_quantities():
                 _x_valuation(d.payload) for d in determinantal_divisors(state)
             )
             assert valuations == conserved_quantities(exponent_lift(state, x))
+
+
+def _gcd_step_chain(seed, steps):
+    chain = [seed]
+    for _ in range(steps):
+        chain.append(gcd_step(chain[-1]))
+    return tuple(chain)
+
+
+def test_run_wraps_only_the_final_state_and_replays_its_trace():
+    # run steps on payloads; wrapping every visited state would build
+    # 2n - 1 RingValues per step, far above 4n over 40 steps.
+    rng = random.Random(60)
+
+    def smooth():
+        return 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 6) * 5 ** rng.randint(0, 6)
+
+    n = 32
+    seed = _int_state([smooth() for _ in range(n)],
+                      [smooth() for _ in range(n - 1)])
+    count = 0
+    original = RingValue.__init__
+
+    def counting(self, ring, payload):
+        nonlocal count
+        count += 1
+        original(self, ring, payload)
+
+    RingValue.__init__ = counting
+    try:
+        outcome = run(seed)
+    finally:
+        RingValue.__init__ = original
+    assert outcome.iterations >= 40
+    assert count <= 4 * n
+
+    ring = PolyModP(5)
+    x = ring([0, 1])
+    x1 = ring([1, 1])
+    poly_seed = GcdTodaState((x * x1, x, x1 * x1, x), (x1, x * x, x1))
+    for state in (seed, poly_seed, _int_state(*GOLDEN_TRACE[0])):
+        outcome = run(state)
+        assert outcome.trace == _gcd_step_chain(state, outcome.iterations)
+        assert outcome.trace[-1] == outcome.final
+        cap = max(1, outcome.iterations // 2)
+        with pytest.raises(IterationLimitError) as info:
+            run(state, max_iters=cap)
+        assert info.value.trace == _gcd_step_chain(state, cap)

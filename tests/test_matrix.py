@@ -1,4 +1,4 @@
-"""Dense matrix container and the 2x2 block update helpers."""
+"""Dense matrix container and the 2x2 block update kernels."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from conftest import det_int_brute, int_grid
 from todasnf import DenseMatrix, PolyModP, ZZ, determinant
-from todasnf.matrix import combine_cols, combine_rows, transpose_block
+from todasnf.matrix import mix_cols, mix_rows, transpose_block
 
 
 def test_construction_and_shape():
@@ -84,20 +84,20 @@ def test_block_updates_match_matrix_products():
                                for _ in range(n)])
         i1, i2 = rng.sample(range(n), 2)
         block = tuple(
-            tuple(ring(rng.randint(-3, 3)) for _ in range(2))
+            tuple(rng.randint(-3, 3) for _ in range(2))
             for _ in range(2)
         )
         # Embed the block into an identity; rows left-multiply by it and
         # columns right-multiply by it.
-        embed = DenseMatrix.identity(ring, n).to_grid()
+        embed = DenseMatrix.identity(ring, n).payload_grid()
         embed[i1][i1], embed[i1][i2] = block[0]
         embed[i2][i1], embed[i2][i2] = block[1]
         embedded = DenseMatrix(ring, embed)
-        grid = a.to_grid()
-        combine_rows(grid, i1, i2, block)
+        grid = a.payload_grid()
+        mix_rows(ring, grid, i1, i2, block)
         assert DenseMatrix(ring, grid) == embedded @ a
-        grid = a.to_grid()
-        combine_cols(grid, i1, i2, block)
+        grid = a.payload_grid()
+        mix_cols(ring, grid, i1, i2, block)
         assert DenseMatrix(ring, grid) == a @ embedded
 
 
@@ -113,3 +113,32 @@ def test_poly_matrix_entries():
     assert m[0, 0] == ring([1, 1])
     assert m[1, 0].is_zero()
     assert str(m[1, 1]) == "[0,0,1]"
+
+
+def _random_entries(rng, ring, m, n):
+    if ring is ZZ:
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    return [[[rng.randrange(ring.p) for _ in range(rng.randint(0, 3))]
+             for _ in range(n)] for _ in range(m)]
+
+
+def test_payload_storage():
+    rng = random.Random(34)
+    for ring in (ZZ, PolyModP(2), PolyModP(5), PolyModP(7)):
+        for _ in range(10):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            a = DenseMatrix(ring, _random_entries(rng, ring, m, n))
+            copy = DenseMatrix.from_payloads(ring, a.payload_grid())
+            assert copy == a and hash(copy) == hash(a)
+            # The grid is a copy: mutating it leaves the matrix alone.
+            grid = a.payload_grid()
+            before = a.to_grid()
+            grid[0][0] = ring.coerce(1 if ring.is_zero(grid[0][0]) else 0)
+            grid.append(list(grid[0]))
+            assert a.to_grid() == before and a == copy
+            square = DenseMatrix(ring, _random_entries(rng, ring, m, m))
+            assert square.padded_square() == square
+            eye = DenseMatrix(ring, [[1 if i == j else 0 for j in range(m)]
+                                     for i in range(m)])
+            assert DenseMatrix.identity(ring, m) == eye
+            assert hash(DenseMatrix.identity(ring, m)) == hash(eye)
