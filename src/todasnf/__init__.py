@@ -19,7 +19,6 @@ from .ring import (
     canonical,
     divides,
     exact_div,
-    extended_gcd,
     gcd,
 )
 from .ud_toda import (
@@ -48,7 +47,7 @@ from .gcd_toda import (
     terminated,
 )
 from .matrix import DenseMatrix
-from .bidiagonalize import BidiagonalForm, bidiagonalize, gcd_rotation, seed_state
+from .bidiagonalize import BidiagonalForm, bidiagonalize, seed_state
 from .snf import (
     SnfResult,
     classical_snf,
@@ -87,10 +86,8 @@ __all__ = [
     "divides",
     "exact_div",
     "exponent_lift",
-    "extended_gcd",
     "from_bbs",
     "gcd",
-    "gcd_rotation",
     "gcd_step",
     "is_sorted",
     "iterate",

@@ -16,19 +16,20 @@ subdiagonal entry under that pivot is forced to be nonzero (by adding a
 column that still has mass).  A decoupled zero subdiagonal would freeze
 the lattice evolution before the factors are sorted.
 
-The sweeps run on raw payloads: the padded matrix (and the identity
-transforms) are copied out with payload_grid, every rotation comes from
-Ring.xgcd and is applied with the payload kernels mix_rows / mix_cols,
-and the grids become matrices again through DenseMatrix.from_payloads.
-gcd_rotation is the RingValue wrapper of the payload rotation.
+The sweeps run on raw payloads: the padded matrix is copied out with
+payload_grid (bordered by identities that collect the transforms P and
+Q when they are asked for), every rotation comes from Ring.xgcd and is
+applied with the payload kernels mix_rows / mix_cols, and the grids
+become matrices again through DenseMatrix.from_payloads.  BidiagonalForm
+reads its block size and corner flag off the matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .matrix import Block, DenseMatrix, mix_cols, mix_rows, transpose_block
-from .ring import Ring, RingValue, _common_ring
+from .matrix import DenseMatrix, mix_cols, mix_rows, transpose_block
+from .ring import Ring
 from .gcd_toda import GcdTodaState
 
 
@@ -42,27 +43,18 @@ def rotation(ring: Ring, a, b):
     return ((p, t), (q, s))
 
 
-def gcd_rotation(a: RingValue, b: RingValue) -> Block:
-    """rotation on ring values: (a, b) G == (gcd(a, b), 0), det G == 1."""
-    ring = _common_ring(a, b)
-    return tuple(
-        tuple(RingValue(ring, v) for v in row)
-        for row in rotation(ring, a.payload, b.payload)
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class BidiagonalForm:
     """A square lower bidiagonal matrix with its block structure.
 
-    The first k diagonal entries are nonzero and everything at or past
-    row and column k vanishes, except possibly the entry at (k, k-1);
-    corner records whether that entry is present.
+    k, read off the matrix, counts its leading nonzero diagonal entries.
+    Everything at or past row and column k must vanish, except possibly
+    the entry at (k, k-1); corner says whether that entry is present.
     """
 
     matrix: DenseMatrix
-    k: int
-    corner: bool
+    k: int = field(init=False)
+    corner: bool = field(init=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -71,30 +63,23 @@ class BidiagonalForm:
             raise ValueError("bidiagonal form must be square")
         if not m.is_lower_bidiagonal():
             raise ValueError("matrix is not lower bidiagonal")
-        if not 0 <= self.k <= n:
-            raise ValueError(f"leading block size {self.k} out of range")
-        for j in range(n):
-            on_diag = not m[j, j].is_zero()
-            if on_diag != (j < self.k):
-                raise ValueError(
-                    f"diagonal entry {j} inconsistent with leading block "
-                    f"size {self.k}"
-                )
-        for j in range(self.k, n - 1):
-            if not m[j + 1, j].is_zero():
-                raise ValueError("trailing block must be zero")
-        has_corner = (
-            0 < self.k < n and not m[self.k, self.k - 1].is_zero()
+        is_zero, grid = m.ring.is_zero, m.payload_grid()
+        k = next((j for j in range(n) if is_zero(grid[j][j])), n)
+        trailing = [grid[j][j] for j in range(k, n)]
+        trailing += [grid[j + 1][j] for j in range(k, n - 1)]
+        if not all(map(is_zero, trailing)):
+            raise ValueError("trailing block must be zero")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(
+            self, "corner", 0 < k < n and not is_zero(grid[k][k - 1])
         )
-        if self.corner != has_corner:
-            raise ValueError("corner flag does not match the matrix")
 
 
-def _level(ring: Ring, grid: list[list], t: int, n: int,
-           p_grid, q_grid) -> bool:
-    """Process pivot level t of a payload grid in place.
+def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
+    """Process pivot level t of the leading n by n block of a payload grid.
 
-    Returns False when nothing nonzero is left.
+    Works in place and returns False when nothing nonzero is left.  Rows
+    and columns past n only ride along with the updates.
     """
     is_zero = ring.is_zero
     one, zero = ring.coerce(1), ring.coerce(0)
@@ -108,16 +93,12 @@ def _level(ring: Ring, grid: list[list], t: int, n: int,
         if donor is None:
             return False
         mix_rows(ring, grid, t, donor, ((one, one), (zero, one)))
-        if p_grid is not None:
-            mix_rows(ring, p_grid, t, donor, ((one, one), (zero, one)))
 
     # Column sweep: collect the row gcd at (t, t), zeros to its right.
     for j in range(t + 1, n):
         if not is_zero(grid[t][j]):
             block = rotation(ring, grid[t][t], grid[t][j])
             mix_cols(ring, grid, t, j, block)
-            if q_grid is not None:
-                mix_cols(ring, q_grid, t, j, block)
 
     # Keep the subdiagonal alive while mass remains below the pivot.
     if all(is_zero(grid[i][t]) for i in range(t + 1, n)):
@@ -128,16 +109,12 @@ def _level(ring: Ring, grid: list[list], t: int, n: int,
         )
         if donor_col is not None:
             mix_cols(ring, grid, t, donor_col, ((one, zero), (one, one)))
-            if q_grid is not None:
-                mix_cols(ring, q_grid, t, donor_col, ((one, zero), (one, one)))
 
     # Row sweep: concentrate the column gcd at (t+1, t).
     for i in range(t + 2, n):
         if not is_zero(grid[i][t]):
             block = transpose_block(rotation(ring, grid[t + 1][t], grid[i][t]))
             mix_rows(ring, grid, t + 1, i, block)
-            if p_grid is not None:
-                mix_rows(ring, p_grid, t + 1, i, block)
     return True
 
 
@@ -152,23 +129,22 @@ def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
     padded = matrix.padded_square()
     n = padded.nrows
     grid = padded.payload_grid()
-    eye = DenseMatrix.identity(ring, n) if transforms else None
-    p_grid = eye.payload_grid() if transforms else None
-    q_grid = eye.payload_grid() if transforms else None
+    if transforms:
+        # Border the grid with identities: P as extra columns, which the
+        # row updates carry along, and Q as extra rows for the column ones.
+        eye = DenseMatrix.identity(ring, n).payload_grid()
+        grid = [row + e for row, e in zip(grid, eye)] + eye
 
     for t in range(n):
-        if not _level(ring, grid, t, n, p_grid, q_grid):
+        if not _level(ring, grid, t, n):
             break
 
-    k = 0
-    while k < n and not ring.is_zero(grid[k][k]):
-        k += 1
-    corner = 0 < k < n and not ring.is_zero(grid[k][k - 1])
-    form = BidiagonalForm(DenseMatrix.from_payloads(ring, grid), k, corner)
     if not transforms:
-        return form
-    return (form, DenseMatrix.from_payloads(ring, p_grid),
-            DenseMatrix.from_payloads(ring, q_grid))
+        return BidiagonalForm(DenseMatrix.from_payloads(ring, grid))
+    form, p, q = (DenseMatrix.from_payloads(ring, g) for g in (
+        [row[:n] for row in grid[:n]], [row[n:] for row in grid[:n]], grid[n:]
+    ))
+    return BidiagonalForm(form), p, q
 
 
 def seed_state(form: BidiagonalForm) -> GcdTodaState:

@@ -339,6 +339,11 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors, which collides with the
         # cap-exceeded code; fold usage problems into the parse-error code.
         return EXIT_OK if not exc.code else EXIT_PARSE
+    # Exact decimals of any length: lift the int <-> str digit limit
+    # (CPython 3.10.7 and later) while the command runs.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except MatrixParseError as exc:
@@ -350,6 +355,9 @@ def main(argv=None) -> int:
     except (ValueError, ExactDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def console_main() -> None:

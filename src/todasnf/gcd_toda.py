@@ -20,9 +20,10 @@ which are exactly the determinantal divisors of the bidiagonal matrix.
 
 The step, the divisor program, the termination test and the word are the
 semiring kernels of ud_toda.py, run here on raw payloads with the bound
-methods (ring.gcd, ring.mul, ring.exact_div, ring.canonical); RingValues
-are unwrapped on entry and only the results are wrapped.  run keeps just
-the seed and the final state; the trace of a TodaRun or of an
+methods (ring.gcd, ring.mul, ring.exact_div); RingValues are unwrapped
+into canonical associates on entry, which keeps every kernel result
+canonical (see ud_toda.py), and only the results are wrapped.  run keeps
+just the seed and the final state; the trace of a TodaRun or of an
 IterationLimitError replays the deterministic map with iterate.
 """
 
@@ -114,9 +115,10 @@ class TodaRun:
 
 
 def _unwrap(state: GcdTodaState) -> tuple[tuple, tuple]:
-    """The raw diagonal and subdiagonal payloads."""
-    return (tuple(v.payload for v in state.diagonal),
-            tuple(v.payload for v in state.subdiagonal))
+    """The canonical diagonal and subdiagonal payloads."""
+    canon = state.ring.canonical
+    return (tuple(canon(v.payload) for v in state.diagonal),
+            tuple(canon(v.payload) for v in state.subdiagonal))
 
 
 def _wrap(ring: Ring, payloads) -> tuple[RingValue, ...]:
@@ -132,7 +134,7 @@ def gcd_step(state: GcdTodaState) -> GcdTodaState:
     """Advance one time step; raises ExactDivisionError off the reachable set."""
     ring = state.ring
     return _state(ring, *toda_step(*_unwrap(state), ring.gcd, ring.mul,
-                                   ring.exact_div, ring.canonical))
+                                   ring.exact_div))
 
 
 def terminated(state: GcdTodaState) -> bool:
@@ -175,9 +177,9 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
         max_iters = default_max_iters(state)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    gcd, mul, div, canon = ring.gcd, ring.mul, ring.exact_div, ring.canonical
+    gcd, mul, div = ring.gcd, ring.mul, ring.exact_div
     for steps in range(1, max_iters + 1):
-        q, e = toda_step(q, e, gcd, mul, div, canon)
+        q, e = toda_step(q, e, gcd, mul, div)
         if settled(q, e, ring.divides):
             return TodaRun(state, steps, _state(ring, q, e))
     raise IterationLimitError(max_iters, state, _state(ring, q, e))
@@ -197,7 +199,7 @@ def determinantal_divisors(state: GcdTodaState) -> tuple[RingValue, ...]:
     """
     ring = state.ring
     return _wrap(ring, non_adjacent_totals(
-        *_unwrap(state), ring.gcd, ring.mul, ring.canonical, ring.coerce(1)
+        *_unwrap(state), ring.gcd, ring.mul, ring.coerce(1)
     ))
 
 

@@ -1,11 +1,11 @@
 """Dense matrices over a ring, stored as raw payloads, plus 2x2 block updates.
 
 A DenseMatrix keeps its entries as the ring's payloads and wraps them
-into RingValues only when they are read through [i, j], row, rows or
-to_grid.  The elimination code reads a mutable copy with payload_grid,
-updates it in place with the payload kernels mix_rows and mix_cols, and
-turns the result back into a matrix with the trusted from_payloads; no
-RingValue is built on the way.
+into RingValues only when they are read through [i, j], row or rows.
+The elimination code reads a mutable copy with payload_grid, updates it
+in place with the payload kernels mix_rows and mix_cols, and turns the
+result back into a matrix with the trusted from_payloads; no RingValue
+is built on the way.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .ring import Ring, RingValue
-
-Block = tuple[tuple[RingValue, RingValue], tuple[RingValue, RingValue]]
 
 
 class DenseMatrix:
@@ -70,10 +68,6 @@ class DenseMatrix:
 
     def rows(self) -> tuple[tuple[RingValue, ...], ...]:
         return tuple(self.row(i) for i in range(self.nrows))
-
-    def to_grid(self) -> list[list[RingValue]]:
-        """A mutable copy of the entries as ring values."""
-        return [list(self.row(i)) for i in range(self.nrows)]
 
     def payload_grid(self) -> list[list]:
         """A mutable copy of the raw payloads, for the payload kernels."""
@@ -160,6 +154,6 @@ def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, block) -> None:
 
 
 def transpose_block(block):
-    """The transposed 2x2 block, of ring values or of payloads alike."""
+    """The transposed 2x2 block."""
     (b00, b01), (b10, b11) = block
     return ((b00, b10), (b01, b11))

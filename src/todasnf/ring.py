@@ -129,7 +129,7 @@ class Ring:
         raise NotImplementedError
 
     def divmod(self, a, b):
-        """Euclidean division of a by b != 0, returning (quotient, remainder)."""
+        """Euclidean (quotient, remainder); ExactDivisionError if b is 0."""
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
@@ -196,8 +196,6 @@ class Ring:
 
     def exact_div(self, a, b):
         """a / b when b divides a exactly; ExactDivisionError otherwise."""
-        if self.is_zero(b):
-            raise ExactDivisionError("division by zero")
         quot, rem = self.divmod(a, b)
         if not self.is_zero(rem):
             raise ExactDivisionError(
@@ -441,16 +439,6 @@ def gcd(a: RingValue, b: RingValue) -> RingValue:
     """Canonical gcd; gcd(0, b) is canonical(b) and gcd(0, 0) is 0."""
     ring = _common_ring(a, b)
     return RingValue(ring, ring.gcd(a.payload, b.payload))
-
-
-def extended_gcd(a: RingValue, b: RingValue):
-    """Solve the Bezout identity with cofactors of the gcd.
-
-    Returns (d, p, q, s, t) as in :meth:`Ring.xgcd`; raises ValueError
-    when both inputs are zero.
-    """
-    ring = _common_ring(a, b)
-    return tuple(RingValue(ring, v) for v in ring.xgcd(a.payload, b.payload))
 
 
 def exact_div(a: RingValue, b: RingValue) -> RingValue:

@@ -4,7 +4,8 @@ smith_normal_form runs the lattice pipeline: pad, bidiagonalize, seed the
 gcd-Toda lattice and iterate it to termination; the sorted diagonal is
 the chain of invariant factors.  classical_snf is a self-contained
 textbook elimination kept as a cross-check, and verify confirms a result
-against the gcds of all k by k minors of the original matrix.
+against the gcds of all k by k minors of the original matrix, each by
+one fraction-free (Bareiss) elimination on raw payloads, _det.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from .bidiagonalize import bidiagonalize, rotation, seed_state
 from .gcd_toda import GcdTodaState, run
 from .matrix import DenseMatrix, mix_cols, mix_rows, transpose_block
-from .ring import RingValue, canonical, divides, gcd
+from .ring import RingValue, canonical, divides
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,38 +148,36 @@ def classical_snf(matrix: DenseMatrix) -> SnfResult:
     return SnfResult(tuple(RingValue(ring, v) for v in factors), 0, "classical")
 
 
+def _det(ring, grid):
+    """Determinant of a square payload grid by Bareiss elimination.
+
+    After step t every entry below and right of the pivot is a minor of
+    order t + 2, so the division by the previous pivot is exact.  A zero
+    pivot is swapped with a lower row, flipping the sign.  Consumes grid.
+    """
+    add, mul, neg, div = ring.add, ring.mul, ring.neg, ring.exact_div
+    n, sign, prev = len(grid), ring.coerce(1), ring.coerce(1)
+    for t in range(n - 1):
+        swap = next((i for i in range(t, n) if not ring.is_zero(grid[i][t])),
+                    None)
+        if swap is None:
+            return ring.coerce(0)
+        if swap != t:
+            grid[t], grid[swap], sign = grid[swap], grid[t], neg(sign)
+        top, pivot = grid[t], grid[t][t]
+        for row in grid[t + 1:]:
+            lead = row[t]
+            row[t + 1:] = [div(add(mul(pivot, x), neg(mul(lead, y))), prev)
+                           for x, y in zip(row[t + 1:], top[t + 1:])]
+        prev = pivot
+    return mul(sign, grid[-1][-1])
+
+
 def determinant(matrix: DenseMatrix) -> RingValue:
-    """Exact determinant by cofactor expansion with column-mask memoing."""
+    """Exact determinant by fraction-free (Bareiss) elimination."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant needs a square matrix")
-    ring = matrix.ring
-    add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
-    rows = matrix.payload_grid()
-    n = matrix.nrows
-    memo: dict[tuple[int, int], object] = {}
-
-    def expand(i: int, mask: int):
-        if i == n:
-            return ring.coerce(1)
-        key = (i, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = ring.coerce(0)
-        positive = True
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            entry = rows[i][bit.bit_length() - 1]
-            if not is_zero(entry):
-                term = mul(entry, expand(i + 1, mask ^ bit))
-                total = add(total, term if positive else neg(term))
-            positive = not positive
-        memo[key] = total
-        return total
-
-    return RingValue(ring, expand(0, (1 << n) - 1))
+    return RingValue(matrix.ring, _det(matrix.ring, matrix.payload_grid()))
 
 
 def minors_gcd(matrix: DenseMatrix, k: int) -> RingValue:
@@ -187,17 +186,15 @@ def minors_gcd(matrix: DenseMatrix, k: int) -> RingValue:
         raise ValueError(f"minor order {k} out of range")
     ring = matrix.ring
     grid = matrix.payload_grid()
-    best = ring.zero
+    best = ring.coerce(0)
     for row_sel in combinations(range(matrix.nrows), k):
         chosen = [grid[i] for i in row_sel]
         for col_sel in combinations(range(matrix.ncols), k):
-            sub = DenseMatrix.from_payloads(
-                ring, [[r[j] for j in col_sel] for r in chosen]
-            )
-            best = gcd(best, determinant(sub))
-            if best.is_unit():
-                return best
-    return best
+            sub = [[r[j] for j in col_sel] for r in chosen]
+            best = ring.gcd(best, _det(ring, sub))
+            if ring.is_unit(best):
+                return RingValue(ring, best)
+    return RingValue(ring, best)
 
 
 def verify(matrix: DenseMatrix, result: SnfResult) -> bool:

@@ -15,8 +15,15 @@ consecutive differences of the conserved quantities recover them.
 
 The step, the non-adjacent-subset program, the sortedness test and the
 word are written once, as kernels over an exact-division semiring given
-as callables (add, mul, div, canon): (min, +, -, identity) on ints here,
-(gcd, *, exact /, canonical associate) on ring payloads in gcd_toda.py.
+as callables (add, mul, div): (min, +, -) on ints here, (gcd, *, exact /)
+on ring payloads in gcd_toda.py.
+
+The kernels never normalise.  gcd_toda hands them canonical associates
+(nonnegative integers, monic polynomials, zero), and gcds, products and
+exact quotients of those are canonical again, so every result is too.
+Normalising the input loses nothing: scaling entries by units scales
+each a_i and new e_i by a unit and leaves every gcd q'_i alone, so the
+step is the same up to units and comes out canonical either way.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-#: (add, mul, div, canon) of the min-plus semiring; pos is the int identity.
-MIN_PLUS = (min, operator.add, operator.sub, operator.pos)
+#: (add, mul, div) of the min-plus semiring.
+MIN_PLUS = (min, operator.add, operator.sub)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,11 +93,11 @@ def interleave(q, e) -> tuple:
     return (q[0],) + tuple(v for pair in zip(e, q[1:]) for v in pair)
 
 
-def toda_step(q, e, add, mul, div, canon) -> tuple[tuple, tuple]:
+def toda_step(q, e, add, mul, div) -> tuple[tuple, tuple]:
     """One time step over a semiring, returning the new (q, e).
 
     a_0 = q_0, a_i = a_{i-1} q_i / q'_{i-1};  q'_i = add(e_i, a_i) but
-    q'_{N-1} = canon(a_{N-1});  e'_i = canon(e_i q_{i+1} / q'_i).
+    q'_{N-1} = a_{N-1};  e'_i = e_i q_{i+1} / q'_i.
     """
     n = len(q)
     new_q = []
@@ -98,14 +105,12 @@ def toda_step(q, e, add, mul, div, canon) -> tuple[tuple, tuple]:
     for i in range(n):
         if i:
             a = div(mul(a, q[i]), new_q[i - 1])
-        new_q.append(add(e[i], a) if i < n - 1 else canon(a))
-    new_e = tuple(
-        canon(div(mul(e[i], q[i + 1]), new_q[i])) for i in range(n - 1)
-    )
+        new_q.append(add(e[i], a) if i < n - 1 else a)
+    new_e = tuple(div(mul(e[i], q[i + 1]), new_q[i]) for i in range(n - 1))
     return tuple(new_q), new_e
 
 
-def non_adjacent_totals(q, e, add, mul, canon, one) -> tuple:
+def non_adjacent_totals(q, e, add, mul, one) -> tuple:
     """For l = 1..N, add over every l pairwise non-adjacent entries of the
     word interleave(q, e) of their mul-product, by a two-back program.
 
@@ -118,7 +123,7 @@ def non_adjacent_totals(q, e, add, mul, canon, one) -> tuple:
         for l in range(1, len(prev)):
             cur[l] = add(prev[l], cur[l])
         prev2, prev = prev, cur
-    return tuple(canon(v) for v in prev[1:])
+    return tuple(prev[1:])
 
 
 def settled(q, e, below) -> bool:
@@ -148,8 +153,7 @@ def conserved_quantities(state: UdTodaState) -> tuple[int, ...]:
 
     Computed by non_adjacent_totals; the result is invariant under ud_step.
     """
-    add, mul, _, canon = MIN_PLUS
-    return non_adjacent_totals(state.blocks, state.gaps, add, mul, canon, 0)
+    return non_adjacent_totals(state.blocks, state.gaps, *MIN_PLUS[:2], 0)
 
 
 def is_sorted(state: UdTodaState) -> bool:

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, golden output."""
 
 import random
+import sys
 
 import pytest
 
@@ -250,3 +251,16 @@ def test_toda_trace_rejects_non_bidiagonal(tmp_path, capsys):
     path = _write(tmp_path, "ring: int\nrows: 2\ncols: 2\n0 0\n3 4\n")
     assert main(["toda-trace", path]) == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+
+
+def test_entries_above_the_int_digit_limit(tmp_path, capsys):
+    # Python refuses int <-> str conversions past 4300 digits by default.
+    digits = "7" * 5000
+    path = _write(tmp_path, f"ring: int\nrows: 1\ncols: 1\n{digits}\n")
+    limit = sys.get_int_max_str_digits()
+    assert main(["snf", path]) == EXIT_OK
+    assert capsys.readouterr().out == digits + "\n"
+    assert main(["snf", path, "--trace"]) == EXIT_OK
+    trace = [f"q: {digits} | e:"] * 2
+    assert capsys.readouterr().out.splitlines() == trace + [digits]
+    assert sys.get_int_max_str_digits() == limit

@@ -1,10 +1,11 @@
 """Dense matrix container and the 2x2 block update kernels."""
 
 import random
+import time
 
 import pytest
 
-from conftest import det_int_brute, int_grid
+from conftest import det_int_brute, det_poly_brute, int_grid
 from todasnf import DenseMatrix, PolyModP, ZZ, determinant
 from todasnf.matrix import mix_cols, mix_rows, transpose_block
 
@@ -75,6 +76,68 @@ def test_determinant_matches_permutation_expansion():
         determinant(DenseMatrix(ZZ, [[1, 2]]))
 
 
+def _sparse_entries(rng, ring, n, zero_prob):
+    """An n by n grid of small entries, some zero, for pivot swaps."""
+    def entry():
+        if rng.random() < zero_prob:
+            return 0
+        if ring is ZZ:
+            return rng.randint(-9, 9)
+        return [rng.randrange(ring.p) for _ in range(rng.randint(1, 3))]
+    grid = [[entry() for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        grid[-1] = list(grid[0])  # singular
+    return grid
+
+
+def test_determinant_matches_brute_force_over_both_rings():
+    rng = random.Random(35)
+    for n in range(1, 8):
+        for _ in range(12 if n < 6 else 3):
+            grid = _sparse_entries(rng, ZZ, n, rng.choice([0, 0.3, 0.6]))
+            expected = ZZ(det_int_brute(grid))
+            assert determinant(DenseMatrix(ZZ, grid)) == expected
+    for p in (2, 5, 7):
+        ring = PolyModP(p)
+        for n in range(1, 7):
+            for _ in range(4 if n < 6 else 1):
+                m = DenseMatrix(ring, _sparse_entries(
+                    rng, ring, n, rng.choice([0, 0.3, 0.6])))
+                grid = m.payload_grid()
+                assert determinant(m).payload == det_poly_brute(grid, p)
+
+
+def test_determinant_of_large_unimodular_products_is_fast():
+    rng = random.Random(36)
+    n = 30
+    for ring in (ZZ, PolyModP(5)):
+        # Elementary row operations on the identity, tracking the
+        # determinant they multiply in: -1 per swap, u per scaling by u.
+        grid = DenseMatrix.identity(ring, n).payload_grid()
+        expected = ring.one
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            kind = rng.random()
+            if kind < 0.1:
+                grid[i], grid[j] = grid[j], grid[i]
+                expected = -expected
+            elif kind < 0.2:
+                unit = ring(-1 if ring is ZZ else rng.randint(1, 4))
+                grid[i] = [ring.mul(unit.payload, v) for v in grid[i]]
+                expected = expected * unit
+            else:
+                c = ring.coerce(rng.choice([-2, -1, 1, 2]) if ring is ZZ else
+                                [rng.randrange(5) for _ in range(2)])
+                grid[i] = [ring.add(x, ring.mul(c, y))
+                           for x, y in zip(grid[i], grid[j])]
+        m = DenseMatrix.from_payloads(ring, grid)
+        start = time.perf_counter()
+        det = determinant(m)
+        elapsed = time.perf_counter() - start
+        assert det.is_unit() and det == expected
+        assert elapsed < 1.0, f"{n}x{n} determinant took {elapsed:.2f} s"
+
+
 def test_block_updates_match_matrix_products():
     rng = random.Random(33)
     ring = ZZ
@@ -132,10 +195,10 @@ def test_payload_storage():
             assert copy == a and hash(copy) == hash(a)
             # The grid is a copy: mutating it leaves the matrix alone.
             grid = a.payload_grid()
-            before = a.to_grid()
+            before = a.rows()
             grid[0][0] = ring.coerce(1 if ring.is_zero(grid[0][0]) else 0)
             grid.append(list(grid[0]))
-            assert a.to_grid() == before and a == copy
+            assert a.rows() == before and a == copy
             square = DenseMatrix(ring, _random_entries(rng, ring, m, m))
             assert square.padded_square() == square
             eye = DenseMatrix(ring, [[1 if i == j else 0 for j in range(m)]

@@ -191,3 +191,16 @@ def test_elimination_wraps_values_only_at_the_boundary():
     assert _wraps(lambda: bidiagonalize(a)) <= 2 * n * n
     assert _wraps(lambda: bidiagonalize(a, transforms=True)) <= 4 * n * n
     assert _wraps(lambda: classical_snf(a)) <= 2 * n * n
+
+
+def test_verify_wraps_values_only_at_the_boundary():
+    # No minor gcd is a unit, so verify visits all 923 minors; each is a
+    # payload sub-grid, not a matrix of RingValues.
+    n = 6
+    rng = random.Random(59)
+    a = DenseMatrix(ZZ, [[6 * rng.randint(-9, 9) for _ in range(n)]
+                         for _ in range(n)])
+    result = smith_normal_form(a)
+    verdicts = []
+    assert _wraps(lambda: verdicts.append(verify(a, result))) <= 8 * n
+    assert verdicts == [True]
