@@ -15,13 +15,15 @@ then each matrix row is one line of whitespace-separated entries:
 ascending coefficient lists without inner spaces, e.g. ``[1,0,3]`` for
 1 + 3x^2.  Blank lines and lines starting with ``#`` are skipped.
 
-Exit codes: 0 success, 1 parse or input error, 2 iteration cap exceeded,
-3 verification failure.
+Exit codes: 0 success, 1 parse, input or usage error, 2 iteration cap
+exceeded, 3 verification failure, 4 internal error (an inexact division,
+which no valid input reaches); main alone maps exceptions onto them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from itertools import islice
@@ -47,6 +49,11 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
+
+#: What main reports as ``error: ...``, with its exit code; first match wins.
+ERROR_EXITS = {IterationLimitError: EXIT_CAP, ExactDivisionError: EXIT_INTERNAL,
+               ValueError: EXIT_PARSE, OSError: EXIT_PARSE}
 
 #: Overrides the default iteration cap when set to a positive integer.
 MAX_ITERS_ENV = "TODASNF_MAX_ITERS"
@@ -187,11 +194,7 @@ def cmd_snf(args: argparse.Namespace) -> int:
     if args.method == "classical":
         result = classical_snf(matrix)
     else:
-        result = smith_normal_form(
-            matrix,
-            max_iters=_resolve_max_iters(args.max_iters),
-            keep_trace=args.trace,
-        )
+        result = smith_normal_form(matrix, _resolve_max_iters(args.max_iters))
     if args.trace:
         if result.trace is None:
             print("note: no lattice trace for this run", file=sys.stderr)
@@ -209,12 +212,10 @@ def cmd_snf(args: argparse.Namespace) -> int:
         print(factor)
     if args.verify:
         if min(matrix.nrows, matrix.ncols) > VERIFY_SIZE_LIMIT:
-            print(
-                "error: --verify enumerates minors and needs "
-                f"min(rows, cols) <= {VERIFY_SIZE_LIMIT}",
-                file=sys.stderr,
+            raise ValueError(
+                "--verify enumerates minors and needs "
+                f"min(rows, cols) <= {VERIFY_SIZE_LIMIT}"
             )
-            return EXIT_PARSE
         if not verify(matrix, result):
             print("verify: FAILED", file=sys.stderr)
             return EXIT_VERIFY
@@ -239,18 +240,10 @@ def cmd_bbs(args: argparse.Namespace) -> int:
 def cmd_toda_trace(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.file)
     if matrix.nrows != matrix.ncols or not matrix.is_lower_bidiagonal():
-        print(
-            "error: toda-trace needs a square lower bidiagonal matrix",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
+        raise ValueError("toda-trace needs a square lower bidiagonal matrix")
     diag = tuple(matrix[i, i] for i in range(matrix.nrows))
     if any(v.is_zero() for v in diag[:-1]):
-        print(
-            "error: interior diagonal entries must be nonzero",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
+        raise ValueError("interior diagonal entries must be nonzero")
     seed = GcdTodaState(diag, tuple(
         matrix[i + 1, i] for i in range(matrix.nrows - 1)
     ))
@@ -277,7 +270,9 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once on first use."""
     parser = argparse.ArgumentParser(
         prog="todasnf",
         description="Smith normal form via the gcd-Toda lattice, plus "
@@ -332,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which collides with the
         # cap-exceeded code; fold usage problems into the parse-error code.
@@ -346,15 +340,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except MatrixParseError as exc:
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except IterationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (ValueError, ExactDivisionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in ERROR_EXITS.items()
+                    if isinstance(exc, kind))
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)

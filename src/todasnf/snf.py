@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .bidiagonalize import bidiagonalize, rotation, seed_state
-from .gcd_toda import GcdTodaState, run
+from .gcd_toda import GcdTodaState, TodaRun, run
 from .matrix import DenseMatrix, mix_cols, mix_rows, transpose_block
 from .ring import RingValue, canonical, divides
 
@@ -25,14 +25,14 @@ class SnfResult:
 
     factors has exactly min(nrows, ncols) entries, each canonical, each
     dividing the next; zeros can only trail.  iterations counts lattice
-    steps (zero for the classical route).  trace, when kept, holds the
-    visited lattice states.
+    steps (zero for the classical route).  lattice is the TodaRun behind a
+    lattice result, which trace replays.
     """
 
     factors: tuple[RingValue, ...]
     iterations: int
     method: str
-    trace: tuple[GcdTodaState, ...] | None = field(default=None, compare=False)
+    lattice: TodaRun | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -47,13 +47,19 @@ class SnfResult:
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
 
+    @property
+    def trace(self) -> tuple[GcdTodaState, ...] | None:
+        """The visited lattice states, seed first; None without a lattice."""
+        return None if self.lattice is None else self.lattice.trace
 
-def smith_normal_form(matrix: DenseMatrix, max_iters: int | None = None,
-                      keep_trace: bool = False) -> SnfResult:
+
+def smith_normal_form(matrix: DenseMatrix,
+                      max_iters: int | None = None) -> SnfResult:
     """Invariant factors of a matrix via the gcd-Toda lattice.
 
     Raises IterationLimitError if the lattice does not settle within the
-    step cap (the default cap scales with the seed size).
+    step cap (the default cap scales with the seed size).  The result
+    keeps the lattice run; its trace replays every state, seed first.
     """
     ring = matrix.ring
     size = min(matrix.nrows, matrix.ncols)
@@ -64,12 +70,7 @@ def smith_normal_form(matrix: DenseMatrix, max_iters: int | None = None,
     assert form.k <= size
     factors = tuple(outcome.factors[:form.k])
     factors += (ring.zero,) * (size - form.k)
-    return SnfResult(
-        factors,
-        outcome.iterations,
-        "toda",
-        trace=outcome.trace if keep_trace else None,
-    )
+    return SnfResult(factors, outcome.iterations, "toda", outcome)
 
 
 def classical_snf(matrix: DenseMatrix) -> SnfResult:
@@ -152,11 +153,13 @@ def _det(ring, grid):
     """Determinant of a square payload grid by Bareiss elimination.
 
     After step t every entry below and right of the pivot is a minor of
-    order t + 2, so the division by the previous pivot is exact.  A zero
+    order t + 2, so the division by the previous pivot is exact (and
+    skipped when that pivot is one, as before the first step).  A zero
     pivot is swapped with a lower row, flipping the sign.  Consumes grid.
     """
     add, mul, neg, div = ring.add, ring.mul, ring.neg, ring.exact_div
-    n, sign, prev = len(grid), ring.coerce(1), ring.coerce(1)
+    one = ring.coerce(1)
+    n, sign, prev = len(grid), one, one
     for t in range(n - 1):
         swap = next((i for i in range(t, n) if not ring.is_zero(grid[i][t])),
                     None)
@@ -167,8 +170,9 @@ def _det(ring, grid):
         top, pivot = grid[t], grid[t][t]
         for row in grid[t + 1:]:
             lead = row[t]
-            row[t + 1:] = [div(add(mul(pivot, x), neg(mul(lead, y))), prev)
-                           for x, y in zip(row[t + 1:], top[t + 1:])]
+            new = [add(mul(pivot, x), neg(mul(lead, y)))
+                   for x, y in zip(row[t + 1:], top[t + 1:])]
+            row[t + 1:] = new if prev == one else [div(v, prev) for v in new]
         prev = pivot
     return mul(sign, grid[-1][-1])
 

@@ -5,14 +5,16 @@ import sys
 
 import pytest
 
-from todasnf import DenseMatrix, PolyModP, ZZ
+from todasnf import DenseMatrix, ExactDivisionError, PolyModP, ZZ
 from todasnf.cli import (
     EXIT_CAP,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFY,
     MAX_ITERS_ENV,
     MatrixParseError,
+    build_parser,
     main,
     parse_matrix_text,
     render_matrix_text,
@@ -174,6 +176,10 @@ def test_env_cap_override(example_file, capsys, monkeypatch):
     monkeypatch.setenv(MAX_ITERS_ENV, "eight")
     assert main(["snf", example_file]) == EXIT_PARSE
     assert MAX_ITERS_ENV in capsys.readouterr().err
+    # The parser is built once, but the variable is read on every call.
+    monkeypatch.delenv(MAX_ITERS_ENV)
+    assert main(["snf", example_file]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["1", "6", "18"]
 
 
 def test_missing_file_is_parse_error(capsys):
@@ -185,6 +191,43 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     path = _write(tmp_path, "ring: int\nrows: 1\ncols: 2\n1\n")
     assert main(["snf", path]) == EXIT_PARSE
     assert "line 4" in capsys.readouterr().err
+
+
+def test_error_texts(tmp_path, capsys):
+    # Every error is one "error: ..." line from main, after any output.
+    seven = "\n".join(" ".join("1" if i == j else "0" for j in range(7))
+                      for i in range(7))
+    cases = [
+        (["toda-trace"], "ring: int\nrows: 1\ncols: 2\n1 2\n", "",
+         "error: toda-trace needs a square lower bidiagonal matrix\n"),
+        (["toda-trace"], "ring: int\nrows: 2\ncols: 2\n0 0\n3 4\n", "",
+         "error: interior diagonal entries must be nonzero\n"),
+        (["snf", "--verify"], f"ring: int\nrows: 7\ncols: 7\n{seven}\n",
+         "1\n" * 7,
+         "error: --verify enumerates minors and needs min(rows, cols) <= 6\n"),
+        (["snf"], "ring: int\nrows: 1\ncols: 2\n1\n", "",
+         "error: line 4: expected 2 entries, got 1\n"),
+    ]
+    for argv, text, out, err in cases:
+        path = _write(tmp_path, text)
+        assert main([argv[0], path, *argv[1:]]) == EXIT_PARSE, argv
+        assert capsys.readouterr() == (out, err), argv
+
+
+def test_inexact_division_is_an_internal_error(example_file, capsys,
+                                               monkeypatch):
+    import todasnf.cli as cli_module
+
+    def failing(*_):
+        raise ExactDivisionError("4 does not divide 6")
+
+    monkeypatch.setattr(cli_module, "smith_normal_form", failing)
+    assert main(["snf", example_file]) == EXIT_INTERNAL == 4
+    assert capsys.readouterr() == ("", "error: 4 does not divide 6\n")
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_usage_errors_exit_one(capsys):

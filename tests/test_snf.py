@@ -13,7 +13,10 @@ from todasnf import (
     ZZ,
     bidiagonalize,
     classical_snf,
+    determinant,
+    gcd_step,
     minors_gcd,
+    seed_state,
     smith_normal_form,
     verify,
 )
@@ -62,10 +65,14 @@ def test_method_tags_and_iterations():
     assert toda.method == "toda" and classical.method == "classical"
     assert toda.iterations == 4 and classical.iterations == 0
     assert toda.factors == classical.factors
-    assert toda.trace is None
-    traced = smith_normal_form(matrix, keep_trace=True)
-    assert traced.trace is not None and len(traced.trace) == 5
-    assert traced == toda, "trace must not affect result equality"
+    chain = [seed_state(bidiagonalize(matrix))]
+    for _ in range(toda.iterations):
+        chain.append(gcd_step(chain[-1]))
+    assert len(toda.trace) == toda.iterations + 1
+    assert toda.trace == tuple(chain)
+    assert classical.trace is None
+    untraced = SnfResult(toda.factors, toda.iterations, "toda")
+    assert untraced == toda, "the lattice run must not affect equality"
 
 
 def test_routes_agree_on_random_dense():
@@ -204,3 +211,31 @@ def test_verify_wraps_values_only_at_the_boundary():
     verdicts = []
     assert _wraps(lambda: verdicts.append(verify(a, result))) <= 8 * n
     assert verdicts == [True]
+
+
+def test_bareiss_never_divides_by_one(monkeypatch):
+    # Bareiss divides by the previous pivot, which is one before the first
+    # step; that division is the identity and is skipped.
+    rng = random.Random(60)
+    for ring in (ZZ, PolyModP(5)):
+        divisors = []
+        original = type(ring).exact_div
+
+        def counting(self, a, b):
+            divisors.append(b)
+            return original(self, a, b)
+
+        monkeypatch.setattr(type(ring), "exact_div", counting)
+        one = ring.coerce(1)
+        for n in range(1, 7):
+            for _ in range(20):
+                grid = [[rng.randint(-9, 9) if ring is ZZ
+                         else [rng.randrange(5) for _ in range(2)]
+                         for _ in range(n)] for _ in range(n)]
+                before = len(divisors)
+                determinant(DenseMatrix(ring, grid))
+                if n <= 2:
+                    assert len(divisors) == before, f"{n}x{n} grid divided"
+        assert divisors, "the counter never saw a division"
+        assert one not in divisors
+        monkeypatch.undo()
