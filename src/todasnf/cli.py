@@ -191,6 +191,11 @@ def _resolve_max_iters(flag: int | None) -> int | None:
 
 def cmd_snf(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.file)
+    if args.verify and min(matrix.nrows, matrix.ncols) > VERIFY_SIZE_LIMIT:
+        raise ValueError(
+            "--verify enumerates minors and needs "
+            f"min(rows, cols) <= {VERIFY_SIZE_LIMIT}"
+        )
     if args.method == "classical":
         result = classical_snf(matrix)
     else:
@@ -211,11 +216,6 @@ def cmd_snf(args: argparse.Namespace) -> int:
     for factor in shown:
         print(factor)
     if args.verify:
-        if min(matrix.nrows, matrix.ncols) > VERIFY_SIZE_LIMIT:
-            raise ValueError(
-                "--verify enumerates minors and needs "
-                f"min(rows, cols) <= {VERIFY_SIZE_LIMIT}"
-            )
         if not verify(matrix, result):
             print("verify: FAILED", file=sys.stderr)
             return EXIT_VERIFY

@@ -2,8 +2,9 @@
 
 smith_normal_form runs the lattice pipeline: pad, bidiagonalize, seed the
 gcd-Toda lattice and iterate it to termination; the sorted diagonal is
-the chain of invariant factors.  classical_snf is a self-contained
-textbook elimination kept as a cross-check, and verify confirms a result
+the chain of invariant factors.  classical_snf is a cross-check by
+Euclidean elimination that shares no kernel with that pipeline: division
+with remainder only, no Bezout rotations.  verify confirms a result
 against the gcds of all k by k minors of the original matrix, each by
 one fraction-free (Bareiss) elimination on raw payloads, _det.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .bidiagonalize import bidiagonalize, rotation, seed_state
+from .bidiagonalize import bidiagonalize, seed_state
 from .gcd_toda import GcdTodaState, TodaRun, run
-from .matrix import DenseMatrix, mix_cols, mix_rows, transpose_block
+from .matrix import DenseMatrix
 from .ring import RingValue, canonical, divides
 
 
@@ -74,77 +75,68 @@ def smith_normal_form(matrix: DenseMatrix,
 
 
 def classical_snf(matrix: DenseMatrix) -> SnfResult:
-    """Invariant factors by plain row and column elimination.
+    """Invariant factors by Euclidean row and column elimination.
 
-    Independent of the lattice machinery: pivots are shrunk to gcds by
-    rotations, cleared by division steps, and grown to divide the rest of
-    the block before moving on.  The elimination runs on raw payloads;
-    only the factors are wrapped.
+    Independent of the lattice machinery: it calls only the ring's
+    payload arithmetic, with no Bezout data and no 2x2 kernels.  Each
+    level moves the nonzero trailing-block entry of least ring.size to
+    the corner, then loops.  Row operations leave only remainders modulo
+    the pivot in its column; once that column is clear, the column
+    operations that clear the row touch only the pivot row and leave
+    remainders there too.  The smallest nonzero remainder becomes the
+    next pivot.  With none left, a witness row, one holding an entry the
+    pivot does not divide, is added to the pivot row; with no witness
+    the level is done.
+
+    Termination rests on the Euclidean measure (|v| over ZZ, the degree
+    over GF(p)[x]), a nonnegative integer.  A remainder measures strictly
+    less than the pivot it was divided by, and an added witness row puts
+    a non-multiple of the pivot into the pivot row, so every restart
+    strictly lowers the pivot's measure.  ring.size only chooses which
+    entry becomes the pivot; it could not carry the argument, since over
+    ZZ distinct values share a bit length.
     """
     ring = matrix.ring
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    is_zero, ring_divides = ring.is_zero, ring.divides
+    add, mul, neg, size = ring.add, ring.mul, ring.neg, ring.size
+    is_zero, divmod_ = ring.is_zero, ring.divmod
     grid = matrix.payload_grid()
     m, n = matrix.nrows, matrix.ncols
-    size = min(m, n)
-    factors: list = []
+    factors = [ring.coerce(0)] * min(m, n)
 
-    for t in range(size):
-        pivot_pos = next(
-            ((i, j) for i in range(t, m) for j in range(t, n)
-             if not is_zero(grid[i][j])),
-            None,
-        )
-        if pivot_pos is None:
-            factors.extend([ring.coerce(0)] * (size - t))
+    def to_corner(t, cells) -> bool:
+        """Swap the nonzero cell of least size to (t, t); False if none."""
+        best = min(((size(grid[i][j]), i, j) for i, j in cells
+                    if not is_zero(grid[i][j])), default=None)
+        if best is None:
+            return False
+        _, i, j = best
+        grid[t], grid[i] = grid[i], grid[t]
+        for row in grid[t:]:
+            row[t], row[j] = row[j], row[t]
+        return True
+
+    for t in range(min(m, n)):
+        if not to_corner(t, [(i, j) for i in range(t, m) for j in range(t, n)]):
             break
-        i0, j0 = pivot_pos
-        grid[t], grid[i0] = grid[i0], grid[t]
-        if j0 != t:
-            for row in grid:
-                row[t], row[j0] = row[j0], row[t]
-
         while True:
-            # Shrink the pivot to the gcd of its row and column.
-            changed = True
-            while changed:
-                changed = False
-                for i in range(t + 1, m):
-                    v = grid[i][t]
-                    if not is_zero(v) and not ring_divides(grid[t][t], v):
-                        block = transpose_block(rotation(ring, grid[t][t], v))
-                        mix_rows(ring, grid, t, i, block)
-                        changed = True
-                for j in range(t + 1, n):
-                    v = grid[t][j]
-                    if not is_zero(v) and not ring_divides(grid[t][t], v):
-                        block = rotation(ring, grid[t][t], v)
-                        mix_cols(ring, grid, t, j, block)
-                        changed = True
-            # Division steps clear the row and column without refills.
-            pivot = grid[t][t]
-            for i in range(t + 1, m):
-                if not is_zero(grid[i][t]):
-                    q = ring.exact_div(grid[i][t], pivot)
-                    grid[i] = [add(a, neg(mul(q, b)))
-                               for a, b in zip(grid[i], grid[t])]
-            for j in range(t + 1, n):
-                if not is_zero(grid[t][j]):
-                    q = ring.exact_div(grid[t][j], pivot)
-                    for row in grid:
-                        row[j] = add(row[j], neg(mul(q, row[t])))
-            # The pivot must divide the rest of the block; pull up a
-            # witness row and start over when it does not.
-            witness = next(
-                (i for i in range(t + 1, m)
-                 if any(not ring_divides(pivot, grid[i][j])
-                        for j in range(t + 1, n))),
-                None,
-            )
+            top, pivot = grid[t], grid[t][t]
+            for row in grid[t + 1:]:
+                if not is_zero(row[t]):
+                    q = divmod_(row[t], pivot)[0]
+                    row[t:] = [add(a, neg(mul(q, b)))
+                               for a, b in zip(row[t:], top[t:])]
+            if to_corner(t, [(i, t) for i in range(t + 1, m)]):
+                continue
+            top[t + 1:] = [divmod_(v, pivot)[1] for v in top[t + 1:]]
+            if to_corner(t, [(t, j) for j in range(t + 1, n)]):
+                continue
+            witness = next((row for row in grid[t + 1:]
+                            if not all(ring.divides(pivot, v)
+                                       for v in row[t + 1:])), None)
             if witness is None:
                 break
-            grid[t] = [add(a, b) for a, b in zip(grid[t], grid[witness])]
-        factors.append(ring.canonical(grid[t][t]))
+            top[t + 1:] = witness[t + 1:]  # adding it to the clear pivot row
+        factors[t] = ring.canonical(pivot)
 
     return SnfResult(tuple(RingValue(ring, v) for v in factors), 0, "classical")
 
@@ -204,20 +196,16 @@ def minors_gcd(matrix: DenseMatrix, k: int) -> RingValue:
 def verify(matrix: DenseMatrix, result: SnfResult) -> bool:
     """Check a result against the minor gcds of the matrix.
 
-    Confirms the factor count, canonical form, the divisibility chain and
-    that the running products of the factors match the gcds of the k by k
-    minors for every k.  Exponential in the matrix size; meant for small
-    matrices.
+    Confirms the factor count and ring, and that the running products of
+    the factors match the gcds of the k by k minors for every k; an
+    SnfResult already guarantees canonical factors and the divisor chain.
+    Exponential in the matrix size; meant for small matrices.
     """
     size = min(matrix.nrows, matrix.ncols)
     if len(result.factors) != size:
         return False
-    for v in result.factors:
-        if v.ring is not matrix.ring or v != canonical(v):
-            return False
-    for a, b in zip(result.factors, result.factors[1:]):
-        if not divides(a, b):
-            return False
+    if any(v.ring is not matrix.ring for v in result.factors):
+        return False
     product = matrix.ring.one
     for k in range(1, size + 1):
         product = product * result.factors[k - 1]

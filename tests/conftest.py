@@ -12,7 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 
+from hypothesis import settings
+
 from todasnf import DenseMatrix, GcdTodaState, RingValue, ZZ
+
+# Property tests replay the same examples on every run and keep no
+# example database, so the suite stays deterministic and bounded in time.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None, max_examples=50)
+settings.load_profile("deterministic")
 
 
 # -- integer oracles --------------------------------------------------------

@@ -194,7 +194,8 @@ def test_malformed_file_reports_line(tmp_path, capsys):
 
 
 def test_error_texts(tmp_path, capsys):
-    # Every error is one "error: ..." line from main, after any output.
+    # Every error is one "error: ..." line from main; --verify refuses an
+    # oversized matrix before any factor prints.
     seven = "\n".join(" ".join("1" if i == j else "0" for j in range(7))
                       for i in range(7))
     cases = [
@@ -202,8 +203,7 @@ def test_error_texts(tmp_path, capsys):
          "error: toda-trace needs a square lower bidiagonal matrix\n"),
         (["toda-trace"], "ring: int\nrows: 2\ncols: 2\n0 0\n3 4\n", "",
          "error: interior diagonal entries must be nonzero\n"),
-        (["snf", "--verify"], f"ring: int\nrows: 7\ncols: 7\n{seven}\n",
-         "1\n" * 7,
+        (["snf", "--verify"], f"ring: int\nrows: 7\ncols: 7\n{seven}\n", "",
          "error: --verify enumerates minors and needs min(rows, cols) <= 6\n"),
         (["snf"], "ring: int\nrows: 1\ncols: 2\n1\n", "",
          "error: line 4: expected 2 entries, got 1\n"),

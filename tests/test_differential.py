@@ -2,12 +2,17 @@
 
 The inputs are seeded dense matrices: +-20 integers with n = 6-12
 (square, rectangular, and rank-deficient products L @ R), and GF(2),
-GF(5), GF(7)[x] matrices with n <= 6.  sympy's factors are brought to
-the package's canonical form (absolute value, monic) and padded with
-zeros to min(m, n).  Skipped when sympy is not installed.
+GF(5), GF(7)[x] matrices with n <= 6.  Larger draws cover the shapes
+where a rotation-based elimination stalls: 16 x 16 lower-bidiagonal
+GF(2)[x] and GF(5)[x] matrices whose entries are products of low-degree
+factors, and dense +-20 integer matrices with n = 16 and 20.  sympy's
+factors are brought to the package's canonical form (absolute value,
+monic) and padded with zeros to min(m, n).  Skipped when sympy is not
+installed.
 """
 
 import random
+import time
 
 import pytest
 
@@ -109,3 +114,49 @@ def test_poly_factors_match_sympy(route):
         expected = _sympy_poly_factors(rows, p)
         got = [v.payload for v in route(DenseMatrix(PolyModP(p), rows)).factors]
         assert got == expected, f"{route.__name__} over GF({p})[x] on {rows}"
+
+
+#: Low-degree factors of the bidiagonal polynomial entries, per prime.
+_LOW_DEGREE = {2: ((1, 1), (0, 1), (1, 1, 1)),
+               5: ((1, 1), (2, 1), (0, 1), (2, 0, 1))}
+
+
+def _poly_bidiagonal(rng, n, p):
+    """Lower bidiagonal; each entry a unit times up to three factors."""
+    rows = [[() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(max(i - 1, 0), i + 1):
+            entry = (rng.randrange(1, p),)
+            for _ in range(rng.randint(0, 3)):
+                entry = pmul(entry, rng.choice(_LOW_DEGREE[p]), p)
+            rows[i][j] = entry
+    return rows
+
+
+def _timed_classical(matrix):
+    start = time.perf_counter()
+    result = classical_snf(matrix)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"classical_snf took {elapsed:.2f} s"
+    return [v.payload for v in result.factors]
+
+
+def test_poly_bidiagonal_16_match_sympy():
+    # Seed 73 draws, among others, the GF(5)[x] matrix on which a
+    # rotation-and-refill elimination runs for seconds.
+    rng = random.Random(73)
+    for p in (2, 5):
+        rows = _poly_bidiagonal(rng, 16, p)
+        matrix = DenseMatrix(PolyModP(p), rows)
+        expected = _sympy_poly_factors(rows, p)
+        assert _timed_classical(matrix) == expected, f"GF({p})[x]"
+        got = [v.payload for v in smith_normal_form(matrix).factors]
+        assert got == expected, f"smith_normal_form over GF({p})[x]"
+
+
+def test_dense_integer_16_and_20_classical():
+    rng = random.Random(74)
+    for n in (16, 20):
+        rows = _int_grid(rng, n, n, 20)
+        got = _timed_classical(DenseMatrix(ZZ, rows))
+        assert got == _sympy_int_factors(rows), f"{n} x {n}"

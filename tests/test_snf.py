@@ -1,5 +1,6 @@
 """Smith normal form: lattice route against classical route and minors."""
 
+import importlib
 import random
 
 import pytest
@@ -129,6 +130,37 @@ def test_poly_routes_agree():
             b = classical_snf(matrix)
             assert a.factors == b.factors
             assert verify(matrix, a)
+
+
+def test_classical_route_stands_alone(monkeypatch):
+    # The classical route cross-checks the lattice route, so it must not
+    # share the Bezout data or the 2x2 kernels that bidiagonalize sweeps with.
+    from todasnf.ring import Ring
+
+    # The package exports a function named bidiagonalize over its module.
+    elimination = importlib.import_module("todasnf.bidiagonalize")
+    kernels = importlib.import_module("todasnf.matrix")
+
+    def shared(*_):
+        raise AssertionError("classical_snf reached a lattice-route kernel")
+
+    monkeypatch.setattr(Ring, "xgcd", shared)
+    monkeypatch.setattr(kernels, "mix_rows", shared)
+    monkeypatch.setattr(kernels, "mix_cols", shared)
+    monkeypatch.setattr(elimination, "rotation", shared)
+    gf5 = PolyModP(5)
+    x, x1 = [0, 1], [1, 1]
+    cases = [
+        (ZZ, [[2, 0], [0, 3]], [1, 6]),
+        (ZZ, [[2, 3, 0], [4, 5, 6]], [1, 2]),  # 2 does not divide its row
+        (ZZ, [[2, 4], [3, 6], [5, 10]], [1, 0]),
+        (gf5, [[x, 0], [0, x1]], [(1,), (0, 1, 1)]),
+        (gf5, [[x, [1, 0, 1], 0]], [(1,)]),
+        (gf5, [[x, [0, 0, 1]], [1, x], [0, 0]], [(1,), ()]),
+    ]
+    for ring, grid, expected in cases:
+        result = classical_snf(DenseMatrix(ring, grid))
+        assert [v.payload for v in result.factors] == expected, grid
 
 
 def test_rank_deficient_factors_trail_with_zeros():
