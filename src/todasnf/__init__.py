@@ -47,7 +47,7 @@ from .gcd_toda import (
     terminated,
 )
 from .matrix import DenseMatrix
-from .bidiagonalize import BidiagonalForm, bidiagonalize, seed_state
+from .elimination import BidiagonalForm, bidiagonalize, seed_state
 from .snf import (
     SnfResult,
     classical_snf,

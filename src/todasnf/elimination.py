@@ -18,29 +18,42 @@ the lattice evolution before the factors are sorted.
 
 The sweeps run on raw payloads: the padded matrix is copied out with
 payload_grid (bordered by identities that collect the transforms P and
-Q when they are asked for), every rotation comes from Ring.xgcd and is
-applied with the payload kernels mix_rows / mix_cols, and the grids
-become matrices again through DenseMatrix.from_payloads.  BidiagonalForm
-reads its block size and corner flag off the matrix.
+Q when they are asked for), every step is a kernel mix_rows / mix_cols
+fed the cofactors of Ring.xgcd or the addition (1, 1, 1, 0), and the
+grids become matrices again through DenseMatrix.from_payloads.
+BidiagonalForm reads its block size and corner flag off the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrix import DenseMatrix, mix_cols, mix_rows, transpose_block
+from .matrix import DenseMatrix
 from .ring import Ring
 from .gcd_toda import GcdTodaState
 
 
-def rotation(ring: Ring, a, b):
-    """A determinant-one payload block G with (a, b) G == (gcd(a, b), 0).
+def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, cof) -> None:
+    """Map rows x = grid[i1], y = grid[i2] to (p x + q y, t x + s y).
 
-    Built from the Bezout cofactors: G = ((p, t), (q, s)) where
-    a p + b q = d, s = a / d, t = -b / d, so det G = p s - t q = 1.
+    cof = (p, q, s, t) has determinant p s - q t; ring.xgcd(x[k], y[k])[1:]
+    leaves the gcd in x[k] and zero in y[k], and (1, 1, 1, 0) adds y to x.
     """
-    d, p, q, s, t = ring.xgcd(a, b)
-    return ((p, t), (q, s))
+    p, q, s, t = cof
+    add, mul = ring.add, ring.mul
+    r1, r2 = grid[i1], grid[i2]
+    grid[i1] = [add(mul(p, x), mul(q, y)) for x, y in zip(r1, r2)]
+    grid[i2] = [add(mul(t, x), mul(s, y)) for x, y in zip(r1, r2)]
+
+
+def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, cof) -> None:
+    """The map of mix_rows on columns (j1, j2) of a payload grid."""
+    p, q, s, t = cof
+    add, mul = ring.add, ring.mul
+    for row in grid:
+        x, y = row[j1], row[j2]
+        row[j1] = add(mul(x, p), mul(y, q))
+        row[j2] = add(mul(x, t), mul(y, s))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +96,7 @@ def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
     """
     is_zero = ring.is_zero
     one, zero = ring.coerce(1), ring.coerce(0)
+    addition = (one, one, one, zero)  # x += y
     # Pivot row fix: steal mass from a lower row when row t is empty.
     if all(is_zero(grid[t][j]) for j in range(t, n)):
         donor = next(
@@ -92,13 +106,13 @@ def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
         )
         if donor is None:
             return False
-        mix_rows(ring, grid, t, donor, ((one, one), (zero, one)))
+        mix_rows(ring, grid, t, donor, addition)
 
     # Column sweep: collect the row gcd at (t, t), zeros to its right.
     for j in range(t + 1, n):
         if not is_zero(grid[t][j]):
-            block = rotation(ring, grid[t][t], grid[t][j])
-            mix_cols(ring, grid, t, j, block)
+            cof = ring.xgcd(grid[t][t], grid[t][j])[1:]
+            mix_cols(ring, grid, t, j, cof)
 
     # Keep the subdiagonal alive while mass remains below the pivot.
     if all(is_zero(grid[i][t]) for i in range(t + 1, n)):
@@ -108,13 +122,13 @@ def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
             None,
         )
         if donor_col is not None:
-            mix_cols(ring, grid, t, donor_col, ((one, zero), (one, one)))
+            mix_cols(ring, grid, t, donor_col, addition)
 
     # Row sweep: concentrate the column gcd at (t+1, t).
     for i in range(t + 2, n):
         if not is_zero(grid[i][t]):
-            block = transpose_block(rotation(ring, grid[t + 1][t], grid[i][t]))
-            mix_rows(ring, grid, t + 1, i, block)
+            cof = ring.xgcd(grid[t + 1][t], grid[i][t])[1:]
+            mix_rows(ring, grid, t + 1, i, cof)
     return True
 
 

@@ -23,8 +23,8 @@ semiring kernels of ud_toda.py, run here on raw payloads with the bound
 methods (ring.gcd, ring.mul, ring.exact_div); RingValues are unwrapped
 into canonical associates on entry, which keeps every kernel result
 canonical (see ud_toda.py), and only the results are wrapped.  run keeps
-just the seed and the final state; the trace of a TodaRun or of an
-IterationLimitError replays the deterministic map with iterate.
+just the seed and the final state; TodaRun.trace replays the map with
+iterate, and an IterationLimitError keeps the run cut off at the cap.
 """
 
 from __future__ import annotations
@@ -46,20 +46,21 @@ from .ud_toda import (
 class IterationLimitError(RuntimeError):
     """The step cap was reached before the termination test fired.
 
-    trace replays the states walked, seed included, for diagnostics.
+    capped is the run cut off at the cap, limit steps from the seed to the
+    last state; trace replays its states, seed included, for diagnostics.
     """
 
-    def __init__(self, limit: int, seed: GcdTodaState, last: GcdTodaState):
+    def __init__(self, capped: TodaRun):
         super().__init__(
-            f"no termination within {limit} steps; "
-            f"last diagonal {[str(v) for v in last.diagonal]}"
+            f"no termination within {capped.iterations} steps; "
+            f"last diagonal {[str(v) for v in capped.final.diagonal]}"
         )
-        self.limit = limit
-        self.seed = seed
+        self.limit = capped.iterations
+        self.capped = capped
 
     @property
     def trace(self) -> tuple[GcdTodaState, ...]:
-        return tuple(islice(iterate(self.seed), self.limit + 1))
+        return self.capped.trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +183,7 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
         q, e = toda_step(q, e, gcd, mul, div)
         if settled(q, e, ring.divides):
             return TodaRun(state, steps, _state(ring, q, e))
-    raise IterationLimitError(max_iters, state, _state(ring, q, e))
+    raise IterationLimitError(TodaRun(state, max_iters, _state(ring, q, e)))
 
 
 def interleaved(state: GcdTodaState) -> tuple[RingValue, ...]:

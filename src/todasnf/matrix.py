@@ -1,9 +1,9 @@
-"""Dense matrices over a ring, stored as raw payloads, plus 2x2 block updates.
+"""Dense matrices over a ring, stored as raw payloads.
 
 A DenseMatrix keeps its entries as the ring's payloads and wraps them
 into RingValues only when they are read through [i, j], row or rows.
-The elimination code reads a mutable copy with payload_grid, updates it
-in place with the payload kernels mix_rows and mix_cols, and turns the
+Elimination code reads a mutable copy with payload_grid, updates it in
+place on payloads (see elimination.py and classical_snf), and turns the
 result back into a matrix with the trusted from_payloads; no RingValue
 is built on the way.
 """
@@ -126,34 +126,3 @@ class DenseMatrix:
             " ".join(render(v) for v in row) for row in self._rows
         )
         return f"DenseMatrix({self.ring.name}, {self.nrows}x{self.ncols}: {body})"
-
-
-def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, block) -> None:
-    """Right-multiply columns (j1, j2) of a payload grid by a payload block.
-
-    new col_j1 = col_j1*b00 + col_j2*b10, new col_j2 = col_j1*b01 + col_j2*b11.
-    """
-    (b00, b01), (b10, b11) = block
-    add, mul = ring.add, ring.mul
-    for row in grid:
-        x, y = row[j1], row[j2]
-        row[j1] = add(mul(x, b00), mul(y, b10))
-        row[j2] = add(mul(x, b01), mul(y, b11))
-
-
-def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, block) -> None:
-    """Left-multiply rows (i1, i2) of a payload grid by a payload block.
-
-    new row_i1 = b00*row_i1 + b01*row_i2, new row_i2 = b10*row_i1 + b11*row_i2.
-    """
-    (b00, b01), (b10, b11) = block
-    add, mul = ring.add, ring.mul
-    r1, r2 = grid[i1], grid[i2]
-    grid[i1] = [add(mul(b00, x), mul(b01, y)) for x, y in zip(r1, r2)]
-    grid[i2] = [add(mul(b10, x), mul(b11, y)) for x, y in zip(r1, r2)]
-
-
-def transpose_block(block):
-    """The transposed 2x2 block."""
-    (b00, b01), (b10, b11) = block
-    return ((b00, b10), (b01, b11))

@@ -313,7 +313,6 @@ class PolyModP(Ring):
     Canonical associates are monic.
     """
 
-    __slots__ = ("p",)
     # One instance per prime; at most 6542 primes lie below 2**16.
     _interned: dict[int, "PolyModP"] = {}
 

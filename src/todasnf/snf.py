@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .bidiagonalize import bidiagonalize, seed_state
+from .elimination import bidiagonalize, seed_state
 from .gcd_toda import GcdTodaState, TodaRun, run
 from .matrix import DenseMatrix
 from .ring import RingValue, canonical, divides

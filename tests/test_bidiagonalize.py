@@ -1,9 +1,12 @@
-"""Reduction to lower bidiagonal form and lattice seeding."""
+"""Reduction to lower bidiagonal form, its sweep kernels, lattice seeding."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import todasnf
 from conftest import int_grid
 from todasnf import (
     BidiagonalForm,
@@ -18,7 +21,7 @@ from todasnf import (
     run,
     seed_state,
 )
-from todasnf.bidiagonalize import rotation
+from todasnf.elimination import mix_cols, mix_rows
 
 
 def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
@@ -29,10 +32,11 @@ def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
     ])
 
 
-def gcd_rotation(a, b):
-    """The payload rotation of two ring values, as a block of values."""
-    return tuple(tuple(RingValue(a.ring, v) for v in row)
-                 for row in rotation(a.ring, a.payload, b.payload))
+def cofactors(a, b):
+    """The sweep cofactors xgcd(a, b)[1:] = (p, q, s, t), as ring values."""
+    ring = a.ring
+    return tuple(RingValue(ring, v)
+                 for v in ring.xgcd(a.payload, b.payload)[1:])
 
 
 def test_gcd_rotation_contract():
@@ -45,11 +49,11 @@ def test_gcd_rotation_contract():
     for a, b in cases:
         if a.is_zero() and b.is_zero():
             continue
-        (p, t), (q, s) = gcd_rotation(a, b)
+        p, q, s, t = cofactors(a, b)
         det = p * s - t * q
-        assert det == ZZ(1), f"rotation for ({a}, {b}) has det {det}"
+        assert det == ZZ(1), f"cofactors of ({a}, {b}) have det {det}"
         combined = (a * p + b * q, a * t + b * s)
-        assert combined[1].is_zero(), f"rotation for ({a}, {b}) left {combined}"
+        assert combined[1].is_zero(), f"cofactors of ({a}, {b}) left {combined}"
         assert combined[0] == gcd(a, b)
 
 
@@ -61,9 +65,44 @@ def test_gcd_rotation_poly():
         b = ring(tuple(rng.randrange(5) for _ in range(rng.randint(0, 4))))
         if a.is_zero() and b.is_zero():
             continue
-        (p, t), (q, s) = gcd_rotation(a, b)
+        p, q, s, t = cofactors(a, b)
         assert p * s - t * q == ring(1)
         assert (a * t + b * s).is_zero()
+
+
+def test_block_updates_match_matrix_products():
+    rng = random.Random(33)
+    ring = ZZ
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        a = DenseMatrix(ring, [[rng.randint(-9, 9) for _ in range(n)]
+                               for _ in range(n)])
+        i1, i2 = rng.sample(range(n), 2)
+        p, q, s, t = cof = tuple(rng.randint(-3, 3) for _ in range(4))
+
+        def embed(block):
+            """The identity with a 2x2 block at rows and columns (i1, i2)."""
+            grid = DenseMatrix.identity(ring, n).payload_grid()
+            grid[i1][i1], grid[i1][i2] = block[0]
+            grid[i2][i1], grid[i2][i2] = block[1]
+            return DenseMatrix(ring, grid)
+
+        # Both kernels map (x, y) to (p x + q y, t x + s y): rows
+        # left-multiply by ((p, q), (t, s)), columns right-multiply by
+        # its transpose.
+        grid = a.payload_grid()
+        mix_rows(ring, grid, i1, i2, cof)
+        assert DenseMatrix(ring, grid) == embed(((p, q), (t, s))) @ a
+        grid = a.payload_grid()
+        mix_cols(ring, grid, i1, i2, cof)
+        assert DenseMatrix(ring, grid) == a @ embed(((p, t), (q, s)))
+
+
+def test_submodules_are_reachable_by_attribute():
+    # No package export may shadow the submodule of the same name.
+    for info in pkgutil.iter_modules(todasnf.__path__):
+        module = importlib.import_module(f"todasnf.{info.name}")
+        assert getattr(todasnf, info.name) is module, info.name
 
 
 def test_form_validation():
@@ -196,3 +235,12 @@ def test_seed_shapes():
         assert all(not v.is_zero() for v in seed.diagonal[:form.k])
         if form.corner:
             assert seed.diagonal[-1].is_zero()
+
+
+def test_golden_transforms_of_a_dense_input():
+    # Frozen output: any reordered or re-signed sweep changes B, P or Q.
+    a = DenseMatrix(ZZ, [[4, -6, 2], [3, 5, -7], [-2, 8, 9]])
+    form, p, q = bidiagonalize(a, transforms=True)
+    assert int_grid(form.matrix) == [[2, 0, 0], [1, 1, 0], [0, 36, 275]]
+    assert int_grid(p) == [[1, 0, 0], [0, -4, -3], [0, -9, -7]]
+    assert int_grid(q) == [[0, 5, 41], [0, -1, -8], [1, -13, -106]]

@@ -121,6 +121,46 @@ def test_snf_trace_output(example_file, capsys):
     assert out == TRACE_LINES + ["1", "6", "18"]
 
 
+# Frozen `snf FILE --trace --keep-zeros` output on inputs that are not yet
+# bidiagonal, so a reordered or re-signed elimination sweep shows up.
+ELIMINATION_GOLDENS = {
+    "dense": (
+        "ring: int\nrows: 3\ncols: 3\n4 -6 2\n3 5 -7\n-2 8 9\n",
+        ["q: 2 1 275 | e: 1 36",
+         "q: 1 2 275 | e: 1 4950",
+         "q: 1 2 275 | e: 2 680625",
+         "q: 1 1 550 | e: 4 187171875",
+         "1", "1", "550"],
+    ),
+    # Rank 2 with a 4x3 shape: the seed gains a zero level under a corner,
+    # and both sweeps of the first level meet two nonzero entries.
+    "rectangular-corner": (
+        "ring: int\nrows: 4\ncols: 3\n8 -8 -4\n-7 7 6\n4 -4 -4\n9 -9 -6\n",
+        ["q: 4 3 0 | e: 2 2",
+         "q: 2 2 0 | e: 3 0",
+         "q: 1 4 0 | e: 6 0",
+         "1", "4", "0"],
+    ),
+    "gf5": (
+        "ring: polymod 5\nrows: 3\ncols: 3\n"
+        "[1,2] [0,0,1] [3]\n[4,0,1] [2,1] [0,3]\n[1] [1,1,1] [2,0,4]\n",
+        ["q: [1] [1,1] [0,1,4,3,4,1] | e: [1] [3,0,1,0,1]",
+         "q: [1] [1,1] [0,1,4,3,4,1] | e: [1,1] [0,3,4,1,0,2,1,3,1]",
+         "q: [1] [1] [0,1,0,2,2,0,1] | e: [1,2,1] "
+         "[0,0,3,1,1,3,4,2,4,4,4,1,2,1]",
+         "[1]", "[1]", "[0,1,0,2,2,0,1]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELIMINATION_GOLDENS))
+def test_snf_trace_golden_through_elimination(name, tmp_path, capsys):
+    text, expected = ELIMINATION_GOLDENS[name]
+    path = _write(tmp_path, text)
+    assert main(["snf", path, "--trace", "--keep-zeros"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_snf_classical_matches(example_file, capsys):
     assert main(["snf", example_file, "--method", "classical"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["1", "6", "18"]

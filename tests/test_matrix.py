@@ -1,4 +1,4 @@
-"""Dense matrix container and the 2x2 block update kernels."""
+"""Dense matrix container."""
 
 import random
 import time
@@ -7,7 +7,6 @@ import pytest
 
 from conftest import det_int_brute, det_poly_brute, int_grid
 from todasnf import DenseMatrix, PolyModP, ZZ, determinant
-from todasnf.matrix import mix_cols, mix_rows, transpose_block
 
 
 def test_construction_and_shape():
@@ -136,38 +135,6 @@ def test_determinant_of_large_unimodular_products_is_fast():
         elapsed = time.perf_counter() - start
         assert det.is_unit() and det == expected
         assert elapsed < 1.0, f"{n}x{n} determinant took {elapsed:.2f} s"
-
-
-def test_block_updates_match_matrix_products():
-    rng = random.Random(33)
-    ring = ZZ
-    for _ in range(50):
-        n = rng.randint(2, 4)
-        a = DenseMatrix(ring, [[rng.randint(-9, 9) for _ in range(n)]
-                               for _ in range(n)])
-        i1, i2 = rng.sample(range(n), 2)
-        block = tuple(
-            tuple(rng.randint(-3, 3) for _ in range(2))
-            for _ in range(2)
-        )
-        # Embed the block into an identity; rows left-multiply by it and
-        # columns right-multiply by it.
-        embed = DenseMatrix.identity(ring, n).payload_grid()
-        embed[i1][i1], embed[i1][i2] = block[0]
-        embed[i2][i1], embed[i2][i2] = block[1]
-        embedded = DenseMatrix(ring, embed)
-        grid = a.payload_grid()
-        mix_rows(ring, grid, i1, i2, block)
-        assert DenseMatrix(ring, grid) == embedded @ a
-        grid = a.payload_grid()
-        mix_cols(ring, grid, i1, i2, block)
-        assert DenseMatrix(ring, grid) == a @ embedded
-
-
-def test_transpose_block():
-    b = ((ZZ(1), ZZ(2)), (ZZ(3), ZZ(4)))
-    assert transpose_block(b) == ((ZZ(1), ZZ(3)), (ZZ(2), ZZ(4)))
-    assert transpose_block(transpose_block(b)) == b
 
 
 def test_poly_matrix_entries():

@@ -1,6 +1,5 @@
 """Smith normal form: lattice route against classical route and minors."""
 
-import importlib
 import random
 
 import pytest
@@ -135,19 +134,15 @@ def test_poly_routes_agree():
 def test_classical_route_stands_alone(monkeypatch):
     # The classical route cross-checks the lattice route, so it must not
     # share the Bezout data or the 2x2 kernels that bidiagonalize sweeps with.
+    import todasnf.elimination as elimination
     from todasnf.ring import Ring
-
-    # The package exports a function named bidiagonalize over its module.
-    elimination = importlib.import_module("todasnf.bidiagonalize")
-    kernels = importlib.import_module("todasnf.matrix")
 
     def shared(*_):
         raise AssertionError("classical_snf reached a lattice-route kernel")
 
     monkeypatch.setattr(Ring, "xgcd", shared)
-    monkeypatch.setattr(kernels, "mix_rows", shared)
-    monkeypatch.setattr(kernels, "mix_cols", shared)
-    monkeypatch.setattr(elimination, "rotation", shared)
+    monkeypatch.setattr(elimination, "mix_rows", shared)
+    monkeypatch.setattr(elimination, "mix_cols", shared)
     gf5 = PolyModP(5)
     x, x1 = [0, 1], [1, 1]
     cases = [

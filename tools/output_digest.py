@@ -1,0 +1,72 @@
+"""Print one sha256 over what the package computes on the benchmark corpora.
+
+    python3 tools/output_digest.py
+
+A change that claims to leave every output byte-identical should print
+the same digest before and after it.  The inputs are the perfbench
+corpora dense_zz, lattice_smooth and poly_gfp of seeds 11, 12 and 13,
+built by perfbench/corpus.py (imported only; no bytecode is written
+next to it).  Per input the digest covers:
+
+- the bidiagonal form, and its P and Q when the padded size is at most 12;
+- the lattice factors and iteration count of smith_normal_form;
+- the factors of classical_snf, except on lattice_smooth, where perfbench
+  does not run it either (a 24 x 24 input took over 150 s);
+- the rendered --trace lines on dense_zz and poly_gfp.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import corpus  # noqa: E402
+from todasnf import (  # noqa: E402
+    DenseMatrix,
+    PolyModP,
+    ZZ,
+    bidiagonalize,
+    classical_snf,
+    smith_normal_form,
+)
+from todasnf.cli import render_trace_line  # noqa: E402
+
+SEEDS = (11, 12, 13)
+WORKLOADS = ("dense_zz", "lattice_smooth", "poly_gfp")
+TRANSFORMS_UP_TO = 12
+TRACED = ("dense_zz", "poly_gfp")
+
+
+def lines(workload: str, matrix: DenseMatrix):
+    """The outputs of one input, one string each."""
+    yield repr(bidiagonalize(matrix).matrix)
+    if max(matrix.nrows, matrix.ncols) <= TRANSFORMS_UP_TO:
+        yield from map(repr, bidiagonalize(matrix, transforms=True))
+    result = smith_normal_form(matrix)
+    yield f"toda {result.iterations}: {' '.join(map(str, result.factors))}"
+    if workload != "lattice_smooth":
+        factors = classical_snf(matrix).factors
+        yield f"classical: {' '.join(map(str, factors))}"
+    if workload in TRACED and result.trace is not None:
+        yield from map(render_trace_line, result.trace)
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            for raw in corpus.BUILDERS[workload](seed):
+                ring = ZZ if raw.p is None else PolyModP(raw.p)
+                digest.update(f"{seed}/{workload}/{raw.label}\n".encode())
+                for line in lines(workload, DenseMatrix(ring, raw.rows)):
+                    digest.update(f"{line}\n".encode())
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
