@@ -181,12 +181,11 @@ def _resolve_max_iters(flag: int | None) -> int | None:
     if raw is None:
         return None
     try:
-        value = int(raw, 10)
+        if (value := int(raw, 10)) >= 1:
+            return value
     except ValueError:
-        raise ValueError(
-            f"{MAX_ITERS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return value
+        pass
+    raise ValueError(f"{MAX_ITERS_ENV} must be a positive integer, got {raw!r}")
 
 
 def cmd_snf(args: argparse.Namespace) -> int:

@@ -169,10 +169,10 @@ def seed_state(form: BidiagonalForm) -> GcdTodaState:
     """
     if form.k == 0:
         raise ValueError("zero matrix has no lattice seed")
-    m = form.matrix
-    diag = [m[i, i] for i in range(form.k)]
-    sub = [m[i + 1, i] for i in range(form.k - 1)]
+    ring, grid = form.matrix.ring, form.matrix.payload_grid()
+    diag = [grid[i][i] for i in range(form.k)]
+    sub = [grid[i + 1][i] for i in range(form.k - 1)]
     if form.corner:
-        diag.append(m.ring.zero)
-        sub.append(m[form.k, form.k - 1])
-    return GcdTodaState(tuple(diag), tuple(sub))
+        diag.append(ring.coerce(0))
+        sub.append(grid[form.k][form.k - 1])
+    return GcdTodaState.from_payloads(ring, tuple(diag), tuple(sub))

@@ -19,19 +19,20 @@ non-adjacent entries of the interleaved word (q_0, e_0, q_1, ..., q_{N-1}),
 which are exactly the determinantal divisors of the bidiagonal matrix.
 
 The step, the divisor program, the termination test and the word are the
-semiring kernels of ud_toda.py, run here on raw payloads with the bound
-methods (ring.gcd, ring.mul, ring.exact_div); RingValues are unwrapped
-into canonical associates on entry, which keeps every kernel result
-canonical (see ud_toda.py), and only the results are wrapped.  run keeps
-just the seed and the final state; TodaRun.trace replays the map with
-iterate, and an IterationLimitError keeps the run cut off at the cap.
+semiring kernels of ud_toda.py, run on raw payloads with the bound methods
+(ring.gcd, ring.mul, ring.exact_div).  Like a DenseMatrix, a GcdTodaState
+stores payloads and wraps them into RingValues only when read.  iterate
+is the one loop over the step: it makes the seed canonical once, which
+keeps every kernel result canonical (see ud_toda.py), and yields trusted
+states.  run, gcd_step and every trace consume it, so a replay costs
+about as much as the run it replays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .ring import Ring, RingValue, divides, exact_div
 from .ud_toda import (
@@ -58,6 +59,9 @@ class IterationLimitError(RuntimeError):
         self.limit = capped.iterations
         self.capped = capped
 
+    def __reduce__(self):
+        return IterationLimitError, (self.capped,)
+
     @property
     def trace(self) -> tuple[GcdTodaState, ...]:
         return self.capped.trace
@@ -65,37 +69,54 @@ class IterationLimitError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class GcdTodaState:
-    """Diagonal and subdiagonal of a lower bidiagonal matrix."""
+    """Diagonal q and subdiagonal e of a lower bidiagonal matrix.
 
-    diagonal: tuple[RingValue, ...]
-    subdiagonal: tuple[RingValue, ...]
+    Like DenseMatrix, a state stores the ring's payloads and wraps them
+    into RingValues only when diagonal or subdiagonal is read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "diagonal", tuple(self.diagonal))
-        object.__setattr__(self, "subdiagonal", tuple(self.subdiagonal))
-        if not self.diagonal:
+    ring: Ring
+    q: tuple
+    e: tuple
+
+    def __init__(self, diagonal: Sequence, subdiagonal: Sequence):
+        diagonal, subdiagonal = tuple(diagonal), tuple(subdiagonal)
+        if not diagonal:
             raise ValueError("a state needs at least one diagonal entry")
-        if len(self.subdiagonal) != len(self.diagonal) - 1:
-            raise ValueError(
-                f"{len(self.diagonal)} diagonal entries need "
-                f"{len(self.diagonal) - 1} subdiagonal ones, "
-                f"got {len(self.subdiagonal)}"
-            )
-        for v in self.diagonal + self.subdiagonal:
+        if len(subdiagonal) != len(diagonal) - 1:
+            raise ValueError(f"{len(diagonal)} diagonal entries need "
+                             f"{len(diagonal) - 1} subdiagonal ones, "
+                             f"got {len(subdiagonal)}")
+        for v in diagonal + subdiagonal:
             if not isinstance(v, RingValue):
                 raise TypeError(f"entries must be ring values, got {v!r}")
-        ring = self.diagonal[0].ring
-        for v in self.diagonal + self.subdiagonal:
+        ring = diagonal[0].ring
+        for v in diagonal + subdiagonal:
             if v.ring is not ring:
                 raise ValueError("entries must all live in the same ring")
+        self.__setstate__((ring, tuple(v.payload for v in diagonal),
+                           tuple(v.payload for v in subdiagonal)))
+
+    @classmethod
+    def from_payloads(cls, ring: Ring, q: tuple, e: tuple) -> GcdTodaState:
+        """Trusted: q and e are payload tuples of ring, e one entry shorter."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "e", e)
+        return out
 
     @property
     def n(self) -> int:
-        return len(self.diagonal)
+        return len(self.q)
 
     @property
-    def ring(self) -> Ring:
-        return self.diagonal[0].ring
+    def diagonal(self) -> tuple[RingValue, ...]:
+        return tuple(RingValue(self.ring, v) for v in self.q)
+
+    @property
+    def subdiagonal(self) -> tuple[RingValue, ...]:
+        return tuple(RingValue(self.ring, v) for v in self.e)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,61 +136,42 @@ class TodaRun:
         return tuple(islice(iterate(self.seed), self.iterations + 1))
 
 
-def _unwrap(state: GcdTodaState) -> tuple[tuple, tuple]:
-    """The canonical diagonal and subdiagonal payloads."""
-    canon = state.ring.canonical
-    return (tuple(canon(v.payload) for v in state.diagonal),
-            tuple(canon(v.payload) for v in state.subdiagonal))
-
-
-def _wrap(ring: Ring, payloads) -> tuple[RingValue, ...]:
-    return tuple(RingValue(ring, v) for v in payloads)
-
-
-def _state(ring: Ring, q, e) -> GcdTodaState:
-    """The state of diagonal payloads q and subdiagonal payloads e."""
-    return GcdTodaState(_wrap(ring, q), _wrap(ring, e))
+def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
+    """The state, then each gcd_step after it, without end."""
+    yield state
+    ring, new = state.ring, GcdTodaState.from_payloads
+    gcd, mul, div, canon = ring.gcd, ring.mul, ring.exact_div, ring.canonical
+    q, e = tuple(map(canon, state.q)), tuple(map(canon, state.e))
+    while True:
+        q, e = toda_step(q, e, gcd, mul, div)
+        yield new(ring, q, e)
 
 
 def gcd_step(state: GcdTodaState) -> GcdTodaState:
     """Advance one time step; raises ExactDivisionError off the reachable set."""
-    ring = state.ring
-    return _state(ring, *toda_step(*_unwrap(state), ring.gcd, ring.mul,
-                                   ring.exact_div))
+    return next(islice(iterate(state), 1, None))
 
 
 def terminated(state: GcdTodaState) -> bool:
     """Whether the diagonal divides along itself and into the subdiagonal."""
-    return settled(*_unwrap(state), state.ring.divides)
+    return settled(state.q, state.e, state.ring.divides)
 
 
 def default_max_iters(state: GcdTodaState) -> int:
     """Step cap scaling with the seed: N times the total entry size."""
-    ring = state.ring
-    total = sum(
-        ring.size(v.payload) for v in state.diagonal + state.subdiagonal
-    )
+    total = sum(map(state.ring.size, state.q + state.e))
     return max(64, state.n * total)
-
-
-def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
-    """The state, then each gcd_step after it, without end."""
-    while True:
-        yield state
-        state = gcd_step(state)
 
 
 def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     """Iterate gcd_step until the termination test fires.
 
     At least one step is always taken, so the returned diagonal is made of
-    canonical associates even when the seed already passes the test.  The
-    steps run on payloads; only the final state is wrapped, and the trace
-    is replayed on request.
+    canonical associates even when the seed already passes the test.
+    Only the seed and the last state are kept; the trace is replayed.
     """
     ring = state.ring
-    q, e = _unwrap(state)
-    if any(ring.is_zero(v) for v in q[:-1]):
+    if any(ring.is_zero(v) for v in state.q[:-1]):
         raise ValueError(
             "interior diagonal entries must be nonzero; only the last "
             "may vanish"
@@ -178,12 +180,10 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
         max_iters = default_max_iters(state)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    gcd, mul, div = ring.gcd, ring.mul, ring.exact_div
-    for steps in range(1, max_iters + 1):
-        q, e = toda_step(q, e, gcd, mul, div)
-        if settled(q, e, ring.divides):
-            return TodaRun(state, steps, _state(ring, q, e))
-    raise IterationLimitError(TodaRun(state, max_iters, _state(ring, q, e)))
+    for steps, last in enumerate(islice(iterate(state), 1, max_iters + 1), 1):
+        if settled(last.q, last.e, ring.divides):
+            return TodaRun(state, steps, last)
+    raise IterationLimitError(TodaRun(state, max_iters, last))
 
 
 def interleaved(state: GcdTodaState) -> tuple[RingValue, ...]:
@@ -199,9 +199,9 @@ def determinantal_divisors(state: GcdTodaState) -> tuple[RingValue, ...]:
     l-1 equals the gcd of all l by l minors of the bidiagonal matrix.
     """
     ring = state.ring
-    return _wrap(ring, non_adjacent_totals(
-        *_unwrap(state), ring.gcd, ring.mul, ring.coerce(1)
-    ))
+    totals = non_adjacent_totals(state.q, state.e, ring.gcd, ring.mul,
+                                 ring.coerce(1))
+    return tuple(RingValue(ring, ring.canonical(v)) for v in totals)
 
 
 def exponent_lift(state: GcdTodaState, base: RingValue) -> UdTodaState:

@@ -394,13 +394,12 @@ class PolyModP(Ring):
         return len(a) - 1 if a else 0
 
     def coerce(self, value):
-        if isinstance(value, bool):
-            raise TypeError(f"cannot coerce {value!r} into {self.name}")
-        if isinstance(value, int):
-            return self._trim((value % self.p,))
-        if isinstance(value, (list, tuple)):
-            return self._trim([int(c) % self.p for c in value])
-        raise TypeError(f"cannot coerce {value!r} into {self.name}")
+        """An int, or a list or tuple of int coefficients, lowest first."""
+        coeffs = value if isinstance(value, (list, tuple)) else (value,)
+        for c in coeffs:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise TypeError(f"cannot coerce {value!r} into {self.name}")
+        return self._trim([c % self.p for c in coeffs])
 
     def render(self, a) -> str:
         if not a:

@@ -216,6 +216,12 @@ def test_env_cap_override(example_file, capsys, monkeypatch):
     monkeypatch.setenv(MAX_ITERS_ENV, "eight")
     assert main(["snf", example_file]) == EXIT_PARSE
     assert MAX_ITERS_ENV in capsys.readouterr().err
+    for raw in ("0", "-3"):
+        monkeypatch.setenv(MAX_ITERS_ENV, raw)
+        assert main(["snf", example_file]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {MAX_ITERS_ENV} must be a positive integer, got '{raw}'\n"
+        )
     # The parser is built once, but the variable is read on every call.
     monkeypatch.delenv(MAX_ITERS_ENV)
     assert main(["snf", example_file]) == EXIT_OK

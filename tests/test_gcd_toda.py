@@ -1,6 +1,9 @@
 """Lattice dynamics over a ring: step, termination, invariants, lifting."""
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError
+from itertools import islice
 
 import pytest
 
@@ -25,6 +28,7 @@ from todasnf import (
     divides,
     exponent_lift,
     gcd_step,
+    iterate,
     run,
     terminated,
     ud_step,
@@ -341,3 +345,67 @@ def test_run_wraps_only_the_final_state_and_replays_its_trace():
         with pytest.raises(IterationLimitError) as info:
             run(state, max_iters=cap)
         assert info.value.trace == _gcd_step_chain(state, cap)
+
+
+def _smooth_seed():
+    """The n = 32 seed of 2^a 3^b 5^c entries used above."""
+    rng = random.Random(60)
+    n = 32
+
+    def smooth():
+        return 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 6) * 5 ** rng.randint(0, 6)
+
+    return _int_state([smooth() for _ in range(n)],
+                      [smooth() for _ in range(n - 1)])
+
+
+def test_iterate_wraps_nothing_until_a_diagonal_is_read(monkeypatch):
+    # States hold payloads; wrapping every stepped state would build
+    # (2n - 1) * 40 RingValues for 40 steps.
+    seed = _smooth_seed()
+    count = 0
+    original = RingValue.__init__
+
+    def counting(self, ring, payload):
+        nonlocal count
+        count += 1
+        original(self, ring, payload)
+
+    monkeypatch.setattr(RingValue, "__init__", counting)
+    states = list(islice(iterate(seed), 41))
+    assert count == 0
+    assert all(not v.is_zero() for v in states[-1].diagonal)
+    assert count == seed.n
+
+
+def test_state_is_a_frozen_picklable_payload_record():
+    ring = PolyModP(5)
+    x, x1 = ring([0, 1]), ring([1, 1])
+    poly = gcd_step(GcdTodaState((x * x1, x, x1 * x1, x), (x1, x * x, x1)))
+    for state in (poly, gcd_step(_smooth_seed())):
+        assert state.q == tuple(v.payload for v in state.diagonal)
+        assert state.e == tuple(v.payload for v in state.subdiagonal)
+        twin = GcdTodaState.from_payloads(state.ring, state.q, state.e)
+        assert twin == state and hash(twin) == hash(state)
+        assert twin == GcdTodaState(state.diagonal, state.subdiagonal)
+        assert GcdTodaState.from_payloads(state.ring, state.q[::-1],
+                                          state.e) != state
+        restored = pickle.loads(pickle.dumps(state))
+        assert restored == state and restored.ring is state.ring
+        with pytest.raises(FrozenInstanceError):
+            state.q = ()
+        assert state.q == twin.q
+    outcome = run(poly)
+    restored = pickle.loads(pickle.dumps(outcome))
+    assert restored == outcome and restored.trace == outcome.trace
+
+
+def test_iteration_limit_error_survives_pickling():
+    seed = _int_state(*GOLDEN_TRACE[0])
+    with pytest.raises(IterationLimitError) as info:
+        run(seed, max_iters=2)
+    restored = pickle.loads(pickle.dumps(info.value))
+    assert isinstance(restored, IterationLimitError)
+    assert restored.limit == 2
+    assert str(restored) == str(info.value)
+    assert restored.trace == info.value.trace

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import int_gcd_brute, pgcd_brute, pmul
 from todasnf import (
+    DenseMatrix,
     ExactDivisionError,
     IntegerRing,
     PolyModP,
@@ -249,3 +250,14 @@ def test_coercion_rejects_junk():
         ZZ(True)
     with pytest.raises(TypeError):
         PolyModP(3)(2.5)
+
+
+def test_poly_coefficients_follow_the_scalar_rule():
+    # Every coefficient must be an int that is not a bool, like a scalar.
+    ring = PolyModP(5)
+    for junk in ([1.5, 2], [True, 1], ["3"], ([1],)):
+        with pytest.raises(TypeError):
+            ring(junk)
+    with pytest.raises(TypeError):
+        DenseMatrix(ring, [[[1.5, 2]]])
+    assert ring([7, -1, 0]).payload == (2, 4)

@@ -12,13 +12,19 @@ next to it).  Per input the digest covers:
 - the lattice factors and iteration count of smith_normal_form;
 - the factors of classical_snf, except on lattice_smooth, where perfbench
   does not run it either (a 24 x 24 input took over 150 s);
-- the rendered --trace lines on dense_zz and poly_gfp.
+- the rendered --trace lines on dense_zz and poly_gfp;
+- the first 8 rendered states of iterate(seed_state(form)) on
+  lattice_smooth;
+- on dense_zz and poly_gfp inputs that take at least 2 steps, the message
+  and rendered trace of the IterationLimitError of a run capped at half
+  its steps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,10 +34,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import corpus  # noqa: E402
 from todasnf import (  # noqa: E402
     DenseMatrix,
+    IterationLimitError,
     PolyModP,
     ZZ,
     bidiagonalize,
     classical_snf,
+    iterate,
+    run,
+    seed_state,
     smith_normal_form,
 )
 from todasnf.cli import render_trace_line  # noqa: E402
@@ -40,11 +50,13 @@ SEEDS = (11, 12, 13)
 WORKLOADS = ("dense_zz", "lattice_smooth", "poly_gfp")
 TRANSFORMS_UP_TO = 12
 TRACED = ("dense_zz", "poly_gfp")
+LATTICE_PREFIX = 8
 
 
 def lines(workload: str, matrix: DenseMatrix):
     """The outputs of one input, one string each."""
-    yield repr(bidiagonalize(matrix).matrix)
+    form = bidiagonalize(matrix)
+    yield repr(form.matrix)
     if max(matrix.nrows, matrix.ncols) <= TRANSFORMS_UP_TO:
         yield from map(repr, bidiagonalize(matrix, transforms=True))
     result = smith_normal_form(matrix)
@@ -54,6 +66,15 @@ def lines(workload: str, matrix: DenseMatrix):
         yield f"classical: {' '.join(map(str, factors))}"
     if workload in TRACED and result.trace is not None:
         yield from map(render_trace_line, result.trace)
+    if workload == "lattice_smooth" and form.k:
+        prefix = islice(iterate(seed_state(form)), LATTICE_PREFIX)
+        yield from map(render_trace_line, prefix)
+    if workload in TRACED and result.iterations >= 2:
+        try:
+            run(seed_state(form), result.iterations // 2)
+        except IterationLimitError as capped:
+            yield str(capped)
+            yield from map(render_trace_line, capped.trace)
 
 
 def main() -> None:
