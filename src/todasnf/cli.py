@@ -76,7 +76,7 @@ def _parse_ring(lineno: int, selector: str) -> Ring:
         return ZZ
     if len(parts) == 2 and parts[0] == "polymod":
         try:
-            modulus = int(parts[1], 10)
+            modulus = ZZ.parse(parts[1])
         except ValueError:
             raise MatrixParseError(
                 lineno, f"bad modulus {parts[1]!r}"
@@ -122,7 +122,7 @@ def parse_matrix_text(text: str) -> DenseMatrix:
     for name in ("rows", "cols"):
         lineno, value = header(name)
         try:
-            count = int(value, 10)
+            count = ZZ.parse(value)
         except ValueError:
             raise MatrixParseError(lineno, f"bad {name} count {value!r}") from None
         if count < 1:
@@ -164,8 +164,8 @@ def render_matrix_text(matrix: DenseMatrix) -> str:
 
 
 def render_trace_line(state: GcdTodaState) -> str:
-    q = " ".join(str(v) for v in state.diagonal)
-    e = " ".join(str(v) for v in state.subdiagonal)
+    q = " ".join(map(state.ring.render, state.q))
+    e = " ".join(map(state.ring.render, state.e))
     return f"q: {q} | e: {e}".rstrip()
 
 

@@ -12,7 +12,12 @@ rings raises :class:`RingMismatchError` instead of producing garbage.
 
 Rings are interned: ``IntegerRing()`` is ``ZZ`` and ``PolyModP(p)`` returns
 one instance per prime, so ring equality is identity (``is``).  Hot loops
-skip the wrapper and call the ring's payload methods directly.
+skip the wrapper and call the ring's payload methods directly, under
+three rules.  ZZ payload arithmetic is Python's own: ``add``, ``neg``,
+``mul``, ``divmod``, ``size``, ``gcd`` and ``render`` are builtins, not
+Python methods.  Zero payloads (``0`` and ``()``) are the falsy ones.
+``divmod`` by zero raises ``ZeroDivisionError``, and
+:meth:`Ring.exact_div` alone turns it into :class:`ExactDivisionError`.
 
 Gcds are always returned as *canonical associates*: nonnegative integers,
 monic polynomials.  By convention ``gcd(0, 0) == 0`` and every element
@@ -23,6 +28,8 @@ degrades gracefully instead of raising.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from typing import Sequence
 
 
@@ -129,11 +136,14 @@ class Ring:
         raise NotImplementedError
 
     def divmod(self, a, b):
-        """Euclidean (quotient, remainder); ExactDivisionError if b is 0."""
+        """Euclidean (quotient, remainder); ZeroDivisionError if b is 0.
+
+        exact_div is the one place that turns it into ExactDivisionError.
+        """
         raise NotImplementedError
 
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
+    #: Whether a payload is zero: 0 and () are the only falsy payloads.
+    is_zero = staticmethod(operator.not_)
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -163,8 +173,9 @@ class Ring:
 
     def gcd(self, a, b):
         """Canonical gcd of two payloads, by the Euclidean algorithm."""
-        while not self.is_zero(b):
-            a, b = b, self.divmod(a, b)[1]
+        quorem = self.divmod
+        while b:
+            a, b = b, quorem(a, b)[1]
         return self.canonical(a)
 
     def xgcd(self, a, b):
@@ -176,28 +187,29 @@ class Ring:
 
         Undefined (raises ValueError) when both inputs are zero.
         """
-        if self.is_zero(a) and self.is_zero(b):
+        if not a and not b:
             raise ValueError("extended gcd of (0, 0) is undefined")
+        add, neg, mul, quorem = self.add, self.neg, self.mul, self.divmod
         one, zero = self.coerce(1), self.coerce(0)
         r0, x0, y0 = a, one, zero
         r1, x1, y1 = b, zero, one
-        while not self.is_zero(r1):
-            quot, rem = self.divmod(r0, r1)
+        while r1:
+            quot, rem = quorem(r0, r1)
             r0, r1 = r1, rem
-            x0, x1 = x1, self.add(x0, self.neg(self.mul(quot, x1)))
-            y0, y1 = y1, self.add(y0, self.neg(self.mul(quot, y1)))
+            x0, x1 = x1, add(x0, neg(mul(quot, x1)))
+            y0, y1 = y1, add(y0, neg(mul(quot, y1)))
         u = self.canonicalizing_unit(r0)
-        d = self.mul(u, r0)
-        p = self.mul(u, x0)
-        q = self.mul(u, y0)
-        s = self.divmod(a, d)[0]
-        t = self.neg(self.divmod(b, d)[0])
-        return d, p, q, s, t
+        d = mul(u, r0)
+        return (d, mul(u, x0), mul(u, y0), quorem(a, d)[0],
+                neg(quorem(b, d)[0]))
 
     def exact_div(self, a, b):
         """a / b when b divides a exactly; ExactDivisionError otherwise."""
-        quot, rem = self.divmod(a, b)
-        if not self.is_zero(rem):
+        try:
+            quot, rem = self.divmod(a, b)
+        except ZeroDivisionError:
+            raise ExactDivisionError("division by zero") from None
+        if rem:
             raise ExactDivisionError(
                 f"{self.render(b)} does not divide {self.render(a)}"
             )
@@ -205,11 +217,11 @@ class Ring:
 
     def divides(self, a, b) -> bool:
         """Whether a divides b; everything divides 0, only 0 is divided by 0."""
-        if self.is_zero(b):
+        if not b:
             return True
-        if self.is_zero(a):
+        if not a:
             return False
-        return self.is_zero(self.divmod(b, a)[1])
+        return not self.divmod(b, a)[1]
 
     # -- RingValue construction -----------------------------------------
 
@@ -234,6 +246,10 @@ class Ring:
         return self.name
 
 
+#: Optional sign, then ASCII digits; int() also takes "_" and Unicode digits.
+_DECIMAL = re.compile("[+-]?[0-9]+").fullmatch
+
+
 class IntegerRing(Ring):
     """The rational integers; canonical associates are nonnegative."""
 
@@ -242,22 +258,13 @@ class IntegerRing(Ring):
     def __new__(cls):
         return ZZ
 
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def neg(self, a: int) -> int:
-        return -a
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def divmod(self, a: int, b: int):
-        if b == 0:
-            raise ExactDivisionError("division by zero")
-        return divmod(a, b)
-
-    def is_zero(self, a: int) -> bool:
-        return a == 0
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    divmod = staticmethod(divmod)
+    size = staticmethod(int.bit_length)
+    gcd = staticmethod(math.gcd)
+    render = staticmethod(str)
 
     def is_unit(self, a: int) -> bool:
         return a == 1 or a == -1
@@ -265,25 +272,15 @@ class IntegerRing(Ring):
     def canonicalizing_unit(self, a: int) -> int:
         return -1 if a < 0 else 1
 
-    def size(self, a: int) -> int:
-        return a.bit_length()
-
-    def gcd(self, a: int, b: int) -> int:
-        return math.gcd(a, b)
-
     def coerce(self, value) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"cannot coerce {value!r} into {self.name}")
         return value
 
-    def render(self, a: int) -> str:
-        return str(a)
-
     def parse(self, text: str) -> int:
-        try:
-            return int(text, 10)
-        except ValueError:
-            raise ValueError(f"not an integer literal: {text!r}") from None
+        if _DECIMAL(text) is None:
+            raise ValueError(f"not an integer literal: {text!r}")
+        return int(text)
 
 
 #: The ring of rational integers, the only instance of IntegerRing.
@@ -365,7 +362,7 @@ class PolyModP(Ring):
 
     def divmod(self, a, b):
         if not b:
-            raise ExactDivisionError("division by zero polynomial")
+            raise ZeroDivisionError("division by zero polynomial")
         p = self.p
         rem = list(a)
         quo = [0] * max(len(a) - len(b) + 1, 0)
@@ -378,9 +375,6 @@ class PolyModP(Ring):
             for j, cb in enumerate(b):
                 rem[shift + j] = (rem[shift + j] - factor * cb) % p
         return self._trim(quo), self._trim(rem)
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def is_unit(self, a) -> bool:
         return len(a) == 1
@@ -417,7 +411,7 @@ class PolyModP(Ring):
         for part in inner.split(","):
             part = part.strip()
             try:
-                coeffs.append(int(part, 10))
+                coeffs.append(ZZ.parse(part))
             except ValueError:
                 raise ValueError(
                     f"bad coefficient {part!r} in polynomial literal {text!r}"

@@ -109,6 +109,24 @@ def test_parse_errors_carry_line_numbers():
         assert info.value.lineno == lineno, f"{text!r}: {info.value}"
 
 
+def test_files_accept_only_ascii_signed_decimals():
+    # int(text, 10) would read each of these: digit-group underscores and
+    # non-ASCII decimal digits (here ARABIC-INDIC DIGIT THREE).
+    bad = [
+        ("ring: int\nrows: 1\ncols: 2\n1_000 1\n", 4),
+        ("ring: int\nrows: 1\ncols: 2\n1 \u0663\n", 4),
+        ("ring: polymod 5\nrows: 1\ncols: 1\n[1_0,2]\n", 4),
+        ("ring: polymod 0_5\nrows: 1\ncols: 1\n[1]\n", 1),
+        ("ring: int\nrows: 0_1\ncols: 1\n1\n", 2),
+    ]
+    for text, lineno in bad:
+        with pytest.raises(MatrixParseError) as info:
+            parse_matrix_text(text)
+        assert info.value.lineno == lineno, f"{text!r}: {info.value}"
+    matrix = parse_matrix_text("ring: int\nrows: +1\ncols: 2\n+3 -04\n")
+    assert matrix == DenseMatrix(ZZ, [[3, -4]])
+
+
 def test_snf_command_golden(example_file, capsys):
     assert main(["snf", example_file]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()

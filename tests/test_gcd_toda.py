@@ -33,6 +33,7 @@ from todasnf import (
     terminated,
     ud_step,
 )
+from todasnf.cli import render_trace_line
 from todasnf.gcd_toda import interleaved
 
 # Frozen evolution of the integer seed q=(2,6,9), e=(4,3): four steps to
@@ -376,6 +377,28 @@ def test_iterate_wraps_nothing_until_a_diagonal_is_read(monkeypatch):
     assert count == 0
     assert all(not v.is_zero() for v in states[-1].diagonal)
     assert count == seed.n
+
+
+def test_trace_lines_render_payloads(monkeypatch):
+    # A line renders the stored payloads; wrapping each entry only to
+    # call str on it would build 2n - 1 = 63 RingValues per line.
+    states = list(islice(iterate(_smooth_seed()), 41))
+    count = 0
+    original = RingValue.__init__
+
+    def counting(self, ring, payload):
+        nonlocal count
+        count += 1
+        original(self, ring, payload)
+
+    monkeypatch.setattr(RingValue, "__init__", counting)
+    lines = [render_trace_line(state) for state in states]
+    assert count == 0
+    monkeypatch.undo()
+    for state, line in zip(states, lines):
+        q = " ".join(str(v) for v in state.diagonal)
+        e = " ".join(str(v) for v in state.subdiagonal)
+        assert line == f"q: {q} | e: {e}"
 
 
 def test_state_is_a_frozen_picklable_payload_record():

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -15,10 +16,13 @@ from todasnf import (
     RingMismatchError,
     RingValue,
     ZZ,
+    bidiagonalize,
     canonical,
     divides,
     exact_div,
     gcd,
+    run,
+    seed_state,
 )
 
 
@@ -142,6 +146,42 @@ def test_exact_div():
         exact_div(ring([1, 1, 1]), ring([1, 1]))
 
 
+def test_division_by_zero_is_decided_in_exact_div():
+    # divmod raises Python's own error; exact_div alone converts it.
+    with pytest.raises(ZeroDivisionError):
+        ZZ.divmod(7, 0)
+    ring = PolyModP(5)
+    with pytest.raises(ZeroDivisionError):
+        ring.divmod((1,), ())
+    for r, a, zero in ((ZZ, 7, 0), (ring, (1,), ())):
+        with pytest.raises(ExactDivisionError) as info:
+            r.exact_div(a, zero)
+        assert str(info.value) == "division by zero"
+
+
+def test_integer_payload_arithmetic_enters_no_ring_frame():
+    # Over ZZ the payload operations are builtins, so the elimination and
+    # the lattice enter no Python frame for them.
+    rng = random.Random(11)
+    matrix = DenseMatrix(ZZ, [[rng.randint(-20, 20) for _ in range(8)]
+                              for _ in range(8)])
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith("ring.py"):
+            entered.add(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        form = bidiagonalize(matrix)
+        run(seed_state(form))
+    finally:
+        sys.setprofile(previous)
+    assert "xgcd" in entered and "exact_div" in entered
+    assert not entered & {"add", "neg", "mul", "divmod", "is_zero", "gcd"}
+
+
 def test_ring_mismatch_is_rejected():
     with pytest.raises(RingMismatchError):
         ZZ(1) + PolyModP(3)(1)
@@ -204,6 +244,13 @@ def test_parse_and_render_round_trip():
         ring.parse("1,2")
     with pytest.raises(ValueError):
         ring.parse("[1,x]")
+
+
+def test_integer_literals_are_ascii_signed_decimals():
+    assert ZZ.parse("+7") == 7 and ZZ.parse("-007") == -7
+    for text in ("1_000", "\u0663", "+-1", "", "1.0", " 1"):
+        with pytest.raises(ValueError):
+            ZZ.parse(text)
 
 
 def test_value_arithmetic_and_hashing():

@@ -10,8 +10,7 @@ next to it).  Per input the digest covers:
 
 - the bidiagonal form, and its P and Q when the padded size is at most 12;
 - the lattice factors and iteration count of smith_normal_form;
-- the factors of classical_snf, except on lattice_smooth, where perfbench
-  does not run it either (a 24 x 24 input took over 150 s);
+- the factors of classical_snf;
 - the rendered --trace lines on dense_zz and poly_gfp;
 - the first 8 rendered states of iterate(seed_state(form)) on
   lattice_smooth;
@@ -61,9 +60,8 @@ def lines(workload: str, matrix: DenseMatrix):
         yield from map(repr, bidiagonalize(matrix, transforms=True))
     result = smith_normal_form(matrix)
     yield f"toda {result.iterations}: {' '.join(map(str, result.factors))}"
-    if workload != "lattice_smooth":
-        factors = classical_snf(matrix).factors
-        yield f"classical: {' '.join(map(str, factors))}"
+    factors = classical_snf(matrix).factors
+    yield f"classical: {' '.join(map(str, factors))}"
     if workload in TRACED and result.trace is not None:
         yield from map(render_trace_line, result.trace)
     if workload == "lattice_smooth" and form.k:
