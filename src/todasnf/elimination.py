@@ -162,17 +162,14 @@ def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
 
 
 def seed_state(form: BidiagonalForm) -> GcdTodaState:
-    """The lattice seed reading off the leading block of the form.
+    """The bands of the form's leading k levels, the lattice seed.
 
-    With a corner present the seed gains one extra level: a zero diagonal
-    entry under the corner, so the dangling mass still feeds the gcds.
+    A corner adds one level, whose diagonal entry is the block's zero, so
+    the dangling mass still feeds the gcds.
     """
     if form.k == 0:
         raise ValueError("zero matrix has no lattice seed")
-    ring, grid = form.matrix.ring, form.matrix.payload_grid()
-    diag = [grid[i][i] for i in range(form.k)]
-    sub = [grid[i + 1][i] for i in range(form.k - 1)]
-    if form.corner:
-        diag.append(ring.coerce(0))
-        sub.append(grid[form.k][form.k - 1])
-    return GcdTodaState.from_payloads(ring, tuple(diag), tuple(sub))
+    grid, m = form.matrix.payload_grid(), form.k + form.corner
+    return GcdTodaState.from_payloads(
+        form.matrix.ring, tuple(grid[i][i] for i in range(m)),
+        tuple(grid[i + 1][i] for i in range(m - 1)))

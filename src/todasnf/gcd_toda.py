@@ -170,18 +170,15 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     canonical associates even when the seed already passes the test.
     Only the seed and the last state are kept; the trace is replayed.
     """
-    ring = state.ring
-    if any(ring.is_zero(v) for v in state.q[:-1]):
-        raise ValueError(
-            "interior diagonal entries must be nonzero; only the last "
-            "may vanish"
-        )
+    if not all(state.q[:-1]):  # zero payloads are the falsy ones
+        raise ValueError("interior diagonal entries must be nonzero; "
+                         "only the last may vanish")
     if max_iters is None:
         max_iters = default_max_iters(state)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     for steps, last in enumerate(islice(iterate(state), 1, max_iters + 1), 1):
-        if settled(last.q, last.e, ring.divides):
+        if terminated(last):
             return TodaRun(state, steps, last)
     raise IterationLimitError(TodaRun(state, max_iters, last))
 

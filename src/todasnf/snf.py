@@ -68,9 +68,7 @@ def smith_normal_form(matrix: DenseMatrix,
     if form.k == 0:
         return SnfResult((ring.zero,) * size, 0, "toda")
     outcome = run(seed_state(form), max_iters)
-    assert form.k <= size
-    factors = tuple(outcome.factors[:form.k])
-    factors += (ring.zero,) * (size - form.k)
+    factors = (outcome.factors + (ring.zero,) * size)[:size]
     return SnfResult(factors, outcome.iterations, "toda", outcome)
 
 

@@ -24,6 +24,10 @@ exact quotients of those are canonical again, so every result is too.
 Normalising the input loses nothing: scaling entries by units scales
 each a_i and new e_i by a unit and leaves every gcd q'_i alone, so the
 step is the same up to units and comes out canonical either way.
+
+The step divides before it multiplies, in one pass: q'_i = gcd(e_i, a_i)
+(or min) divides both (is at most both), so (a_i / q'_i) q_{i+1} equals
+a_i q_{i+1} / q'_i, and so for e'_i; only e_i = a_i = 0 fails to divide.
 """
 
 from __future__ import annotations
@@ -96,18 +100,18 @@ def interleave(q, e) -> tuple:
 def toda_step(q, e, add, mul, div) -> tuple[tuple, tuple]:
     """One time step over a semiring, returning the new (q, e).
 
-    a_0 = q_0, a_i = a_{i-1} q_i / q'_{i-1};  q'_i = add(e_i, a_i) but
-    q'_{N-1} = a_{N-1};  e'_i = e_i q_{i+1} / q'_i.
+    a_0 = q_0, a_{i+1} = (a_i / q'_i) q_{i+1};  q'_i = add(e_i, a_i) but
+    q'_{N-1} = a_{N-1};  e'_i = (e_i / q'_i) q_{i+1}, each quotient exact.
     """
-    n = len(q)
-    new_q = []
     a = q[0]
-    for i in range(n):
-        if i:
-            a = div(mul(a, q[i]), new_q[i - 1])
-        new_q.append(add(e[i], a) if i < n - 1 else a)
-    new_e = tuple(div(mul(e[i], q[i + 1]), new_q[i]) for i in range(n - 1))
-    return tuple(new_q), new_e
+    new_q, new_e = [], []
+    for ei, qn in zip(e, q[1:]):
+        qi = add(ei, a)
+        new_q.append(qi)
+        new_e.append(mul(div(ei, qi), qn))
+        a = mul(div(a, qi), qn)
+    new_q.append(a)
+    return tuple(new_q), tuple(new_e)
 
 
 def non_adjacent_totals(q, e, add, mul, one) -> tuple:
@@ -128,9 +132,7 @@ def non_adjacent_totals(q, e, add, mul, one) -> tuple:
 
 def settled(q, e, below) -> bool:
     """Whether below(q_i, q_{i+1}) and below(q_i, e_i) hold for every i."""
-    return all(
-        below(q[i], q[i + 1]) and below(q[i], e[i]) for i in range(len(e))
-    )
+    return all(map(below, q, q[1:])) and all(map(below, q, e))
 
 
 def interleaved(state: UdTodaState) -> tuple[int, ...]:

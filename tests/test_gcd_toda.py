@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import sys
 from dataclasses import FrozenInstanceError
 from itertools import islice
 
@@ -33,6 +34,7 @@ from todasnf import (
     terminated,
     ud_step,
 )
+from todasnf import ud_toda
 from todasnf.cli import render_trace_line
 from todasnf.gcd_toda import interleaved
 
@@ -432,3 +434,24 @@ def test_iteration_limit_error_survives_pickling():
     assert restored.limit == 2
     assert str(restored) == str(info.value)
     assert restored.trace == info.value.trace
+
+
+def test_run_enters_no_generator_of_the_lattice_kernels():
+    # The step and the sortedness test run on every lattice step, each as
+    # a single pass: no generator frame of ud_toda.py is entered.
+    entered = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "<genexpr>"
+                and code.co_filename == ud_toda.__file__):
+            entered.append(code.co_firstlineno)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        outcome = run(_smooth_seed())
+    finally:
+        sys.setprofile(previous)
+    assert outcome.iterations > 1
+    assert entered == []

@@ -7,7 +7,10 @@ import pytest
 from conftest import non_adjacent_min_brute
 from todasnf import (
     BbsState,
+    ExactDivisionError,
+    PolyModP,
     UdTodaState,
+    ZZ,
     bbs_step,
     conserved_quantities,
     from_bbs,
@@ -18,7 +21,7 @@ from todasnf import (
     to_bbs,
     ud_step,
 )
-from todasnf.ud_toda import interleaved
+from todasnf.ud_toda import MIN_PLUS, interleaved, toda_step
 
 # Time evolution of the three-soliton state (4,3,1)/(3,2), frozen from a
 # worked example: blocks, gaps, and the conserved triple.
@@ -204,3 +207,69 @@ def test_state_literal_errors():
             parse_state_literal(text)
     with pytest.raises(ValueError):
         parse_state_literal("Q:1,2;E:1,2")
+
+
+def _product_first(q, e, add, mul, div):
+    """The recurrence as written: each product before its exact quotient."""
+    n = len(q)
+    new_q, a = [], q[0]
+    for i in range(n):
+        if i:
+            a = div(mul(a, q[i]), new_q[i - 1])
+        new_q.append(add(e[i], a) if i < n - 1 else a)
+    new_e = [div(mul(e[i], q[i + 1]), new_q[i]) for i in range(n - 1)]
+    return tuple(new_q), tuple(new_e)
+
+
+def _kernel_states(rng, draw, zero, count=150):
+    """Random (q, e) of entries drawn by draw; about a third end in a zero
+    diagonal entry and about a third have a zero interior e entry."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        q = [draw() for _ in range(n)]
+        e = [draw() for _ in range(n - 1)]
+        if rng.random() < 0.35:
+            q[-1] = zero
+        if n > 2 and rng.random() < 0.35:
+            e[rng.randrange(n - 2)] = zero
+        yield tuple(q), tuple(e)
+
+
+def test_toda_step_matches_the_product_first_recurrence():
+    # Dividing first is exact because q'_i divides (is at most) both e_i
+    # and a_i; compare against the textbook order on three semirings.
+    rng = random.Random(1207)
+    gf5 = PolyModP(5)
+    factors = [(0, 1), (1, 1), (2, 1), (2, 0, 1)]  # x, x+1, x+2, x^2+2
+
+    def zz():
+        return 2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 3) * 5 ** rng.randint(0, 2)
+
+    def poly():
+        out = (1,)
+        for _ in range(rng.randint(0, 3)):
+            out = gf5.mul(out, rng.choice(factors))
+        return out
+
+    cases = [
+        ((ZZ.gcd, ZZ.mul, ZZ.exact_div), zz, 0),
+        ((gf5.gcd, gf5.mul, gf5.exact_div), poly, ()),
+        (MIN_PLUS, lambda: rng.randint(0, 8), 0),
+    ]
+    for ops, draw, zero in cases:
+        zero_last = zero_interior_e = 0
+        for q, e in _kernel_states(rng, draw, zero):
+            assert toda_step(q, e, *ops) == _product_first(q, e, *ops)
+            zero_last += len(q) > 1 and q[-1] == zero
+            zero_interior_e += zero in e[:-1]
+        assert zero_last and zero_interior_e
+
+
+def test_toda_step_on_zero_gcd_is_division_by_zero():
+    # e_i = a_i = 0 makes q'_i = 0; it fails on the level it appears.
+    gf5 = PolyModP(5)
+    for ring, q, e in ((ZZ, (0, 3), (0,)), (ZZ, (2, 0, 5), (2, 0)),
+                       (gf5, ((1, 1), (), (0, 1)), ((1, 1), ()))):
+        with pytest.raises(ExactDivisionError) as info:
+            toda_step(q, e, ring.gcd, ring.mul, ring.exact_div)
+        assert str(info.value) == "division by zero"

@@ -17,12 +17,21 @@ next to it).  Per input the digest covers:
 - on dense_zz and poly_gfp inputs that take at least 2 steps, the message
   and rendered trace of the IterationLimitError of a run capped at half
   its steps.
+
+It also covers the raw lattice step off the pipeline's path: the exit
+code, stdout and stderr of cli.main on every toda-trace call of the
+cli_small corpora of the same seeds, and on a few fixed bidiagonal
+inputs with a zero subdiagonal, a zero last diagonal entry or a zero
+interior diagonal entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from itertools import islice
 from pathlib import Path
 
@@ -43,13 +52,23 @@ from todasnf import (  # noqa: E402
     seed_state,
     smith_normal_form,
 )
-from todasnf.cli import render_trace_line  # noqa: E402
+from todasnf.cli import main as cli_main, render_trace_line  # noqa: E402
 
 SEEDS = (11, 12, 13)
 WORKLOADS = ("dense_zz", "lattice_smooth", "poly_gfp")
 TRANSFORMS_UP_TO = 12
 TRACED = ("dense_zz", "poly_gfp")
 LATTICE_PREFIX = 8
+#: toda-trace inputs with a zero subdiagonal or a zero diagonal entry,
+#: run for 4 steps.
+FIXED_TRACES = tuple(
+    corpus.MatrixInput(f"fixed{k}", None, rows) for k, rows in enumerate((
+        ((2, 0, 0), (0, 3, 0), (0, 0, 0)),
+        ((2, 0), (0, 0)),
+        ((4, 0, 0), (6, 9, 0), (0, 0, 0)),
+        ((0, 0), (3, 5)),
+    ))
+)
 
 
 def lines(workload: str, matrix: DenseMatrix):
@@ -75,6 +94,18 @@ def lines(workload: str, matrix: DenseMatrix):
             yield from map(render_trace_line, capped.trace)
 
 
+def toda_trace(matrix: corpus.MatrixInput, steps: int, workdir: str):
+    """Exit code, stdout and stderr of toda-trace on the written matrix."""
+    path = Path(workdir) / "input.txt"
+    path.write_text(corpus.render_matrix_file(matrix), encoding="utf-8")
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(["toda-trace", str(path), "--steps", str(steps)])
+    yield f"exit {code}"
+    yield out.getvalue()
+    yield err.getvalue()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     for seed in SEEDS:
@@ -84,6 +115,15 @@ def main() -> None:
                 digest.update(f"{seed}/{workload}/{raw.label}\n".encode())
                 for line in lines(workload, DenseMatrix(ring, raw.rows)):
                     digest.update(f"{line}\n".encode())
+    traces = [(f"{seed}/cli_small/{call.label}", call.matrix, call.steps)
+              for seed in SEEDS for call in corpus.cli_small(seed)
+              if call.argv[0] == "toda-trace"]
+    traces += [(f"fixed/{m.label}", m, 4) for m in FIXED_TRACES]
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, matrix, steps in traces:
+            digest.update(f"{label}\n".encode())
+            for line in toda_trace(matrix, steps, workdir):
+                digest.update(f"{line}\n".encode())
     print(digest.hexdigest())
 
 
