@@ -4,7 +4,8 @@ Supported rings:
 
   * the rational integers, backed by Python's arbitrary-precision ``int``;
   * ``PolyModP(p)``, univariate polynomials over the prime field Z/pZ,
-    backed by tuples of residues in ascending degree order.
+    backed by tuples of residues in ascending degree order, multiplied by
+    Kronecker substitution in 64-bit slots that p < 2**16 keeps from carrying.
 
 Every element is carried as a :class:`RingValue`, a thin wrapper that tags
 an opaque payload with the ring it lives in.  Mixing values from different
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
+from array import array
 from typing import Sequence
 
 
@@ -342,39 +345,55 @@ class PolyModP(Ring):
     def add(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
+        if not b:
+            return a
+        p, out = self.p, list(a)
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return self._trim(out)
+            out[i] = (out[i] + c) % p
+        # Only operands of equal length can cancel at the top.
+        return tuple(out) if len(a) > len(b) else self._trim(out)
 
     def neg(self, a):
-        return tuple((self.p - c) % self.p for c in a)
+        p = self.p
+        return tuple([p - c if c else 0 for c in a]) if a else a
 
     def mul(self, a, b):
+        """Product by Kronecker substitution: one big-int product in C.
+
+        Each operand packs into an int with one 64-bit slot per coefficient
+        (in host byte order: a big-endian host reads both reversed, and
+        their product too).  A product slot sums at most min(len(a), len(b))
+        terms below (p - 1)**2 < 2**32, as p < 2**16, so slots never carry.
+        The top slot is nonzero, since GF(p) has no zero divisors.
+        """
         if not a or not b:
             return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % self.p
-        return self._trim(out)
+        p, order = self.p, sys.byteorder
+        if len(a) == 1 or len(b) == 1:
+            c, b = (a[0], b) if len(a) == 1 else (b[0], a)
+            return tuple([c * x % p for x in b])
+        prod = (int.from_bytes(array("Q", a), order)
+                * int.from_bytes(array("Q", b), order))
+        slots = array("Q", prod.to_bytes(8 * (len(a) + len(b) - 1), order))
+        return tuple([c % p for c in slots])
 
     def divmod(self, a, b):
+        """Long division, reducing mod p only the coefficients it reads."""
         if not b:
             raise ZeroDivisionError("division by zero polynomial")
-        p = self.p
-        rem = list(a)
-        quo = [0] * max(len(a) - len(b) + 1, 0)
-        inv_lead = pow(b[-1], -1, p)
-        for shift in range(len(rem) - len(b), -1, -1):
-            factor = (rem[shift + len(b) - 1] * inv_lead) % p
-            if factor == 0:
-                continue
-            quo[shift] = factor
-            for j, cb in enumerate(b):
-                rem[shift + j] = (rem[shift + j] - factor * cb) % p
-        return self._trim(quo), self._trim(rem)
+        p, deg = self.p, len(b) - 1
+        inv = pow(b[-1], -1, p)
+        if not deg:
+            return tuple([c * inv % p for c in a]), ()
+        rem, quo, low = list(a), [0] * max(len(a) - deg, 0), b[:-1]
+        for shift in range(len(quo) - 1, -1, -1):
+            factor = rem[shift + deg] * inv % p
+            if factor:
+                quo[shift] = factor
+                for j, cb in enumerate(low, shift):
+                    rem[j] -= factor * cb
+        # Each shift's top cancels unread; quo's top is lead(a) / lead(b).
+        return tuple(quo), self._trim([c % p for c in rem[:deg]])
 
     def is_unit(self, a) -> bool:
         return len(a) == 1

@@ -5,7 +5,9 @@ The inputs are seeded dense matrices: +-20 integers with n = 6-12
 GF(5), GF(7)[x] matrices with n <= 6.  Larger draws cover the shapes
 where a rotation-based elimination stalls: 16 x 16 lower-bidiagonal
 GF(2)[x] and GF(5)[x] matrices whose entries are products of low-degree
-factors, and dense +-20 integer matrices with n = 16 and 20.  sympy's
+factors, and dense +-20 integer matrices with n = 16 and 20.  At the
+largest prime the package takes, 65521, one dense 5 x 5 and one 8 x 8
+lower-bidiagonal GF(65521)[x] draw check the widest packed products.  sympy's
 factors are brought to the package's canonical form (absolute value,
 monic) and padded with zeros to min(m, n).  Skipped when sympy is not
 installed.
@@ -118,7 +120,8 @@ def test_poly_factors_match_sympy(route):
 
 #: Low-degree factors of the bidiagonal polynomial entries, per prime.
 _LOW_DEGREE = {2: ((1, 1), (0, 1), (1, 1, 1)),
-               5: ((1, 1), (2, 1), (0, 1), (2, 0, 1))}
+               5: ((1, 1), (2, 1), (0, 1), (2, 0, 1)),
+               65521: ((1, 1), (65520, 1), (0, 1), (3, 0, 1))}
 
 
 def _poly_bidiagonal(rng, n, p):
@@ -160,3 +163,14 @@ def test_dense_integer_16_and_20_classical():
         rows = _int_grid(rng, n, n, 20)
         got = _timed_classical(DenseMatrix(ZZ, rows))
         assert got == _sympy_int_factors(rows), f"{n} x {n}"
+
+
+@pytest.mark.parametrize("route", [smith_normal_form, classical_snf])
+def test_largest_prime_matches_sympy(route):
+    # p sizes the packed product slots, and no corpus goes above p = 7.
+    p = 65521
+    rng = random.Random(75)
+    for rows in (_poly_grid(rng, 5, 5, p), _poly_bidiagonal(rng, 8, p)):
+        expected = _sympy_poly_factors(rows, p)
+        got = [v.payload for v in route(DenseMatrix(PolyModP(p), rows)).factors]
+        assert got == expected, f"{route.__name__} over GF({p})[x] on {rows}"

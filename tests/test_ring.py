@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import int_gcd_brute, pgcd_brute, pmul
+from conftest import int_gcd_brute, padd, pdivmod, pgcd_brute, pmul, pneg
 from todasnf import (
     DenseMatrix,
     ExactDivisionError,
@@ -89,6 +89,88 @@ def test_poly_product_matches_convolution_oracle():
         b = tuple(rng.randrange(7) for _ in range(rng.randint(0, 4)))
         got = ring(a) * ring(b)
         assert got.payload == pmul(ring.coerce(a), ring.coerce(b), 7)
+
+
+#: The primes of the payload tests, up to the largest below 2**16.
+_PRIMES = (2, 3, 7, 65521)
+_LENGTHS = (0, 1, 2, 3, 5, 8, 31, 64, 150, 300)
+
+
+def _poly(rng, p, length):
+    """A payload of exactly the given length (nonzero top coefficient)."""
+    if not length:
+        return ()
+    return tuple(rng.randrange(p) for _ in range(length - 1)) + (
+        rng.randrange(1, p),)
+
+
+def test_poly_payload_arithmetic_matches_schoolbook_oracles():
+    # Operand lengths 0-300 at every prime, against the schoolbook oracles
+    # of conftest, which reduce after every update.  Length 1 is a scalar
+    # operand, taken on either side.
+    rng = random.Random(1303)
+    for p in _PRIMES:
+        ring = PolyModP(p)
+        for la in _LENGTHS:
+            for lb in _LENGTHS:
+                a, b = _poly(rng, p, la), _poly(rng, p, lb)
+                assert ring.mul(a, b) == pmul(a, b, p), (p, la, lb)
+                assert ring.mul(b, a) == ring.mul(a, b), (p, la, lb)
+                assert ring.add(a, b) == padd(a, b, p), (p, la, lb)
+                if b:
+                    assert ring.divmod(a, b) == pdivmod(a, b, p), (p, la, lb)
+            a = _poly(rng, p, la)
+            assert ring.neg(a) == pneg(a, p), (p, la)
+
+
+def test_poly_product_at_the_slot_bound():
+    # All-(p - 1) operands of length 300 at the largest prime make every
+    # packed product slot as large as a slot of these lengths can get:
+    # coefficient k sums min(k, 598 - k) + 1 terms of (p - 1)**2 = 1 mod p.
+    p = 65521
+    ring = PolyModP(p)
+    top = (p - 1,) * 300
+    expected = tuple((min(k, 598 - k) + 1) % p for k in range(599))
+    assert ring.mul(top, top) == expected == pmul(top, top, p)
+    assert ring.mul(top, top[:1]) == ring.mul(top[:1], top) == (1,) * 300
+
+
+def test_poly_add_cancels_at_the_top_and_neg_keeps_zeros():
+    p = 7
+    ring = PolyModP(p)
+    a = (3, 0, 5, 2)
+    assert ring.add(a, ring.neg(a)) == ()
+    assert ring.add(a, (1, 4, 2, 5)) == (4, 4)
+    assert ring.add(a, (4, 0, 2, 5)) == ()
+    assert ring.add((1,), (6,)) == ()
+    assert ring.add(a, ()) == ring.add((), a) == a
+    assert ring.add(a, (4, 1)) == ring.add((4, 1), a) == (0, 1, 5, 2)
+    assert ring.neg((0, 3, 0, 1)) == (0, 4, 0, 6)
+    assert ring.neg(()) == ()
+    big = PolyModP(65521)
+    assert big.add((65520, 1, 65520), (1, 0, 1)) == (0, 1)
+
+
+def test_poly_divmod_contract():
+    # a == q*b + r and deg r < deg b, for monic, non-monic and constant
+    # divisors and for dividends shorter than the divisor.
+    rng = random.Random(1305)
+    for p in _PRIMES:
+        ring = PolyModP(p)
+        for la in _LENGTHS:
+            for lb in _LENGTHS[1:]:
+                b = _poly(rng, p, lb)
+                for divisor in (b, b[:-1] + (1,)):
+                    a = _poly(rng, p, la)
+                    q, r = ring.divmod(a, divisor)
+                    assert padd(pmul(q, divisor, p), r, p) == a, (p, la, lb)
+                    assert len(r) < len(divisor), (p, la, lb)
+                    if la < lb:
+                        assert (q, r) == ((), a)
+        with pytest.raises(ZeroDivisionError):
+            ring.divmod(_poly(rng, p, 5), ())
+        with pytest.raises(ZeroDivisionError):
+            ring.divmod((), ())
 
 
 def _check_bezout(ring, a, b):

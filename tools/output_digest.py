@@ -18,11 +18,11 @@ next to it).  Per input the digest covers:
   and rendered trace of the IterationLimitError of a run capped at half
   its steps.
 
-It also covers the raw lattice step off the pipeline's path: the exit
-code, stdout and stderr of cli.main on every toda-trace call of the
-cli_small corpora of the same seeds, and on a few fixed bidiagonal
-inputs with a zero subdiagonal, a zero last diagonal entry or a zero
-interior diagonal entry.
+It also covers the CLI on short operands: the exit code, stdout and
+stderr of cli.main on every cli_small call of the same seeds that reads
+a matrix file (snf --verify, snf --method classical and toda-trace), and
+of toda-trace on a few fixed bidiagonal inputs with a zero subdiagonal,
+a zero last diagonal entry or a zero interior diagonal entry.
 """
 
 from __future__ import annotations
@@ -94,13 +94,13 @@ def lines(workload: str, matrix: DenseMatrix):
             yield from map(render_trace_line, capped.trace)
 
 
-def toda_trace(matrix: corpus.MatrixInput, steps: int, workdir: str):
-    """Exit code, stdout and stderr of toda-trace on the written matrix."""
+def cli_call(argv, matrix: corpus.MatrixInput, workdir: str):
+    """Exit code, stdout and stderr of cli.main, FILE the written matrix."""
     path = Path(workdir) / "input.txt"
     path.write_text(corpus.render_matrix_file(matrix), encoding="utf-8")
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli_main(["toda-trace", str(path), "--steps", str(steps)])
+        code = cli_main([str(path) if arg == "FILE" else arg for arg in argv])
     yield f"exit {code}"
     yield out.getvalue()
     yield err.getvalue()
@@ -115,14 +115,15 @@ def main() -> None:
                 digest.update(f"{seed}/{workload}/{raw.label}\n".encode())
                 for line in lines(workload, DenseMatrix(ring, raw.rows)):
                     digest.update(f"{line}\n".encode())
-    traces = [(f"{seed}/cli_small/{call.label}", call.matrix, call.steps)
-              for seed in SEEDS for call in corpus.cli_small(seed)
-              if call.argv[0] == "toda-trace"]
-    traces += [(f"fixed/{m.label}", m, 4) for m in FIXED_TRACES]
+    calls = [(f"{seed}/cli_small/{call.label}", call.argv, call.matrix)
+             for seed in SEEDS for call in corpus.cli_small(seed)
+             if "FILE" in call.argv]
+    calls += [(f"fixed/{m.label}", ("toda-trace", "FILE", "--steps", "4"), m)
+              for m in FIXED_TRACES]
     with tempfile.TemporaryDirectory() as workdir:
-        for label, matrix, steps in traces:
+        for label, argv, matrix in calls:
             digest.update(f"{label}\n".encode())
-            for line in toda_trace(matrix, steps, workdir):
+            for line in cli_call(argv, matrix, workdir):
                 digest.update(f"{line}\n".encode())
     print(digest.hexdigest())
 
