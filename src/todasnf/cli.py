@@ -181,11 +181,10 @@ def _resolve_max_iters(flag: int | None) -> int | None:
     if raw is None:
         return None
     try:
-        if (value := int(raw, 10)) >= 1:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"{MAX_ITERS_ENV} must be a positive integer, got {raw!r}")
+        return _positive(raw)
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"{MAX_ITERS_ENV} must be a positive integer, "
+                         f"got {raw!r}") from None
 
 
 def cmd_snf(args: argparse.Namespace) -> int:
@@ -254,7 +253,7 @@ def cmd_toda_trace(args: argparse.Namespace) -> int:
 
 def _nonnegative(text: str) -> int:
     try:
-        value = int(text, 10)
+        value = ZZ.parse(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:

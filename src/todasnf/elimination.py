@@ -76,16 +76,12 @@ class BidiagonalForm:
             raise ValueError("bidiagonal form must be square")
         if not m.is_lower_bidiagonal():
             raise ValueError("matrix is not lower bidiagonal")
-        is_zero, grid = m.ring.is_zero, m.payload_grid()
-        k = next((j for j in range(n) if is_zero(grid[j][j])), n)
-        trailing = [grid[j][j] for j in range(k, n)]
-        trailing += [grid[j + 1][j] for j in range(k, n - 1)]
-        if not all(map(is_zero, trailing)):
+        grid = m.payload_grid()
+        k = next((j for j in range(n) if not grid[j][j]), n)
+        if any(any(row[k:]) for row in grid[k:]):
             raise ValueError("trailing block must be zero")
         object.__setattr__(self, "k", k)
-        object.__setattr__(
-            self, "corner", 0 < k < n and not is_zero(grid[k][k - 1])
-        )
+        object.__setattr__(self, "corner", 0 < k < n and bool(grid[k][k - 1]))
 
 
 def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
@@ -94,39 +90,32 @@ def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
     Works in place and returns False when nothing nonzero is left.  Rows
     and columns past n only ride along with the updates.
     """
-    is_zero = ring.is_zero
     one, zero = ring.coerce(1), ring.coerce(0)
     addition = (one, one, one, zero)  # x += y
     # Pivot row fix: steal mass from a lower row when row t is empty.
-    if all(is_zero(grid[t][j]) for j in range(t, n)):
-        donor = next(
-            (i for i in range(t + 1, n)
-             if any(not is_zero(grid[i][j]) for j in range(t, n))),
-            None,
-        )
+    if not any(grid[t][t:n]):
+        donor = next((i for i in range(t + 1, n) if any(grid[i][t:n])), None)
         if donor is None:
             return False
         mix_rows(ring, grid, t, donor, addition)
 
     # Column sweep: collect the row gcd at (t, t), zeros to its right.
     for j in range(t + 1, n):
-        if not is_zero(grid[t][j]):
+        if grid[t][j]:
             cof = ring.xgcd(grid[t][t], grid[t][j])[1:]
             mix_cols(ring, grid, t, j, cof)
 
     # Keep the subdiagonal alive while mass remains below the pivot.
-    if all(is_zero(grid[i][t]) for i in range(t + 1, n)):
-        donor_col = next(
-            (j for j in range(t + 1, n)
-             if any(not is_zero(grid[i][j]) for i in range(t + 1, n))),
-            None,
-        )
+    below = grid[t + 1:n]
+    if not any(row[t] for row in below):
+        donor_col = next((j for j in range(t + 1, n)
+                          if any(row[j] for row in below)), None)
         if donor_col is not None:
             mix_cols(ring, grid, t, donor_col, addition)
 
     # Row sweep: concentrate the column gcd at (t+1, t).
     for i in range(t + 2, n):
-        if not is_zero(grid[i][t]):
+        if grid[i][t]:
             cof = ring.xgcd(grid[t + 1][t], grid[i][t])[1:]
             mix_rows(ring, grid, t + 1, i, cof)
     return True

@@ -163,6 +163,11 @@ def default_max_iters(state: GcdTodaState) -> int:
     return max(64, state.n * total)
 
 
+def _check_cap(max_iters: int | None) -> None:
+    if max_iters is not None and max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+
+
 def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     """Iterate gcd_step until the termination test fires.
 
@@ -173,10 +178,9 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     if not all(state.q[:-1]):  # zero payloads are the falsy ones
         raise ValueError("interior diagonal entries must be nonzero; "
                          "only the last may vanish")
+    _check_cap(max_iters)
     if max_iters is None:
         max_iters = default_max_iters(state)
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     for steps, last in enumerate(islice(iterate(state), 1, max_iters + 1), 1):
         if terminated(last):
             return TodaRun(state, steps, last)

@@ -105,12 +105,8 @@ class DenseMatrix:
 
     def is_lower_bidiagonal(self) -> bool:
         """Only the diagonal and the first subdiagonal may be nonzero."""
-        is_zero = self.ring.is_zero
-        for i, row in enumerate(self._rows):
-            for j, v in enumerate(row):
-                if j != i and j != i - 1 and not is_zero(v):
-                    return False
-        return True
+        return not any(any(row[:max(i - 1, 0)]) or any(row[i + 1:])
+                       for i, row in enumerate(self._rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):

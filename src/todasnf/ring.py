@@ -16,9 +16,10 @@ one instance per prime, so ring equality is identity (``is``).  Hot loops
 skip the wrapper and call the ring's payload methods directly, under
 three rules.  ZZ payload arithmetic is Python's own: ``add``, ``neg``,
 ``mul``, ``divmod``, ``size``, ``gcd`` and ``render`` are builtins, not
-Python methods.  Zero payloads (``0`` and ``()``) are the falsy ones.
-``divmod`` by zero raises ``ZeroDivisionError``, and
-:meth:`Ring.exact_div` alone turns it into :class:`ExactDivisionError`.
+Python methods.  Zero payloads (``0`` and ``()``) are the falsy ones, and
+truthiness is the only payload zero test; ``RingValue.is_zero`` and
+``bool(value)`` read it.  ``divmod`` by zero raises ``ZeroDivisionError``,
+and :meth:`Ring.exact_div` alone turns it into :class:`ExactDivisionError`.
 
 Gcds are always returned as *canonical associates*: nonnegative integers,
 monic polynomials.  By convention ``gcd(0, 0) == 0`` and every element
@@ -59,13 +60,13 @@ class RingValue:
         self.payload = payload
 
     def is_zero(self) -> bool:
-        return self.ring.is_zero(self.payload)
+        return not self.payload
 
     def is_unit(self) -> bool:
         return self.ring.is_unit(self.payload)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.payload)
 
     def __add__(self, other: "RingValue") -> "RingValue":
         ring = _common_ring(self, other)
@@ -144,9 +145,6 @@ class Ring:
         exact_div is the one place that turns it into ExactDivisionError.
         """
         raise NotImplementedError
-
-    #: Whether a payload is zero: 0 and () are the only falsy payloads.
-    is_zero = staticmethod(operator.not_)
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError

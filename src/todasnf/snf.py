@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .elimination import bidiagonalize, seed_state
-from .gcd_toda import GcdTodaState, TodaRun, run
+from .gcd_toda import GcdTodaState, TodaRun, _check_cap, run
 from .matrix import DenseMatrix
 from .ring import RingValue, canonical, divides
 
@@ -62,6 +62,7 @@ def smith_normal_form(matrix: DenseMatrix,
     step cap (the default cap scales with the seed size).  The result
     keeps the lattice run; its trace replays every state, seed first.
     """
+    _check_cap(max_iters)
     ring = matrix.ring
     size = min(matrix.nrows, matrix.ncols)
     form = bidiagonalize(matrix)
@@ -95,16 +96,15 @@ def classical_snf(matrix: DenseMatrix) -> SnfResult:
     ZZ distinct values share a bit length.
     """
     ring = matrix.ring
-    add, mul, neg, size = ring.add, ring.mul, ring.neg, ring.size
-    is_zero, divmod_ = ring.is_zero, ring.divmod
+    add, mul, neg, divmod_ = ring.add, ring.mul, ring.neg, ring.divmod
     grid = matrix.payload_grid()
     m, n = matrix.nrows, matrix.ncols
     factors = [ring.coerce(0)] * min(m, n)
 
     def to_corner(t, cells) -> bool:
         """Swap the nonzero cell of least size to (t, t); False if none."""
-        best = min(((size(grid[i][j]), i, j) for i, j in cells
-                    if not is_zero(grid[i][j])), default=None)
+        best = min(((ring.size(grid[i][j]), i, j) for i, j in cells
+                    if grid[i][j]), default=None)
         if best is None:
             return False
         _, i, j = best
@@ -119,7 +119,7 @@ def classical_snf(matrix: DenseMatrix) -> SnfResult:
         while True:
             top, pivot = grid[t], grid[t][t]
             for row in grid[t + 1:]:
-                if not is_zero(row[t]):
+                if row[t]:
                     q = divmod_(row[t], pivot)[0]
                     row[t:] = [add(a, neg(mul(q, b)))
                                for a, b in zip(row[t:], top[t:])]
@@ -151,8 +151,7 @@ def _det(ring, grid):
     one = ring.coerce(1)
     n, sign, prev = len(grid), one, one
     for t in range(n - 1):
-        swap = next((i for i in range(t, n) if not ring.is_zero(grid[i][t])),
-                    None)
+        swap = next((i for i in range(t, n) if grid[i][t]), None)
         if swap is None:
             return ring.coerce(0)
         if swap != t:

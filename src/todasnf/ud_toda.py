@@ -35,6 +35,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from .ring import ZZ
+
 #: (add, mul, div) of the min-plus semiring.
 MIN_PLUS = (min, operator.add, operator.sub)
 
@@ -256,7 +258,7 @@ def parse_state_literal(text: str) -> UdTodaState:
         if not body:
             return ()
         try:
-            return tuple(int(tok.strip(), 10) for tok in body.split(","))
+            return tuple(ZZ.parse(tok.strip()) for tok in body.split(","))
         except ValueError:
             raise ValueError(f"bad count in state literal: {text!r}") from None
 

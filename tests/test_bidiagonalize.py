@@ -3,6 +3,8 @@
 import importlib
 import pkgutil
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -119,6 +121,81 @@ def test_form_validation():
         BidiagonalForm(DenseMatrix(ZZ, [[0, 0], [0, 1]]))
     with pytest.raises(ValueError):
         BidiagonalForm(DenseMatrix(ZZ, [[1, 0, 0], [0, 0, 0], [0, 1, 0]]))
+
+
+def _banded_mask(rng, m, n):
+    """Which entries of an m by n matrix are nonzero; off-band rarely."""
+    return [[rng.random() < (0.7 if j in (i - 1, i) else 0.06)
+             for j in range(n)] for i in range(m)]
+
+
+def _nonzero_entry(rng, ring):
+    if ring is ZZ:
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+    return [rng.randrange(ring.p) for _ in range(rng.randint(0, 2))] + [
+        rng.randrange(1, ring.p)]
+
+
+def test_band_checks_match_the_definition():
+    # Nonzero only where j is i - 1 or i; past the first zero diagonal
+    # entry k everything at or beyond row and column k must vanish, and the
+    # corner is the entry (k, k - 1).  The oracle reads only the mask.
+    rng = random.Random(46)
+    seen = Counter()
+    for ring in (ZZ, PolyModP(2), PolyModP(5)):
+        for m in range(1, 6):
+            for n in range(1, 6):
+                for _ in range(12):
+                    mask = _banded_mask(rng, m, n)
+                    matrix = DenseMatrix(ring, [
+                        [_nonzero_entry(rng, ring) if nz else 0 for nz in row]
+                        for row in mask])
+                    banded = not any(mask[i][j] for i in range(m)
+                                     for j in range(n) if j not in (i - 1, i))
+                    assert matrix.is_lower_bidiagonal() == banded, mask
+                    if m != n or not banded:
+                        reason = "square" if m != n else "not lower bidiagonal"
+                        with pytest.raises(ValueError, match=reason):
+                            BidiagonalForm(matrix)
+                        seen[reason] += 1
+                        continue
+                    k = next((i for i in range(n) if not mask[i][i]), n)
+                    if any(mask[i][j] for i in range(k, n)
+                           for j in range(k, n)):
+                        with pytest.raises(ValueError, match="trailing block"):
+                            BidiagonalForm(matrix)
+                        seen["trailing"] += 1
+                        continue
+                    form = BidiagonalForm(matrix)
+                    corner = 0 < k < n and mask[k][k - 1]
+                    assert (form.k, form.corner) == (k, corner), mask
+                    seen["corner" if corner else "form"] += 1
+    assert set(seen) == {"square", "not lower bidiagonal", "trailing",
+                         "corner", "form"}, seen
+
+
+def test_boundary_scans_stay_linear():
+    # On an already lower bidiagonal input the zero tests read row slices
+    # with any(), so the C calls grow with n, not with the n * n entries.
+    n = 64
+    rng = random.Random(47)
+    matrix = DenseMatrix(ZZ, [[rng.randint(1, 9) if j in (i - 1, i) else 0
+                               for j in range(n)] for i in range(n)])
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        form = bidiagonalize(matrix)
+        banded = matrix.is_lower_bidiagonal()
+    finally:
+        sys.setprofile(previous)
+    assert banded and form.matrix == matrix and form.k == n
+    assert calls < 16 * n, calls
 
 
 def test_reduction_shape_and_transforms():

@@ -127,6 +127,37 @@ def test_files_accept_only_ascii_signed_decimals():
     assert matrix == DenseMatrix(ZZ, [[3, -4]])
 
 
+def test_cli_integers_accept_only_ascii_signed_decimals(example_file, capsys,
+                                                       monkeypatch):
+    # Flags, the cap variable and state-literal counts follow the matrix
+    # file rule; int(text, 10) reads each of these (FULLWIDTH DIGIT TWO,
+    # ARABIC-INDIC DIGIT FOUR, a digit-group underscore).
+    bad = ("\uff12", "\u0664", "1_0")
+    flags = [("bbs", "Q:4,3,1;E:3,2", "--steps"),
+             ("bbs", "Q:1;E:", "--pad-left"), ("bbs", "Q:1;E:", "--pad-right"),
+             ("snf", example_file, "--max-iters")]
+    for argv in flags:
+        for raw in bad:
+            assert main([*argv, raw]) == EXIT_PARSE, (argv, raw)
+            err = capsys.readouterr().err
+            assert f"argument {argv[-1]}: not an integer: {raw!r}" in err
+    for literal in ("Q:\u0664,3;E:1", "Q:4,3;E:1_0", "Q:4,\uff12;E:1"):
+        assert main(["bbs", literal]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: bad count in state literal: {literal!r}\n")
+    for raw in bad:
+        monkeypatch.setenv(MAX_ITERS_ENV, raw)
+        assert main(["snf", example_file]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {MAX_ITERS_ENV} must be a positive integer, got {raw!r}\n")
+    # Signs and the spaces around commas still read as before.
+    monkeypatch.setenv(MAX_ITERS_ENV, "+8")
+    assert main(["snf", example_file]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["bbs", "Q: 1 , +1 ;E: 1", "--steps", "+0"]) == EXIT_OK
+    assert capsys.readouterr().out == "101\nconserved: 1 2\n"
+
+
 def test_snf_command_golden(example_file, capsys):
     assert main(["snf", example_file]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()

@@ -163,7 +163,7 @@ def test_payload_storage():
             # The grid is a copy: mutating it leaves the matrix alone.
             grid = a.payload_grid()
             before = a.rows()
-            grid[0][0] = ring.coerce(1 if ring.is_zero(grid[0][0]) else 0)
+            grid[0][0] = ring.coerce(1 if not grid[0][0] else 0)
             grid.append(list(grid[0]))
             assert a.rows() == before and a == copy
             square = DenseMatrix(ring, _random_entries(rng, ring, m, m))

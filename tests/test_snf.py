@@ -197,6 +197,11 @@ def test_max_iters_is_honored():
     with pytest.raises(IterationLimitError):
         smith_normal_form(matrix, max_iters=2)
     assert smith_normal_form(matrix, max_iters=4).iterations == 4
+    # The cap is checked for every input, the zero matrix included.
+    for matrix in (matrix, DenseMatrix(ZZ, [[0, 0], [0, 0]])):
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="max_iters must be at least"):
+                smith_normal_form(matrix, max_iters=cap)
 
 
 def _wraps(call) -> int:

@@ -19,10 +19,10 @@ next to it).  Per input the digest covers:
   its steps.
 
 It also covers the CLI on short operands: the exit code, stdout and
-stderr of cli.main on every cli_small call of the same seeds that reads
-a matrix file (snf --verify, snf --method classical and toda-trace), and
-of toda-trace on a few fixed bidiagonal inputs with a zero subdiagonal,
-a zero last diagonal entry or a zero interior diagonal entry.
+stderr of cli.main on every cli_small call of the same seeds (snf
+--verify, snf --method classical, toda-trace and bbs), and of toda-trace
+on a few fixed bidiagonal inputs with a zero subdiagonal, a zero last
+diagonal entry or a zero interior diagonal entry.
 """
 
 from __future__ import annotations
@@ -94,10 +94,11 @@ def lines(workload: str, matrix: DenseMatrix):
             yield from map(render_trace_line, capped.trace)
 
 
-def cli_call(argv, matrix: corpus.MatrixInput, workdir: str):
+def cli_call(argv, matrix: corpus.MatrixInput | None, workdir: str):
     """Exit code, stdout and stderr of cli.main, FILE the written matrix."""
     path = Path(workdir) / "input.txt"
-    path.write_text(corpus.render_matrix_file(matrix), encoding="utf-8")
+    if matrix is not None:
+        path.write_text(corpus.render_matrix_file(matrix), encoding="utf-8")
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli_main([str(path) if arg == "FILE" else arg for arg in argv])
@@ -116,8 +117,7 @@ def main() -> None:
                 for line in lines(workload, DenseMatrix(ring, raw.rows)):
                     digest.update(f"{line}\n".encode())
     calls = [(f"{seed}/cli_small/{call.label}", call.argv, call.matrix)
-             for seed in SEEDS for call in corpus.cli_small(seed)
-             if "FILE" in call.argv]
+             for seed in SEEDS for call in corpus.cli_small(seed)]
     calls += [(f"fixed/{m.label}", ("toda-trace", "FILE", "--steps", "4"), m)
               for m in FIXED_TRACES]
     with tempfile.TemporaryDirectory() as workdir:
