@@ -239,12 +239,10 @@ def cmd_toda_trace(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.file)
     if matrix.nrows != matrix.ncols or not matrix.is_lower_bidiagonal():
         raise ValueError("toda-trace needs a square lower bidiagonal matrix")
-    grid = matrix.payload_grid()
-    diag = tuple(grid[i][i] for i in range(matrix.nrows))
-    if not all(diag[:-1]):  # zero payloads are the falsy ones
+    q, e = matrix.bands()
+    if not all(q[:-1]):  # zero payloads are the falsy ones
         raise ValueError("interior diagonal entries must be nonzero")
-    seed = GcdTodaState.from_payloads(matrix.ring, diag, tuple(
-        grid[i + 1][i] for i in range(matrix.nrows - 1)))
+    seed = GcdTodaState.from_payloads(matrix.ring, q, e)
     for state in islice(iterate(seed), args.steps + 1):
         divisors = " ".join(str(v) for v in determinantal_divisors(state))
         print(f"{render_trace_line(state)} | d: {divisors}")

@@ -21,7 +21,7 @@ payload_grid (bordered by identities that collect the transforms P and
 Q when they are asked for), every step is a kernel mix_rows / mix_cols
 fed the cofactors of Ring.xgcd or the addition (1, 1, 1, 0), and the
 grids become matrices again through DenseMatrix.from_payloads.
-BidiagonalForm reads its block size and corner flag off the matrix.
+BidiagonalForm reads its block size and corner flag off the bands.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ class BidiagonalForm:
             raise ValueError("bidiagonal form must be square")
         if not m.is_lower_bidiagonal():
             raise ValueError("matrix is not lower bidiagonal")
-        grid = m.payload_grid()
-        k = next((j for j in range(n) if not grid[j][j]), n)
-        if any(any(row[k:]) for row in grid[k:]):
+        q, e = m.bands()
+        k = next((j for j, v in enumerate(q) if not v), n)
+        if any(q[k:]) or any(e[k:]):
             raise ValueError("trailing block must be zero")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "corner", 0 < k < n and bool(grid[k][k - 1]))
+        object.__setattr__(self, "corner", 0 < k < n and bool(e[k - 1]))
 
 
 def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
@@ -158,7 +158,6 @@ def seed_state(form: BidiagonalForm) -> GcdTodaState:
     """
     if form.k == 0:
         raise ValueError("zero matrix has no lattice seed")
-    grid, m = form.matrix.payload_grid(), form.k + form.corner
-    return GcdTodaState.from_payloads(
-        form.matrix.ring, tuple(grid[i][i] for i in range(m)),
-        tuple(grid[i + 1][i] for i in range(m - 1)))
+    q, e = form.matrix.bands()
+    m = form.k + form.corner
+    return GcdTodaState.from_payloads(form.matrix.ring, q[:m], e[:m - 1])

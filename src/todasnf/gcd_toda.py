@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .ring import Ring, RingValue, divides, exact_div
+from .ring import Ring, RingValue, _printable, divides, exact_div
 from .ud_toda import (
     UdTodaState,
     interleave,
@@ -53,8 +53,8 @@ class IterationLimitError(RuntimeError):
 
     def __init__(self, capped: TodaRun):
         super().__init__(
-            f"no termination within {capped.iterations} steps; "
-            f"last diagonal {[str(v) for v in capped.final.diagonal]}"
+            f"no termination within {capped.iterations} steps; last diagonal "
+            f"{[_printable(str, v) for v in capped.final.diagonal]}"
         )
         self.limit = capped.iterations
         self.capped = capped
@@ -89,7 +89,8 @@ class GcdTodaState:
                              f"got {len(subdiagonal)}")
         for v in diagonal + subdiagonal:
             if not isinstance(v, RingValue):
-                raise TypeError(f"entries must be ring values, got {v!r}")
+                raise TypeError("entries must be ring values, "
+                                f"got {_printable(repr, v)}")
         ring = diagonal[0].ring
         for v in diagonal + subdiagonal:
             if v.ring is not ring:

@@ -5,7 +5,7 @@ into RingValues only when they are read through [i, j], row or rows.
 Elimination code reads a mutable copy with payload_grid, updates it in
 place on payloads (see elimination.py and classical_snf), and turns the
 result back into a matrix with the trusted from_payloads; no RingValue
-is built on the way.
+is built on the way.  Readers of a bidiagonal matrix call bands instead.
 """
 
 from __future__ import annotations
@@ -72,6 +72,12 @@ class DenseMatrix:
     def payload_grid(self) -> list[list]:
         """A mutable copy of the raw payloads, for the payload kernels."""
         return [list(row) for row in self._rows]
+
+    def bands(self) -> tuple[tuple, tuple]:
+        """The payloads at (i, i) and at (i + 1, i), the lower bands."""
+        rows = self._rows
+        return (tuple(row[i] for i, row in enumerate(rows[:self.ncols])),
+                tuple(row[i] for i, row in enumerate(rows[1:self.ncols + 1])))
 
     def padded_square(self) -> "DenseMatrix":
         """The matrix extended with zero rows or columns until square."""

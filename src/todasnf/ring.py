@@ -13,18 +13,8 @@ rings raises :class:`RingMismatchError` instead of producing garbage.
 
 Rings are interned: ``IntegerRing()`` is ``ZZ`` and ``PolyModP(p)`` returns
 one instance per prime, so ring equality is identity (``is``).  Hot loops
-skip the wrapper and call the ring's payload methods directly, under
-three rules.  ZZ payload arithmetic is Python's own: ``add``, ``neg``,
-``mul``, ``divmod``, ``size``, ``gcd`` and ``render`` are builtins, not
-Python methods.  Zero payloads (``0`` and ``()``) are the falsy ones, and
-truthiness is the only payload zero test; ``RingValue.is_zero`` and
-``bool(value)`` read it.  ``divmod`` by zero raises ``ZeroDivisionError``,
-and :meth:`Ring.exact_div` alone turns it into :class:`ExactDivisionError`.
-
-Gcds are always returned as *canonical associates*: nonnegative integers,
-monic polynomials.  By convention ``gcd(0, 0) == 0`` and every element
-divides zero, so a gcd accumulated over an empty or all-zero collection
-degrades gracefully instead of raising.
+skip the wrapper and call the ring's payload operations directly; what a
+ring provides is written once, in :class:`Ring`.
 """
 
 from __future__ import annotations
@@ -43,6 +33,14 @@ class RingMismatchError(TypeError):
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
+
+
+def _printable(show, value) -> str:
+    """show(value) for an error text; a placeholder past Python's digit limit."""
+    try:
+        return show(value)
+    except ValueError:
+        return "<too many digits to print>"
 
 
 class RingValue:
@@ -122,52 +120,22 @@ def _common_ring(a: RingValue, b: RingValue) -> "Ring":
 class Ring:
     """Interface shared by the supported PIDs.
 
-    Subclasses implement arithmetic on raw payloads; calling the ring
-    coerces native Python data into a :class:`RingValue`.
+    A subclass sets ``name`` and provides, on raw payloads, ``add(a, b)``,
+    ``neg(a)``, ``mul(a, b)``, ``is_unit(a)``, ``coerce(value)`` (native
+    Python data to a payload), ``render(a)`` and ``parse(text)`` (a payload
+    to text and back), and:
+
+    * ``divmod(a, b)``, the Euclidean (quotient, remainder).  It raises
+      ZeroDivisionError when b is zero; only exact_div makes that an
+      ExactDivisionError;
+    * ``canonicalizing_unit(a)``, a unit u with u*a canonical (nonnegative,
+      monic); the identity on zero;
+    * ``size(a)``, bit length or degree, the measure the step caps use.
+
+    Zero payloads are the falsy ones, and truthiness is the only payload
+    zero test.  Ring derives the rest.  Gcds are canonical associates;
+    ``gcd(0, 0) == 0`` and everything divides zero.
     """
-
-    name: str = "ring"
-
-    # -- payload arithmetic, provided by subclasses --------------------
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def divmod(self, a, b):
-        """Euclidean (quotient, remainder); ZeroDivisionError if b is 0.
-
-        exact_div is the one place that turns it into ExactDivisionError.
-        """
-        raise NotImplementedError
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def canonicalizing_unit(self, a):
-        """A unit u with u*a canonical; the identity when a == 0."""
-        raise NotImplementedError
-
-    def size(self, a) -> int:
-        """A nonnegative measure of a (bit length or degree), used for caps."""
-        raise NotImplementedError
-
-    def coerce(self, value):
-        """Convert native Python data into a payload."""
-        raise NotImplementedError
-
-    def render(self, a) -> str:
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    # -- derived operations ---------------------------------------------
 
     def canonical(self, a):
         return self.mul(self.canonicalizing_unit(a), a)
@@ -212,7 +180,8 @@ class Ring:
             raise ExactDivisionError("division by zero") from None
         if rem:
             raise ExactDivisionError(
-                f"{self.render(b)} does not divide {self.render(a)}"
+                f"{_printable(self.render, b)} does not divide "
+                f"{_printable(self.render, a)}"
             )
         return quot
 
@@ -252,7 +221,7 @@ _DECIMAL = re.compile("[+-]?[0-9]+").fullmatch
 
 
 class IntegerRing(Ring):
-    """The rational integers; canonical associates are nonnegative."""
+    """The integers, nonnegative when canonical; Python's own arithmetic."""
 
     name = "ZZ"
 
@@ -275,7 +244,8 @@ class IntegerRing(Ring):
 
     def coerce(self, value) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"cannot coerce {value!r} into {self.name}")
+            raise TypeError(f"cannot coerce {_printable(repr, value)} "
+                            f"into {self.name}")
         return value
 
     def parse(self, text: str) -> int:
@@ -409,7 +379,8 @@ class PolyModP(Ring):
         coeffs = value if isinstance(value, (list, tuple)) else (value,)
         for c in coeffs:
             if isinstance(c, bool) or not isinstance(c, int):
-                raise TypeError(f"cannot coerce {value!r} into {self.name}")
+                raise TypeError(f"cannot coerce {_printable(repr, value)} "
+                                f"into {self.name}")
         return self._trim([c % self.p for c in coeffs])
 
     def render(self, a) -> str:

@@ -213,6 +213,10 @@ def test_snf_trace_golden_through_elimination(name, tmp_path, capsys):
 def test_snf_classical_matches(example_file, capsys):
     assert main(["snf", example_file, "--method", "classical"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["1", "6", "18"]
+    argv = ["snf", example_file, "--method", "classical", "--trace"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == ("1\n6\n18\n",
+                                   "note: no lattice trace for this run\n")
 
 
 def test_snf_verify_ok(example_file, capsys):

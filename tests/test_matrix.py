@@ -14,6 +14,7 @@ def test_construction_and_shape():
     assert (m.nrows, m.ncols) == (2, 3)
     assert m[1, 2] == ZZ(6)
     assert m.row(0) == (ZZ(1), ZZ(2), ZZ(3))
+    assert repr(m) == "DenseMatrix(ZZ, 2x3: 1 2 3; 4 5 6)"
     with pytest.raises(ValueError):
         DenseMatrix(ZZ, [])
     with pytest.raises(ValueError):
@@ -43,6 +44,8 @@ def test_identity_and_matmul():
         assert eye @ a == a
     with pytest.raises(ValueError):
         DenseMatrix(ZZ, [[1, 2]]) @ DenseMatrix(ZZ, [[1, 2]])
+    with pytest.raises(ValueError, match="different rings"):
+        DenseMatrix(ZZ, [[1]]) @ DenseMatrix(PolyModP(5), [[1]])
 
 
 def test_padded_square():
@@ -143,6 +146,7 @@ def test_poly_matrix_entries():
     assert m[0, 0] == ring([1, 1])
     assert m[1, 0].is_zero()
     assert str(m[1, 1]) == "[0,0,1]"
+    assert repr(m) == "DenseMatrix(GF(3)[x], 2x2: [1,1] [2]; [0] [0,0,1])"
 
 
 def _random_entries(rng, ring, m, n):
@@ -172,3 +176,16 @@ def test_payload_storage():
                                      for i in range(m)])
             assert DenseMatrix.identity(ring, m) == eye
             assert hash(DenseMatrix.identity(ring, m)) == hash(eye)
+
+
+def test_bands_are_the_diagonal_and_subdiagonal():
+    rng = random.Random(37)
+    for _ in range(30):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        grid = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        q, e = DenseMatrix(ZZ, grid).bands()
+        assert q == tuple(grid[i][i] for i in range(min(m, n)))
+        assert e == tuple(grid[i + 1][i] for i in range(min(m - 1, n)))
+    ring = PolyModP(5)
+    assert DenseMatrix(ring, [[[1, 2], 0], [3, 0]]).bands() == (((1, 2), ()),
+                                                               ((3,),))

@@ -11,8 +11,11 @@ from conftest import int_gcd_brute, padd, pdivmod, pgcd_brute, pmul, pneg
 from todasnf import (
     DenseMatrix,
     ExactDivisionError,
+    GcdTodaState,
     IntegerRing,
+    IterationLimitError,
     PolyModP,
+    Ring,
     RingMismatchError,
     RingValue,
     ZZ,
@@ -23,6 +26,7 @@ from todasnf import (
     gcd,
     run,
     seed_state,
+    smith_normal_form,
 )
 
 
@@ -280,6 +284,8 @@ def test_poly_modulus_validation():
         PolyModP(1)
     with pytest.raises(ValueError):
         PolyModP(4)
+    with pytest.raises(ValueError, match="not prime"):
+        PolyModP(9)
     with pytest.raises(ValueError):
         PolyModP(65537)
     with pytest.raises(TypeError):
@@ -344,6 +350,8 @@ def test_value_arithmetic_and_hashing():
     assert b ** 0 == ZZ(1)
     assert bool(ZZ(0)) is False and bool(ZZ(2)) is True
     assert len({ZZ(1), ZZ(1), ZZ(2)}) == 2
+    assert repr(b) == "ZZ(-4)"
+    assert repr(PolyModP(5)([1, 0, 2])) == "GF(5)[x]([1,0,2])"
     with pytest.raises(ValueError):
         a ** -1
 
@@ -390,3 +398,71 @@ def test_poly_coefficients_follow_the_scalar_rule():
     with pytest.raises(TypeError):
         DenseMatrix(ring, [[[1.5, 2]]])
     assert ring([7, -1, 0]).payload == (2, 4)
+
+
+#: The payload operations that the Ring docstring asks a subclass for.
+RING_CONTRACT = ("add", "neg", "mul", "divmod", "is_unit",
+                 "canonicalizing_unit", "size", "coerce", "render", "parse")
+
+
+@pytest.mark.parametrize("ring", [ZZ, PolyModP(2), PolyModP(5),
+                                  PolyModP(65521)], ids=repr)
+def test_ring_contract_is_provided_by_each_ring(ring):
+    assert "name" not in vars(Ring) and isinstance(ring.name, str)
+    for op in RING_CONTRACT:
+        assert f"``{op}(" in Ring.__doc__, op
+        assert op not in vars(Ring), op
+        assert callable(getattr(ring, op)), op
+    # The facts the contract states beyond the signatures.
+    zero, x = ring.coerce(0), ring.coerce(-3 if ring is ZZ else [2, 1, 1])
+    with pytest.raises(ZeroDivisionError):
+        ring.divmod(x, zero)
+    assert ring.mul(ring.canonicalizing_unit(zero), x) == x
+    assert ring.is_unit(ring.canonicalizing_unit(x))
+    assert ring.size(zero) == 0 < ring.size(x)
+    assert ring.parse(ring.render(x)) == x
+    assert not zero and x
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default 4300-digit limit on int <-> str, in force."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_error_types_hold_past_the_int_digit_limit(int_digit_limit):
+    big = 10**5000
+    grid = [[2 * big, 0, 0], [4 * big, 6 * big, 0], [0, 3 * big, 9 * big]]
+    with pytest.raises(IterationLimitError, match="within 1 steps"):
+        smith_normal_form(DenseMatrix(ZZ, grid), max_iters=1)
+    with pytest.raises(ExactDivisionError, match="^3 does not divide <"):
+        ZZ.exact_div(big + 1, 3)
+    with pytest.raises(TypeError, match="ring values"):
+        GcdTodaState((big,), ())
+    with pytest.raises(TypeError, match="into ZZ$"):
+        ZZ.coerce([big])
+    with pytest.raises(TypeError, match="into GF"):
+        PolyModP(5).coerce([big, 1.5])
+
+
+def test_error_texts_of_printable_values(int_digit_limit):
+    a = DenseMatrix(ZZ, [[2, 0, 0], [4, 6, 0], [0, 3, 9]])
+    with pytest.raises(IterationLimitError) as info:
+        smith_normal_form(a, max_iters=1)
+    assert str(info.value) == ("no termination within 1 steps; "
+                               "last diagonal ['2', '3', '18']")
+    texts = {"2 does not divide 7": lambda: ZZ.exact_div(7, 2),
+             "[1,1] does not divide [1,1,1]":
+                 lambda: PolyModP(3).exact_div((1, 1, 1), (1, 1)),
+             "entries must be ring values, got 5":
+                 lambda: GcdTodaState((5,), ()),
+             "cannot coerce [2.5] into ZZ": lambda: ZZ.coerce([2.5]),
+             "cannot coerce [7, 1.5] into GF(5)[x]":
+                 lambda: PolyModP(5).coerce([7, 1.5])}
+    for text, call in texts.items():
+        with pytest.raises((ExactDivisionError, TypeError)) as info:
+            call()
+        assert str(info.value) == text

@@ -202,7 +202,8 @@ def test_state_literal_round_trip():
 
 
 def test_state_literal_errors():
-    for text in ("Q:1,2", "E:1;Q:2", "Q:1;E:2;E:3", "Q:a;E:", "Q:1,2;E:x"):
+    for text in ("Q:1,2", "E:1;Q:2", "Q:1;E:2;E:3", "Q:a;E:", "Q:1,2;E:x",
+                 "Q:1,2;X:1"):
         with pytest.raises(ValueError):
             parse_state_literal(text)
     with pytest.raises(ValueError):

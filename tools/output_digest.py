@@ -8,7 +8,8 @@ corpora dense_zz, lattice_smooth and poly_gfp of seeds 11, 12 and 13,
 built by perfbench/corpus.py (imported only; no bytecode is written
 next to it).  Per input the digest covers:
 
-- the bidiagonal form, and its P and Q when the padded size is at most 12;
+- the bidiagonal form with its block size k and corner flag, and its P
+  and Q when the padded size is at most 12;
 - the lattice factors and iteration count of smith_normal_form;
 - the factors of classical_snf;
 - the rendered --trace lines on dense_zz and poly_gfp;
@@ -74,7 +75,7 @@ FIXED_TRACES = tuple(
 def lines(workload: str, matrix: DenseMatrix):
     """The outputs of one input, one string each."""
     form = bidiagonalize(matrix)
-    yield repr(form.matrix)
+    yield repr(form)
     if max(matrix.nrows, matrix.ncols) <= TRANSFORMS_UP_TO:
         yield from map(repr, bidiagonalize(matrix, transforms=True))
     result = smith_normal_form(matrix)
