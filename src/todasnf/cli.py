@@ -92,21 +92,18 @@ def _parse_ring(lineno: int, selector: str) -> Ring:
 
 def parse_matrix_text(text: str) -> DenseMatrix:
     """Parse the matrix file format; MatrixParseError carries the line."""
-    lines = [
+    lines = iter([
         (lineno, body)
         for lineno, raw in enumerate(text.splitlines(), start=1)
         if (body := raw.strip()) and not body.startswith("#")
-    ]
-    eof = len(text.splitlines()) + 1
-    cursor = 0
+    ])
+    eof = (len(text.splitlines()) + 1, None)
 
     def take() -> tuple[int, str]:
-        nonlocal cursor
-        if cursor >= len(lines):
-            raise MatrixParseError(eof, "unexpected end of file")
-        item = lines[cursor]
-        cursor += 1
-        return item
+        lineno, body = next(lines, eof)
+        if body is None:
+            raise MatrixParseError(lineno, "unexpected end of file")
+        return lineno, body
 
     def header(name: str) -> tuple[int, str]:
         lineno, body = take()
@@ -138,15 +135,13 @@ def parse_matrix_text(text: str) -> DenseMatrix:
                 lineno,
                 f"expected {shape['cols']} entries, got {len(tokens)}",
             )
-        row = []
-        for token in tokens:
-            try:
-                row.append(ring.parse(token))
-            except ValueError as exc:
-                raise MatrixParseError(lineno, str(exc)) from None
-        grid.append(row)
-    if cursor != len(lines):
-        raise MatrixParseError(lines[cursor][0], "unexpected trailing content")
+        try:
+            grid.append([ring.parse(token) for token in tokens])
+        except ValueError as exc:
+            raise MatrixParseError(lineno, str(exc)) from None
+    lineno, body = next(lines, eof)
+    if body is not None:
+        raise MatrixParseError(lineno, "unexpected trailing content")
     return DenseMatrix.from_payloads(ring, grid)
 
 
@@ -175,11 +170,9 @@ def _load_matrix(path: str) -> DenseMatrix:
 
 
 def _resolve_max_iters(flag: int | None) -> int | None:
-    if flag is not None:
-        return flag
     raw = os.environ.get(MAX_ITERS_ENV)
-    if raw is None:
-        return None
+    if flag is not None or raw is None:
+        return flag
     try:
         return _positive(raw)
     except argparse.ArgumentTypeError:
@@ -204,13 +197,9 @@ def cmd_snf(args: argparse.Namespace) -> int:
         else:
             for state in result.trace:
                 print(render_trace_line(state))
-    zero_count = sum(1 for f in result.factors if f.is_zero())
-    if args.keep_zeros:
-        shown = result.factors
-    else:
-        shown = [f for f in result.factors if not f.is_zero()]
-        if zero_count:
-            print(f"note: trimmed {zero_count} zero factor(s)", file=sys.stderr)
+    shown = [f for f in result.factors if args.keep_zeros or f]
+    if trimmed := len(result.factors) - len(shown):
+        print(f"note: trimmed {trimmed} zero factor(s)", file=sys.stderr)
     for factor in shown:
         print(factor)
     if args.verify:

@@ -10,6 +10,7 @@ is built on the way.  Readers of a bidiagonal matrix call bands instead.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 from .ring import Ring, RingValue
@@ -98,16 +99,11 @@ class DenseMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         add, mul, zero = self.ring.add, self.ring.mul, self.ring.coerce(0)
-        out = []
-        for a_row in self._rows:
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k, a in enumerate(a_row):
-                    acc = add(acc, mul(a, other._rows[k][j]))
-                row.append(acc)
-            out.append(row)
-        return DenseMatrix.from_payloads(self.ring, out)
+        cols = tuple(zip(*other._rows))
+        return DenseMatrix.from_payloads(self.ring, [
+            [reduce(add, map(mul, row, col), zero) for col in cols]
+            for row in self._rows
+        ])
 
     def is_lower_bidiagonal(self) -> bool:
         """Only the diagonal and the first subdiagonal may be nonzero."""

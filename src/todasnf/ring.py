@@ -259,18 +259,7 @@ ZZ = object.__new__(IntegerRing)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 class PolyModP(Ring):

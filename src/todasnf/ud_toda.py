@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import groupby
 
 from .ring import ZZ
 
@@ -175,11 +176,9 @@ def to_bbs(state: UdTodaState) -> BbsState:
         raise ValueError("blocks must be positive to build a configuration")
     if any(e <= 0 for e in state.gaps):
         raise ValueError("gaps must be positive to build a configuration")
-    cells: list[int] = []
-    for i, q in enumerate(state.blocks):
-        if i:
-            cells.extend([0] * state.gaps[i - 1])
-        cells.extend([1] * q)
+    cells = [1] * state.blocks[0]
+    for gap, block in zip(state.gaps, state.blocks[1:]):
+        cells += [0] * gap + [1] * block
     return BbsState(0, tuple(cells))
 
 
@@ -187,16 +186,9 @@ def from_bbs(state: BbsState) -> UdTodaState:
     """Run lengths of the configuration as a block/gap state."""
     if not state.cells:
         raise ValueError("empty configuration has no block structure")
-    blocks: list[int] = []
-    gaps: list[int] = []
-    value, length = state.cells[0], 0
-    for c in state.cells + (None,):
-        if c == value:
-            length += 1
-            continue
-        (blocks if value == 1 else gaps).append(length)
-        value, length = c, 1
-    return UdTodaState(tuple(blocks), tuple(gaps))
+    # Trimmed cells start and end with a ball, so runs alternate block, gap.
+    lengths = [len(list(run)) for _, run in groupby(state.cells)]
+    return UdTodaState(lengths[::2], lengths[1::2])
 
 
 def bbs_step(state: BbsState) -> BbsState:

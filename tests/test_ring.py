@@ -294,6 +294,21 @@ def test_poly_modulus_validation():
     assert PolyModP(65521).p == 65521
 
 
+def test_modulus_check_agrees_with_a_sieve():
+    limit = 2**16
+    sieve = [False, False] + [True] * (limit - 1)
+    for f in range(2, 257):
+        if sieve[f]:
+            sieve[f * f::f] = [False] * len(range(f * f, limit + 1, f))
+    assert sum(sieve) == 6542  # the primes below 2**16
+    for p in range(-1, limit + 1):
+        if p >= 0 and sieve[p]:
+            assert PolyModP(p).p == p
+        else:
+            with pytest.raises(ValueError):
+                PolyModP(p)
+
+
 def test_rings_are_interned():
     assert IntegerRing() is ZZ
     assert PolyModP(7) is PolyModP(7)

@@ -1,6 +1,7 @@
 """Smith normal form: lattice route against classical route and minors."""
 
 import random
+import time
 
 import pytest
 
@@ -271,3 +272,37 @@ def test_bareiss_never_divides_by_one(monkeypatch):
         assert divisors, "the counter never saw a division"
         assert one not in divisors
         monkeypatch.undo()
+
+
+def _ladder_draws():
+    """The dense draws the scale measurements use, as (ring, grids, budget).
+
+    ZZ: Random(1), five randint(-20, 20) n x n grids per n in 4, 8, 12,
+    16, 20; the rung is n = 16.  GF(p)[x]: Random(3), three grids of
+    degree < 3 entries per n in 8, 10, 12, 14, for p = 2 then 5; the
+    rungs are GF(2)[x] at 12 and GF(5)[x] at 14.  Larger draws stall the
+    lattice route in coefficient growth (0.7-5.2 s per ZZ 20 x 20 draw,
+    over 30 s for one GF(2)[x] 14 x 14 draw), so they are not rungs yet.
+    Each budget is about five times the rung's measured wall time.
+    """
+    rng = random.Random(1)
+    zz = {n: [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+              for _ in range(5)] for n in (4, 8, 12, 16, 20)}
+    rng = random.Random(3)
+    gf = {(p, n): [[[[rng.randrange(p) for _ in range(3)] for _ in range(n)]
+                    for _ in range(n)] for _ in range(3)]
+          for p in (2, 5) for n in (8, 10, 12, 14)}
+    return [(ZZ, zz[16], 5.0), (PolyModP(2), gf[2, 12], 3.0),
+            (PolyModP(5), gf[5, 14], 3.0)]
+
+
+def test_scale_ladder_above_the_lattice_sizes():
+    for ring, grids, budget in _ladder_draws():
+        start = time.perf_counter()
+        for k, grid in enumerate(grids):
+            matrix = DenseMatrix(ring, grid)
+            assert (smith_normal_form(matrix).factors
+                    == classical_snf(matrix).factors), f"{ring.name} draw {k}"
+        elapsed = time.perf_counter() - start
+        n = len(grids[0])
+        assert elapsed < budget, f"{ring.name} {n}x{n} took {elapsed:.2f} s"
