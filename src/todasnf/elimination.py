@@ -22,6 +22,22 @@ Q when they are asked for), every step is a kernel mix_rows / mix_cols
 fed the cofactors of Ring.xgcd or the addition (1, 1, 1, 0), and the
 grids become matrices again through DenseMatrix.from_payloads.
 BidiagonalForm reads its block size and corner flag off the bands.
+
+smith_normal_form over ZZ hands the sweeps a private modulus.  Before
+each level the modulus sees the pivot row; once an entry there outgrows
+the input's Hadamard bound, which no minor of the input exceeds, the
+modulus fixes D, a nonzero r x r minor of the input M (r its rank).
+From then on the kernels do their work on the modulus, which stores
+each written entry of more bits than |D| as its residue in (0, |D|].
+A residue is a column operation on [M | D I], whose Smith form is
+diag(gcd(s_i(M), D)), and s_i | D for i <= r; so the factors up to r
+are the gcds of the reduced form's factors with D (snf.py has the full
+argument), and SnfResult.trace and snf --trace replay the lattice on
+the reduced form's seed.  The residue is nonzero exactly where the
+unreduced entry is, so _level takes its branches on the same zero
+pattern as it would on the unreduced values, and the result is still a
+valid BidiagonalForm.  bidiagonalize itself never reduces: its form, P
+and Q are exact.
 """
 
 from __future__ import annotations
@@ -33,12 +49,16 @@ from .ring import Ring
 from .gcd_toda import GcdTodaState
 
 
-def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, cof) -> None:
+def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, cof,
+             mod=None) -> None:
     """Map rows x = grid[i1], y = grid[i2] to (p x + q y, t x + s y).
 
     cof = (p, q, s, t) has determinant p s - q t; ring.xgcd(x[k], y[k])[1:]
     leaves the gcd in x[k] and zero in y[k], and (1, 1, 1, 0) adds y to x.
+    A modulus, when given, does the work in its own arithmetic instead.
     """
+    if mod is not None:
+        return mod.mix_rows(grid, i1, i2, cof)
     p, q, s, t = cof
     add, mul = ring.add, ring.mul
     r1, r2 = grid[i1], grid[i2]
@@ -46,8 +66,11 @@ def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, cof) -> None:
     grid[i2] = [add(mul(t, x), mul(s, y)) for x, y in zip(r1, r2)]
 
 
-def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, cof) -> None:
+def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, cof,
+             mod=None) -> None:
     """The map of mix_rows on columns (j1, j2) of a payload grid."""
+    if mod is not None:
+        return mod.mix_cols(grid, j1, j2, cof)
     p, q, s, t = cof
     add, mul = ring.add, ring.mul
     for row in grid:
@@ -84,11 +107,12 @@ class BidiagonalForm:
         object.__setattr__(self, "corner", 0 < k < n and bool(e[k - 1]))
 
 
-def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
+def _level(ring: Ring, grid: list[list], t: int, n: int, mod=None) -> bool:
     """Process pivot level t of the leading n by n block of a payload grid.
 
     Works in place and returns False when nothing nonzero is left.  Rows
-    and columns past n only ride along with the updates.
+    and columns past n only ride along with the updates; a live modulus
+    reaches every kernel call.
     """
     one, zero = ring.coerce(1), ring.coerce(0)
     addition = (one, one, one, zero)  # x += y
@@ -97,13 +121,13 @@ def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
         donor = next((i for i in range(t + 1, n) if any(grid[i][t:n])), None)
         if donor is None:
             return False
-        mix_rows(ring, grid, t, donor, addition)
+        mix_rows(ring, grid, t, donor, addition, mod)
 
     # Column sweep: collect the row gcd at (t, t), zeros to its right.
     for j in range(t + 1, n):
         if grid[t][j]:
             cof = ring.xgcd(grid[t][t], grid[t][j])[1:]
-            mix_cols(ring, grid, t, j, cof)
+            mix_cols(ring, grid, t, j, cof, mod)
 
     # Keep the subdiagonal alive while mass remains below the pivot.
     below = grid[t + 1:n]
@@ -111,14 +135,35 @@ def _level(ring: Ring, grid: list[list], t: int, n: int) -> bool:
         donor_col = next((j for j in range(t + 1, n)
                           if any(row[j] for row in below)), None)
         if donor_col is not None:
-            mix_cols(ring, grid, t, donor_col, addition)
+            mix_cols(ring, grid, t, donor_col, addition, mod)
 
     # Row sweep: concentrate the column gcd at (t+1, t).
     for i in range(t + 2, n):
         if grid[i][t]:
             cof = ring.xgcd(grid[t + 1][t], grid[i][t])[1:]
-            mix_rows(ring, grid, t + 1, i, cof)
+            mix_rows(ring, grid, t + 1, i, cof, mod)
     return True
+
+
+def _sweep(ring: Ring, grid: list[list], n: int, mod=None) -> None:
+    """Run the pivot levels of the leading n by n block until none is left.
+
+    mod, when given, watches each pivot row first and, once it returns
+    itself, reaches every later kernel call.
+    """
+    live = None
+    for t in range(n):
+        if mod is not None and live is None:
+            live = mod.watch(grid[t], t)
+        if not _level(ring, grid, t, n, live):
+            break
+
+
+def _reduced_form(matrix: DenseMatrix, mod) -> BidiagonalForm:
+    """The form of bidiagonalize(matrix), with mod (or None) in its sweeps."""
+    grid = matrix.padded_square().payload_grid()
+    _sweep(matrix.ring, grid, len(grid), mod)
+    return BidiagonalForm(DenseMatrix.from_payloads(matrix.ring, grid))
 
 
 def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
@@ -128,22 +173,16 @@ def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
     to the form's matrix when transforms is requested; p and q are square
     with determinant one over the padded shape.
     """
+    if not transforms:
+        return _reduced_form(matrix, None)
     ring = matrix.ring
     padded = matrix.padded_square()
     n = padded.nrows
-    grid = padded.payload_grid()
-    if transforms:
-        # Border the grid with identities: P as extra columns, which the
-        # row updates carry along, and Q as extra rows for the column ones.
-        eye = DenseMatrix.identity(ring, n).payload_grid()
-        grid = [row + e for row, e in zip(grid, eye)] + eye
-
-    for t in range(n):
-        if not _level(ring, grid, t, n):
-            break
-
-    if not transforms:
-        return BidiagonalForm(DenseMatrix.from_payloads(ring, grid))
+    # Border the grid with identities: P as extra columns, which the row
+    # updates carry along, and Q as extra rows for the column ones.
+    eye = DenseMatrix.identity(ring, n).payload_grid()
+    grid = [row + e for row, e in zip(padded.payload_grid(), eye)] + eye
+    _sweep(ring, grid, n)
     form, p, q = (DenseMatrix.from_payloads(ring, g) for g in (
         [row[:n] for row in grid[:n]], [row[n:] for row in grid[:n]], grid[n:]
     ))

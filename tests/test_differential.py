@@ -3,9 +3,10 @@
 The inputs are seeded dense matrices: +-20 integers with n = 6-12
 (square, rectangular, and rank-deficient products L @ R), and GF(2),
 GF(5), GF(7)[x] matrices with n <= 6.  Larger draws cover the shapes
-where a rotation-based elimination stalls: 16 x 16 lower-bidiagonal
-GF(2)[x] and GF(5)[x] matrices whose entries are products of low-degree
-factors, and dense +-20 integer matrices with n = 16 and 20.  At the
+where a rotation-based elimination stalls without a modulus: 16 x 16
+lower-bidiagonal GF(2)[x] and GF(5)[x] matrices whose entries are
+products of low-degree factors, and dense +-20 integer matrices with
+n = 16 and 20.  At the
 largest prime the package takes, 65521, one dense 5 x 5 and one 8 x 8
 lower-bidiagonal GF(65521)[x] draw check the widest packed products.  sympy's
 factors are brought to the package's canonical form (absolute value,
@@ -158,11 +159,16 @@ def test_poly_bidiagonal_16_match_sympy():
 
 
 def test_dense_integer_16_and_20_classical():
+    # Both routes; the lattice route finishes here because its sweeps run
+    # modulo D once the entries outgrow the Hadamard bound.
     rng = random.Random(74)
     for n in (16, 20):
         rows = _int_grid(rng, n, n, 20)
-        got = _timed_classical(DenseMatrix(ZZ, rows))
-        assert got == _sympy_int_factors(rows), f"{n} x {n}"
+        matrix = DenseMatrix(ZZ, rows)
+        expected = _sympy_int_factors(rows)
+        assert _timed_classical(matrix) == expected, f"{n} x {n}"
+        got = [v.payload for v in smith_normal_form(matrix).factors]
+        assert got == expected, f"smith_normal_form on {n} x {n}"
 
 
 @pytest.mark.parametrize("route", [smith_normal_form, classical_snf])

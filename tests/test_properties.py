@@ -4,13 +4,21 @@ Over ZZ (n <= 6) and GF(5)[x] (n <= 4) the invariant factors must not
 move under a change of basis P A Q by products of elementary matrices,
 under transposition, or under zero padding (which appends zero factors
 only where min(rows, cols) grows), and scaling A by c must scale the
-factors to the canonical forms of c times them.  The example budget and
+factors to the canonical forms of c times them.
+
+Over ZZ the rank profile of the Bareiss elimination must give the rank
+and a nonzero minor of that order, found here by enumeration, and the
+lattice route run modulo D from its first kernel must agree with the
+exact route for D and for every multiple c D.  The example budget and
 derandomised search come from the profile in conftest.py.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import det_int_brute
 from todasnf import (
     DenseMatrix,
     PolyModP,
@@ -19,6 +27,7 @@ from todasnf import (
     classical_snf,
     smith_normal_form,
 )
+from todasnf.snf import _det, _lattice_snf, _Modulus
 
 GF5 = PolyModP(5)
 #: Ring, largest side, and a strategy for one entry as native data.
@@ -98,3 +107,54 @@ def test_scaling_scales_the_factors(route, name, data):
     scaled = DenseMatrix(a.ring, [[c * v for v in row] for row in a.rows()])
     expected = tuple(canonical(c * f) for f in route(a).factors)
     assert route(scaled).factors == expected
+
+
+@st.composite
+def low_rank_grids(draw, top=5):
+    """Integer L @ R, m x k times k x n, so the rank is at most k."""
+    m, n = draw(st.integers(1, top)), draw(st.integers(1, top))
+    k = draw(st.integers(1, min(m, n)))
+    small = st.integers(-3, 3)
+    left = draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                         min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+def _minors(grid, k):
+    """Every k x k minor of a grid, by permutation sums."""
+    return {det_int_brute([[grid[i][j] for j in cols] for i in rows])
+            for rows in combinations(range(len(grid)), k)
+            for cols in combinations(range(len(grid[0])), k)}
+
+
+@given(grid=low_rank_grids())
+def test_rank_profile_matches_enumeration(grid):
+    rank, d = _det(ZZ, [row[:] for row in grid], rank=True)
+    by_minors = max((k for k in range(1, min(len(grid), len(grid[0])) + 1)
+                     if any(_minors(grid, k))), default=0)
+    assert rank == by_minors
+    assert d != 0 and (rank == 0 or d in _minors(grid, rank))
+
+
+def _mod_route(a, multiple=1):
+    """The lattice route, reduced modulo multiple * D from its first kernel."""
+    rank, d = _det(ZZ, a.payload_grid(), rank=True)
+    return _lattice_snf(a, None, _Modulus(a, rank, multiple * d)).factors
+
+
+@given(data=st.data())
+def test_exact_and_mod_d_routes_agree(data):
+    a = data.draw(st.one_of(matrices("ZZ"), low_rank_grids(6).map(
+        lambda grid: DenseMatrix(ZZ, grid))))
+    assert _mod_route(a) == _lattice_snf(a, None, None).factors
+
+
+@given(data=st.data())
+def test_any_multiple_of_d_gives_the_same_factors(data):
+    a = data.draw(st.one_of(matrices("ZZ"), low_rank_grids(6).map(
+        lambda grid: DenseMatrix(ZZ, grid))))
+    c = data.draw(st.integers(-50, 50).filter(bool))
+    assert _mod_route(a, c) == _mod_route(a)

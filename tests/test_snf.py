@@ -21,6 +21,8 @@ from todasnf import (
     smith_normal_form,
     verify,
 )
+from todasnf.elimination import _reduced_form
+from todasnf.snf import _lattice_snf, _Modulus
 
 
 def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
@@ -278,22 +280,27 @@ def _ladder_draws():
     """The dense draws the scale measurements use, as (ring, grids, budget).
 
     ZZ: Random(1), five randint(-20, 20) n x n grids per n in 4, 8, 12,
-    16, 20; the rung is n = 16.  GF(p)[x]: Random(3), three grids of
+    16, 20; the rungs are n = 16 and n = 20.  Random(2), one such grid at
+    n = 32, the largest rung.  GF(p)[x]: Random(3), three grids of
     degree < 3 entries per n in 8, 10, 12, 14, for p = 2 then 5; the
-    rungs are GF(2)[x] at 12 and GF(5)[x] at 14.  Larger draws stall the
-    lattice route in coefficient growth (0.7-5.2 s per ZZ 20 x 20 draw,
-    over 30 s for one GF(2)[x] 14 x 14 draw), so they are not rungs yet.
-    Each budget is about five times the rung's measured wall time.
+    rungs are GF(2)[x] at 12 and GF(5)[x] at 14.  Without the mod-D
+    sweeps of smith_normal_form the ZZ 20 x 20 draws took 0.7-5.2 s each
+    in coefficient growth; with them they take about 10 ms.  The GF(2)[x]
+    14 x 14 draws still stall (over 30 s for one), so they are not a rung
+    yet.  Each budget is about five times the rung's measured wall time,
+    both routes included.
     """
     rng = random.Random(1)
     zz = {n: [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
               for _ in range(5)] for n in (4, 8, 12, 16, 20)}
+    rng = random.Random(2)
+    zz[32] = [[[rng.randint(-20, 20) for _ in range(32)] for _ in range(32)]]
     rng = random.Random(3)
     gf = {(p, n): [[[[rng.randrange(p) for _ in range(3)] for _ in range(n)]
                     for _ in range(n)] for _ in range(3)]
           for p in (2, 5) for n in (8, 10, 12, 14)}
-    return [(ZZ, zz[16], 5.0), (PolyModP(2), gf[2, 12], 3.0),
-            (PolyModP(5), gf[5, 14], 3.0)]
+    return [(ZZ, zz[16], 5.0), (ZZ, zz[20], 0.5), (ZZ, zz[32], 0.4),
+            (PolyModP(2), gf[2, 12], 3.0), (PolyModP(5), gf[5, 14], 3.0)]
 
 
 def test_scale_ladder_above_the_lattice_sizes():
@@ -306,3 +313,68 @@ def test_scale_ladder_above_the_lattice_sizes():
         elapsed = time.perf_counter() - start
         n = len(grids[0])
         assert elapsed < budget, f"{ring.name} {n}x{n} took {elapsed:.2f} s"
+
+
+def test_mod_d_sweeps_stay_within_the_size_of_d(monkeypatch):
+    # Once the modulus is live the sweeps hand it to the kernels, and every
+    # line a kernel then writes must hold entries of at most size(D) bits.
+    import todasnf.elimination as elimination
+
+    live = {"mix_rows": 0, "mix_cols": 0}
+    lines = {"mix_rows": lambda grid, a, b: (grid[a], grid[b]),
+             "mix_cols": lambda grid, a, b: ([row[a] for row in grid],
+                                             [row[b] for row in grid])}
+
+    def bounded(name):
+        kernel = getattr(elimination, name)
+
+        def wrapped(ring, grid, a, b, cof, mod=None):
+            kernel(ring, grid, a, b, cof, mod)
+            if mod is not None:
+                top = max(v.bit_length() for line in lines[name](grid, a, b)
+                          for v in line)
+                assert top <= mod.d.bit_length(), f"{name} wrote {top} bits"
+                live[name] += 1
+        return wrapped
+
+    for name in live:
+        monkeypatch.setattr(elimination, name, bounded(name))
+    grids = next(grids for ring, grids, _ in _ladder_draws()
+                 if ring is ZZ and len(grids[0]) == 20)
+    for k, grid in enumerate(grids):
+        matrix = DenseMatrix(ZZ, grid)
+        assert (smith_normal_form(matrix).factors
+                == classical_snf(matrix).factors), f"draw {k}"
+    assert min(live.values()) > 100, live
+
+
+def test_residues_keep_the_zero_pattern():
+    # A written multiple of d is stored as d, never as zero, and a zero
+    # stays zero, so _level branches as it would on the unreduced values.
+    mod = _Modulus(DenseMatrix(ZZ, [[5]]), 1, -5)
+    grid = [[10, -7, 0], [5, 3, 0]]
+    mod.mix_rows(grid, 0, 1, (2, 0, 1, 0))
+    assert grid == [[5, 1, 0], [5, 3, 0]]
+    grid = [[10, 5], [-7, 3], [0, 0]]
+    mod.mix_cols(grid, 0, 1, (2, 0, 1, 0))
+    assert grid == [[5, 5], [1, 3], [0, 0]]
+
+
+def test_untriggered_inputs_keep_the_exact_route():
+    # Where no pivot row outgrows the Hadamard bound the modulus never goes
+    # live, and the form, the step count and the trace are the exact ones.
+    rng = random.Random(62)
+    quiet = 0
+    for _ in range(80):
+        a = _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
+                               bound=rng.choice((1, 3, 20)))
+        mod = _Modulus(a)
+        form = _reduced_form(a, mod)
+        result, exact = smith_normal_form(a), _lattice_snf(a, None, None)
+        assert result.factors == exact.factors
+        if mod.d is None:
+            quiet += 1
+            assert form == bidiagonalize(a)
+            assert result.iterations == exact.iterations
+            assert result.trace == exact.trace
+    assert 0 < quiet < 80, quiet
