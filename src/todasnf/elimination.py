@@ -19,9 +19,14 @@ the lattice evolution before the factors are sorted.
 The sweeps run on raw payloads: the padded matrix is copied out with
 payload_grid (bordered by identities that collect the transforms P and
 Q when they are asked for), every step is a kernel mix_rows / mix_cols
-fed the cofactors of Ring.xgcd or the addition (1, 1, 1, 0), and the
+fed the cofactors of ring.xgcd or the addition (1, 1, 1, 0), and the
 grids become matrices again through DenseMatrix.from_payloads.
 BidiagonalForm reads its block size and corner flag off the bands.
+Over ZZ the kernels (_IntKernels) and ZZ.xgcd run on Python's int
+operators; GF(p)[x] goes through the ring's payload calls.  The kernels
+touch only the live block: at level t the rows and columns before t are
+finished, so each call rewrites rows from column t on and walks columns
+from row t on.  The P and Q borders sit past n and still ride along.
 
 smith_normal_form over ZZ hands the sweeps a private modulus.  Before
 each level the modulus sees the pivot row; once an entry there outgrows
@@ -45,38 +50,95 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .matrix import DenseMatrix
-from .ring import Ring
+from .ring import ZZ, Ring
 from .gcd_toda import GcdTodaState
 
 
 def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, cof,
-             mod=None) -> None:
+             mod=None, start: int = 0) -> None:
     """Map rows x = grid[i1], y = grid[i2] to (p x + q y, t x + s y).
 
     cof = (p, q, s, t) has determinant p s - q t; ring.xgcd(x[k], y[k])[1:]
     leaves the gcd in x[k] and zero in y[k], and (1, 1, 1, 0) adds y to x.
-    A modulus, when given, does the work in its own arithmetic instead.
+    Only the entries from column start on are rewritten.  Over ZZ the
+    work runs on Python's int operators, in mod's arithmetic when a live
+    modulus is given.
     """
-    if mod is not None:
-        return mod.mix_rows(grid, i1, i2, cof)
+    if ring is ZZ:
+        return (_EXACT if mod is None else mod).mix_rows(grid, i1, i2, cof,
+                                                         start)
     p, q, s, t = cof
     add, mul = ring.add, ring.mul
     r1, r2 = grid[i1], grid[i2]
-    grid[i1] = [add(mul(p, x), mul(q, y)) for x, y in zip(r1, r2)]
-    grid[i2] = [add(mul(t, x), mul(s, y)) for x, y in zip(r1, r2)]
+    xs, ys = r1[start:], r2[start:]
+    r1[start:] = [add(mul(p, x), mul(q, y)) for x, y in zip(xs, ys)]
+    r2[start:] = [add(mul(t, x), mul(s, y)) for x, y in zip(xs, ys)]
 
 
 def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, cof,
-             mod=None) -> None:
-    """The map of mix_rows on columns (j1, j2) of a payload grid."""
-    if mod is not None:
-        return mod.mix_cols(grid, j1, j2, cof)
+             mod=None, start: int = 0) -> None:
+    """The map of mix_rows on columns (j1, j2), in rows start on."""
+    if ring is ZZ:
+        return (_EXACT if mod is None else mod).mix_cols(grid, j1, j2, cof,
+                                                         start)
     p, q, s, t = cof
     add, mul = ring.add, ring.mul
-    for row in grid:
+    for row in grid[start:]:
         x, y = row[j1], row[j2]
         row[j1] = add(mul(x, p), mul(y, q))
         row[j2] = add(mul(x, t), mul(y, s))
+
+
+class _IntKernels:
+    """mix_rows and mix_cols over ZZ, on Python's int operators.
+
+    Exact while d is None.  Once d is set (snf._Modulus sets it when its
+    rule goes live) each written entry of more than bits bits is stored
+    as its residue in (0, d], so a zero stays zero and a nonzero entry
+    stays nonzero.
+    """
+
+    __slots__ = ("bits", "d")
+
+    def __init__(self, d: int | None = None):
+        self.d = None if d is None else abs(d)
+        self.bits = None if d is None else self.d.bit_length()
+
+    def mix_rows(self, grid: list[list[int]], i1: int, i2: int, cof,
+                 start: int = 0) -> None:
+        p, q, s, t = cof
+        r1, r2 = grid[i1], grid[i2]
+        xs, ys = r1[start:], r2[start:]
+        d = self.d
+        if d is None:
+            r1[start:] = [p * x + q * y for x, y in zip(xs, ys)]
+            r2[start:] = [t * x + s * y for x, y in zip(xs, ys)]
+            return
+        top = (1 << self.bits) - 1
+        r1[start:] = [v if -top <= (v := p * x + q * y) <= top else v % d or d
+                      for x, y in zip(xs, ys)]
+        r2[start:] = [v if -top <= (v := t * x + s * y) <= top else v % d or d
+                      for x, y in zip(xs, ys)]
+
+    def mix_cols(self, grid: list[list[int]], j1: int, j2: int, cof,
+                 start: int = 0) -> None:
+        p, q, s, t = cof
+        d = self.d
+        if d is None:
+            for row in grid[start:]:
+                x, y = row[j1], row[j2]
+                row[j1], row[j2] = x * p + y * q, x * t + y * s
+            return
+        top = (1 << self.bits) - 1
+        for row in grid[start:]:
+            x, y = row[j1], row[j2]
+            u, v = x * p + y * q, x * t + y * s
+            row[j1] = u if -top <= u <= top else u % d or d
+            row[j2] = v if -top <= v <= top else v % d or d
+
+
+#: The exact ZZ kernels, those of every sweep without a live modulus.
+_EXACT = _IntKernels()
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,9 +172,11 @@ class BidiagonalForm:
 def _level(ring: Ring, grid: list[list], t: int, n: int, mod=None) -> bool:
     """Process pivot level t of the leading n by n block of a payload grid.
 
-    Works in place and returns False when nothing nonzero is left.  Rows
-    and columns past n only ride along with the updates; a live modulus
-    reaches every kernel call.
+    Works in place and returns False when nothing nonzero is left.  The
+    rows before t vanish from column t on and the columns before t below
+    row t, so every kernel call starts at t.  Rows and columns past n
+    only ride along with the updates; a live modulus reaches every
+    kernel call.
     """
     one, zero = ring.coerce(1), ring.coerce(0)
     addition = (one, one, one, zero)  # x += y
@@ -121,13 +185,13 @@ def _level(ring: Ring, grid: list[list], t: int, n: int, mod=None) -> bool:
         donor = next((i for i in range(t + 1, n) if any(grid[i][t:n])), None)
         if donor is None:
             return False
-        mix_rows(ring, grid, t, donor, addition, mod)
+        mix_rows(ring, grid, t, donor, addition, mod, t)
 
     # Column sweep: collect the row gcd at (t, t), zeros to its right.
     for j in range(t + 1, n):
         if grid[t][j]:
             cof = ring.xgcd(grid[t][t], grid[t][j])[1:]
-            mix_cols(ring, grid, t, j, cof, mod)
+            mix_cols(ring, grid, t, j, cof, mod, t)
 
     # Keep the subdiagonal alive while mass remains below the pivot.
     below = grid[t + 1:n]
@@ -135,13 +199,13 @@ def _level(ring: Ring, grid: list[list], t: int, n: int, mod=None) -> bool:
         donor_col = next((j for j in range(t + 1, n)
                           if any(row[j] for row in below)), None)
         if donor_col is not None:
-            mix_cols(ring, grid, t, donor_col, addition, mod)
+            mix_cols(ring, grid, t, donor_col, addition, mod, t)
 
     # Row sweep: concentrate the column gcd at (t+1, t).
     for i in range(t + 2, n):
         if grid[i][t]:
             cof = ring.xgcd(grid[t + 1][t], grid[i][t])[1:]
-            mix_rows(ring, grid, t + 1, i, cof, mod)
+            mix_rows(ring, grid, t + 1, i, cof, mod, t)
     return True
 
 

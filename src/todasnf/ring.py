@@ -134,7 +134,9 @@ class Ring:
 
     Zero payloads are the falsy ones, and truthiness is the only payload
     zero test.  Ring derives the rest.  Gcds are canonical associates;
-    ``gcd(0, 0) == 0`` and everything divides zero.
+    ``gcd(0, 0) == 0`` and everything divides zero.  IntegerRing overrides
+    ``xgcd`` with the same loop on Python's int operators, which yields the
+    same cofactors.
     """
 
     def canonical(self, a):
@@ -235,6 +237,21 @@ class IntegerRing(Ring):
     size = staticmethod(int.bit_length)
     gcd = staticmethod(math.gcd)
     render = staticmethod(str)
+
+    def xgcd(self, a: int, b: int):
+        """Ring.xgcd's loop and cofactors, on Python's int operators."""
+        if not a and not b:
+            raise ValueError("extended gcd of (0, 0) is undefined")
+        r0, x0, y0 = a, 1, 0
+        r1, x1, y1 = b, 0, 1
+        while r1:
+            quot, rem = divmod(r0, r1)
+            r0, r1 = r1, rem
+            x0, x1 = x1, x0 - quot * x1
+            y0, y1 = y1, y0 - quot * y1
+        if r0 < 0:
+            r0, x0, y0 = -r0, -x0, -y0
+        return r0, x0, y0, a // r0, -(b // r0)
 
     def is_unit(self, a: int) -> bool:
         return a == 1 or a == -1

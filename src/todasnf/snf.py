@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
 
-from .elimination import _reduced_form, seed_state
+from .elimination import _IntKernels, _reduced_form, seed_state
 from .gcd_toda import GcdTodaState, TodaRun, _check_cap, run
 from .matrix import DenseMatrix
 from .ring import ZZ, RingValue, canonical, divides, gcd
@@ -107,7 +107,7 @@ def _lattice_snf(matrix: DenseMatrix, max_iters: int | None,
     return SnfResult(factors, outcome.iterations, "toda", outcome)
 
 
-class _Modulus:
+class _Modulus(_IntKernels):
     """The lazy mod-D rule of the ZZ sweeps (see elimination.py).
 
     watch sees each pivot row before its level and returns None until
@@ -116,18 +116,18 @@ class _Modulus:
     for a row with something right of its pivot, so that an input whose
     sweeps call no kernel pays nothing): that fixes the rank r and
     d = |D| by _det, and bits becomes size(d).  From then on the sweeps
-    hand the kernels to mix_rows and mix_cols, the same 2x2 maps on
-    native ints, which replace each written entry of more than bits bits
-    by its residue in (0, d].  Passing rank and d makes it live at once.
+    hand the kernels to mix_rows and mix_cols, which _IntKernels runs on
+    native ints and which replace each written entry of more than bits
+    bits by its residue in (0, d].  Passing rank and d makes it live at
+    once.
     """
 
-    __slots__ = ("matrix", "bits", "rank", "d")
+    __slots__ = ("matrix", "rank")
 
     def __init__(self, matrix: DenseMatrix, rank: int | None = None,
                  d: int | None = None):
+        super().__init__(d)
         self.matrix, self.rank = matrix, rank
-        self.d = None if d is None else abs(d)
-        self.bits = None if d is None else self.d.bit_length()
 
     def watch(self, row: list[int], t: int) -> _Modulus | None:
         """self once live, after checking row, the pivot row of level t."""
@@ -143,24 +143,6 @@ class _Modulus:
             self.rank, d = _det(ZZ, self.matrix.payload_grid(), rank=True)
             self.d, self.bits = abs(d), abs(d).bit_length()
         return self
-
-    def mix_rows(self, grid: list[list[int]], i1: int, i2: int, cof) -> None:
-        p, q, s, t = cof
-        d, top = self.d, (1 << self.bits) - 1
-        r1, r2 = grid[i1], grid[i2]
-        grid[i1] = [v if -top <= (v := p * x + q * y) <= top else v % d or d
-                    for x, y in zip(r1, r2)]
-        grid[i2] = [v if -top <= (v := t * x + s * y) <= top else v % d or d
-                    for x, y in zip(r1, r2)]
-
-    def mix_cols(self, grid: list[list[int]], j1: int, j2: int, cof) -> None:
-        p, q, s, t = cof
-        d, top = self.d, (1 << self.bits) - 1
-        for row in grid:
-            x, y = row[j1], row[j2]
-            u, v = x * p + y * q, x * t + y * s
-            row[j1] = u if -top <= u <= top else u % d or d
-            row[j2] = v if -top <= v <= top else v % d or d
 
 
 def _hadamard_bits(lines) -> int:

@@ -23,7 +23,8 @@ from todasnf import (
     run,
     seed_state,
 )
-from todasnf.elimination import mix_cols, mix_rows
+from todasnf.elimination import _level, mix_cols, mix_rows
+from todasnf.snf import _Modulus
 
 
 def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
@@ -98,6 +99,44 @@ def test_block_updates_match_matrix_products():
         grid = a.payload_grid()
         mix_cols(ring, grid, i1, i2, cof)
         assert DenseMatrix(ring, grid) == a @ embed(((p, t), (q, s)))
+
+
+def test_levels_leave_the_finished_lines_alone():
+    # At level t the rows and columns before t are finished, and the
+    # kernels start at t: no entry there changes, and none is rewritten
+    # either, since a recomputed big int or polynomial is a new object.
+    # The grids carry the P and Q borders of bidiagonalize's transforms;
+    # the ZZ ones run once exactly and once with a live modulus.
+    rng = random.Random(48)
+    gf = PolyModP(7)
+    cases = []
+    for n in (5, 8, 12):
+        zeros = {0, *rng.sample(range(1, n), 2)}
+        zz = DenseMatrix(ZZ, [
+            [0 if i in zeros or rng.random() < 0.3
+             else rng.randint(-2**80, 2**80) for _ in range(n)]
+            for i in range(n)])
+        poly = DenseMatrix(gf, [
+            [[] if i in zeros else
+             [rng.randrange(1, 7) for _ in range(rng.randint(0, 3))]
+             for _ in range(n)]
+            for i in range(n)])
+        live = _Modulus(zz, n, rng.randint(2**40, 2**41))
+        cases += [(zz, None), (zz, live), (poly, None)]
+    levels = 0
+    for matrix, mod in cases:
+        ring, n = matrix.ring, matrix.nrows
+        eye = DenseMatrix.identity(ring, n).payload_grid()
+        grid = [row + e for row, e in zip(matrix.payload_grid(), eye)] + eye
+        for t in range(n):
+            before = [list(row) for row in grid]
+            if not _level(ring, grid, t, n, mod):
+                break
+            levels += 1
+            for i, (old, new) in enumerate(zip(before, grid)):
+                done = range(len(old)) if i < t else range(t)
+                assert all(new[j] is old[j] for j in done), (ring, t, i)
+    assert levels > 40, levels
 
 
 def test_submodules_are_reachable_by_attribute():
@@ -198,11 +237,30 @@ def test_boundary_scans_stay_linear():
     assert calls < 16 * n, calls
 
 
+def _larger_draws(rng, draw):
+    """Draws up to 12 x 12 by draw(m, n), where the sweeps start far from
+    column 0: per n in 6..12 a square one, a rectangular one, a
+    rank-deficient product and a square one with zero rows, its first
+    row among them."""
+    for n in range(6, 13):
+        yield draw(n, n)
+        yield draw(n, rng.randint(2, 12))
+        rank = rng.randint(1, n - 2)
+        yield draw(n, rank) @ draw(rank, n)
+        full = draw(n, n)
+        grid, zero = full.payload_grid(), full.ring.coerce(0)
+        for i in {0, *rng.sample(range(1, n), 2)}:
+            grid[i] = [zero] * n
+        yield DenseMatrix(full.ring, grid)
+
+
 def test_reduction_shape_and_transforms():
     rng = random.Random(43)
-    for _ in range(150):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        a = _random_int_matrix(rng, m, n)
+    cases = [_random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+             for _ in range(150)]
+    cases += _larger_draws(
+        rng, lambda m, n: _random_int_matrix(rng, m, n, bound=9))
+    for a in cases:
         form, p, q = bidiagonalize(a, transforms=True)
         padded = a.padded_square()
         assert p @ padded @ q == form.matrix, f"transforms broken for {a!r}"
@@ -214,13 +272,20 @@ def test_reduction_shape_and_transforms():
 def test_poly_reduction():
     ring = PolyModP(3)
     rng = random.Random(44)
+    cases = []
     for _ in range(60):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
-        a = DenseMatrix(ring, [
+        cases.append(DenseMatrix(ring, [
             [[rng.randrange(3) for _ in range(rng.randint(0, 3))]
              for _ in range(n)]
             for _ in range(m)
-        ])
+        ]))
+    cases += _larger_draws(rng, lambda m, n: DenseMatrix(ring, [
+        [[rng.randrange(3) for _ in range(rng.randint(0, 2))]
+         for _ in range(n)]
+        for _ in range(m)
+    ]))
+    for a in cases:
         form, p, q = bidiagonalize(a, transforms=True)
         assert p @ a.padded_square() @ q == form.matrix
 

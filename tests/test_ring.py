@@ -216,6 +216,27 @@ def test_extended_gcd_one_sided_zero():
 def test_extended_gcd_rejects_double_zero():
     with pytest.raises(ValueError):
         ZZ.xgcd(0, 0)
+    with pytest.raises(ValueError):
+        Ring.xgcd(ZZ, 0, 0)
+
+
+def test_integer_xgcd_is_the_generic_one(int_digit_limit):
+    # IntegerRing.xgcd runs Ring.xgcd's loop on int operators.  The
+    # sweeps' forms, P, Q and traces rest on its cofactors, so they must be
+    # the generic ones, tuple for tuple, not merely another Bezout tuple.
+    big = 10**4400 + 7  # past the 4300-digit int <-> str limit
+    small = (0, 1, -1, 2, -2, 6, -6, 21, -35)
+    pairs = [(a, b) for a in small for b in small if a or b]
+    pairs += [(12, 12), (-12, -12), (7, 21), (-21, 7), (42, -7), (-7, -42),
+              (big, 0), (0, -big), (big, big), (-big, big), (big, 1),
+              (-1, big), (3 * big, -big), (6 * big, -4 * big),
+              (big, big + 1), (3**9000, -(2**14000))]
+    rng = random.Random(18)
+    pairs += [(rng.randint(-10**k, 10**k), rng.randint(-10**k, 10**k))
+              for k in (1, 3, 30, 300) for _ in range(150)]
+    for k, (a, b) in enumerate(pairs):
+        if a or b:
+            assert ZZ.xgcd(a, b) == Ring.xgcd(ZZ, a, b), f"pair {k}"
 
 
 def test_exact_div():

@@ -138,14 +138,16 @@ def test_classical_route_stands_alone(monkeypatch):
     # The classical route cross-checks the lattice route, so it must not
     # share the Bezout data or the 2x2 kernels that bidiagonalize sweeps with.
     import todasnf.elimination as elimination
-    from todasnf.ring import Ring
+    from todasnf.ring import IntegerRing, Ring
 
     def shared(*_):
         raise AssertionError("classical_snf reached a lattice-route kernel")
 
     monkeypatch.setattr(Ring, "xgcd", shared)
-    monkeypatch.setattr(elimination, "mix_rows", shared)
-    monkeypatch.setattr(elimination, "mix_cols", shared)
+    monkeypatch.setattr(IntegerRing, "xgcd", shared)
+    for kernels in (elimination, elimination._IntKernels):
+        monkeypatch.setattr(kernels, "mix_rows", shared)
+        monkeypatch.setattr(kernels, "mix_cols", shared)
     gf5 = PolyModP(5)
     x, x1 = [0, 1], [1, 1]
     cases = [
@@ -281,25 +283,27 @@ def _ladder_draws():
 
     ZZ: Random(1), five randint(-20, 20) n x n grids per n in 4, 8, 12,
     16, 20; the rungs are n = 16 and n = 20.  Random(2), one such grid at
-    n = 32, the largest rung.  GF(p)[x]: Random(3), three grids of
-    degree < 3 entries per n in 8, 10, 12, 14, for p = 2 then 5; the
-    rungs are GF(2)[x] at 12 and GF(5)[x] at 14.  Without the mod-D
-    sweeps of smith_normal_form the ZZ 20 x 20 draws took 0.7-5.2 s each
-    in coefficient growth; with them they take about 10 ms.  The GF(2)[x]
-    14 x 14 draws still stall (over 30 s for one), so they are not a rung
-    yet.  Each budget is about five times the rung's measured wall time,
-    both routes included.
+    n = 32 and the next one at n = 48, the largest rung.  GF(p)[x]:
+    Random(3), three grids of degree < 3 entries per n in 8, 10, 12, 14,
+    for p = 2 then 5; the rungs are GF(2)[x] at 12 and GF(5)[x] at 14.
+    Without the mod-D sweeps of smith_normal_form the ZZ 20 x 20 draws
+    took 0.7-5.2 s each in coefficient growth; with them they take about
+    10 ms.  The GF(2)[x] 14 x 14 draws still stall (over 30 s for one),
+    so they are not a rung yet.  Each budget is about five times the
+    rung's measured wall time, both routes included.
     """
     rng = random.Random(1)
     zz = {n: [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
               for _ in range(5)] for n in (4, 8, 12, 16, 20)}
     rng = random.Random(2)
-    zz[32] = [[[rng.randint(-20, 20) for _ in range(32)] for _ in range(32)]]
+    for n in (32, 48):
+        zz[n] = [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]]
     rng = random.Random(3)
     gf = {(p, n): [[[[rng.randrange(p) for _ in range(3)] for _ in range(n)]
                     for _ in range(n)] for _ in range(3)]
           for p in (2, 5) for n in (8, 10, 12, 14)}
     return [(ZZ, zz[16], 5.0), (ZZ, zz[20], 0.5), (ZZ, zz[32], 0.4),
+            (ZZ, zz[48], 1.5),
             (PolyModP(2), gf[2, 12], 3.0), (PolyModP(5), gf[5, 14], 3.0)]
 
 
@@ -328,8 +332,8 @@ def test_mod_d_sweeps_stay_within_the_size_of_d(monkeypatch):
     def bounded(name):
         kernel = getattr(elimination, name)
 
-        def wrapped(ring, grid, a, b, cof, mod=None):
-            kernel(ring, grid, a, b, cof, mod)
+        def wrapped(ring, grid, a, b, cof, mod=None, start=0):
+            kernel(ring, grid, a, b, cof, mod, start)
             if mod is not None:
                 top = max(v.bit_length() for line in lines[name](grid, a, b)
                           for v in line)

@@ -24,11 +24,17 @@ stderr of cli.main on every cli_small call of the same seeds (snf
 --verify, snf --method classical, toda-trace and bbs), and of toda-trace
 on a few fixed bidiagonal inputs with a zero subdiagonal, a zero last
 diagonal entry or a zero interior diagonal entry.
+
+Last, it covers the dense ZZ scale-ladder draws of tests/test_snf.py
+whose sweeps run modulo D for many levels (the five Random(1) 20 x 20
+draws and the Random(2) 32 x 32 one): the form smith_normal_form's
+sweeps leave, and its factors and iteration count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -54,6 +60,8 @@ from todasnf import (  # noqa: E402
     smith_normal_form,
 )
 from todasnf.cli import main as cli_main, render_trace_line  # noqa: E402
+from todasnf.elimination import _reduced_form  # noqa: E402
+from todasnf.snf import _Modulus  # noqa: E402
 
 SEEDS = (11, 12, 13)
 WORKLOADS = ("dense_zz", "lattice_smooth", "poly_gfp")
@@ -72,6 +80,21 @@ FIXED_TRACES = tuple(
 )
 
 
+def ladder_draws():
+    """The Random(1) 20 x 20 draws (after the 4 to 16 ones) and the
+    Random(2) 32 x 32 draw, each randint(-20, 20) and row-major."""
+    rng = random.Random(1)
+    draws = [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+             for n in (4, 8, 12, 16, 20) for _ in range(5)][-5:]
+    rng = random.Random(2)
+    return draws + [[[rng.randint(-20, 20) for _ in range(32)]
+                     for _ in range(32)]]
+
+
+def factor_line(result) -> str:
+    return f"toda {result.iterations}: {' '.join(map(str, result.factors))}"
+
+
 def lines(workload: str, matrix: DenseMatrix):
     """The outputs of one input, one string each."""
     form = bidiagonalize(matrix)
@@ -79,7 +102,7 @@ def lines(workload: str, matrix: DenseMatrix):
     if max(matrix.nrows, matrix.ncols) <= TRANSFORMS_UP_TO:
         yield from map(repr, bidiagonalize(matrix, transforms=True))
     result = smith_normal_form(matrix)
-    yield f"toda {result.iterations}: {' '.join(map(str, result.factors))}"
+    yield factor_line(result)
     factors = classical_snf(matrix).factors
     yield f"classical: {' '.join(map(str, factors))}"
     if workload in TRACED and result.trace is not None:
@@ -126,6 +149,12 @@ def main() -> None:
             digest.update(f"{label}\n".encode())
             for line in cli_call(argv, matrix, workdir):
                 digest.update(f"{line}\n".encode())
+    for k, rows in enumerate(ladder_draws()):
+        matrix = DenseMatrix(ZZ, rows)
+        digest.update(f"ladder/{k}\n".encode())
+        for line in (repr(_reduced_form(matrix, _Modulus(matrix))),
+                     factor_line(smith_normal_form(matrix))):
+            digest.update(f"{line}\n".encode())
     print(digest.hexdigest())
 
 
