@@ -30,11 +30,20 @@ about as much as the run it replays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .ring import Ring, RingValue, _printable, divides, exact_div
+from .ring import (
+    ExactDivisionError,
+    Ring,
+    RingValue,
+    ZZ,
+    _printable,
+    divides,
+    exact_div,
+)
 from .ud_toda import (
     UdTodaState,
     interleave,
@@ -138,13 +147,22 @@ class TodaRun:
 
 
 def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
-    """The state, then each gcd_step after it, without end."""
+    """The state, then each gcd_step after it, without end.
+
+    Every quotient of the step is by a gcd of its dividend, so over ZZ
+    floor division is exact; only a zero gcd fails, and it raises the
+    ExactDivisionError that ring.exact_div would.
+    """
     yield state
     ring, new = state.ring, GcdTodaState.from_payloads
-    gcd, mul, div, canon = ring.gcd, ring.mul, ring.exact_div, ring.canonical
+    gcd, mul, canon = ring.gcd, ring.mul, ring.canonical
+    div = operator.floordiv if ring is ZZ else ring.exact_div
     q, e = tuple(map(canon, state.q)), tuple(map(canon, state.e))
     while True:
-        q, e = toda_step(q, e, gcd, mul, div)
+        try:
+            q, e = toda_step(q, e, gcd, mul, div)
+        except ZeroDivisionError:
+            raise ExactDivisionError("division by zero") from None
         yield new(ring, q, e)
 
 
