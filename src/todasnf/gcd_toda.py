@@ -20,7 +20,9 @@ which are exactly the determinantal divisors of the bidiagonal matrix.
 
 The step, the divisor program, the termination test and the word are the
 semiring kernels of ud_toda.py, run on raw payloads with the bound methods
-(ring.gcd, ring.mul, ring.exact_div).  Like a DenseMatrix, a GcdTodaState
+ring.gcd and ring.mul.  The step divides with ring.exact_div over
+GF(p)[x], and with floor division over ZZ, where each quotient is by a
+gcd of its dividend and so exact.  Like a DenseMatrix, a GcdTodaState
 stores payloads and wraps them into RingValues only when read.  iterate
 is the one loop over the step: it makes the seed canonical once, which
 keeps every kernel result canonical (see ud_toda.py), and yields trusted
@@ -147,12 +149,7 @@ class TodaRun:
 
 
 def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
-    """The state, then each gcd_step after it, without end.
-
-    Every quotient of the step is by a gcd of its dividend, so over ZZ
-    floor division is exact; only a zero gcd fails, and it raises the
-    ExactDivisionError that ring.exact_div would.
-    """
+    """The state, then each gcd_step after it, without end."""
     yield state
     ring, new = state.ring, GcdTodaState.from_payloads
     gcd, mul, canon = ring.gcd, ring.mul, ring.canonical
@@ -167,7 +164,10 @@ def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
 
 
 def gcd_step(state: GcdTodaState) -> GcdTodaState:
-    """Advance one time step; raises ExactDivisionError off the reachable set."""
+    """Advance one time step.
+
+    Raises ExactDivisionError only when a step's gcd is zero.
+    """
     return next(islice(iterate(state), 1, None))
 
 

@@ -104,7 +104,9 @@ def toda_step(q, e, add, mul, div) -> tuple[tuple, tuple]:
     """One time step over a semiring, returning the new (q, e).
 
     a_0 = q_0, a_{i+1} = (a_i / q'_i) q_{i+1};  q'_i = add(e_i, a_i) but
-    q'_{N-1} = a_{N-1};  e'_i = (e_i / q'_i) q_{i+1}, each quotient exact.
+    q'_{N-1} = a_{N-1};  e'_i = (e_i / q'_i) q_{i+1}.  Each quotient is
+    exact: its divisor add(e_i, a_i) is a gcd of both dividends, and over
+    min-plus div = sub is total.
     """
     a = q[0]
     new_q, new_e = [], []

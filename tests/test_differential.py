@@ -6,21 +6,33 @@ GF(5), GF(7)[x] matrices with n <= 6.  Larger draws cover the shapes
 where a rotation-based elimination stalls without a modulus: 16 x 16
 lower-bidiagonal GF(2)[x] and GF(5)[x] matrices whose entries are
 products of low-degree factors, and dense +-20 integer matrices with
-n = 16 and 20.  At the
-largest prime the package takes, 65521, one dense 5 x 5 and one 8 x 8
-lower-bidiagonal GF(65521)[x] draw check the widest packed products.  sympy's
-factors are brought to the package's canonical form (absolute value,
-monic) and padded with zeros to min(m, n).  Skipped when sympy is not
-installed.
+n = 16 and 20, and 32 x 32 and 64 x 64 lower-bidiagonal integer
+matrices of 2^a 3^b 5^c entries, where the lattice does nearly all the
+work; these are also checked against the determinantal divisors of
+their bands.  At the largest prime the package takes, 65521, one dense
+5 x 5 and one 8 x 8 lower-bidiagonal GF(65521)[x] draw check the widest
+packed products.  sympy's factors are brought to the package's
+canonical form (absolute value, monic) and padded with zeros to
+min(m, n).  Skipped when sympy is not installed.
 """
 
+import operator
 import random
 import time
+from itertools import accumulate
 
 import pytest
 
 from conftest import padd, pmul, ptrim
-from todasnf import DenseMatrix, PolyModP, ZZ, classical_snf, smith_normal_form
+from todasnf import (
+    DenseMatrix,
+    GcdTodaState,
+    PolyModP,
+    ZZ,
+    classical_snf,
+    determinantal_divisors,
+    smith_normal_form,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -180,3 +192,33 @@ def test_largest_prime_matches_sympy(route):
         expected = _sympy_poly_factors(rows, p)
         got = [v.payload for v in route(DenseMatrix(PolyModP(p), rows)).factors]
         assert got == expected, f"{route.__name__} over GF({p})[x] on {rows}"
+
+
+def _smooth(rng):
+    return 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 6) * 5 ** rng.randint(0, 6)
+
+
+def test_smooth_bidiagonal_32_and_64_match_sympy():
+    # The lattice_smooth shapes.  The first draw of each size has a zero
+    # last diagonal entry, so the lattice seed gains a zero level.  The
+    # running products of the factors are the determinantal divisors,
+    # which the lattice conserves from the bands it starts on.
+    rng = random.Random(76)
+    for n in (32, 64):
+        for k in range(3):
+            diag = [_smooth(rng) for _ in range(n)]
+            sub = [_smooth(rng) for _ in range(n - 1)]
+            if k == 0:
+                diag[-1] = 0
+            rows = [[0] * n for _ in range(n)]
+            for i, v in enumerate(diag):
+                rows[i][i] = v
+            for i, v in enumerate(sub):
+                rows[i + 1][i] = v
+            got = [v.payload for v in
+                   smith_normal_form(DenseMatrix(ZZ, rows)).factors]
+            assert got == _sympy_int_factors(rows), f"{n} x {n}, draw {k}"
+            bands = GcdTodaState(tuple(map(ZZ, diag)), tuple(map(ZZ, sub)))
+            divisors = [v.payload for v in determinantal_divisors(bands)]
+            assert list(accumulate(got, operator.mul)) == divisors, \
+                f"{n} x {n}, draw {k}"

@@ -3,6 +3,7 @@
 import pickle
 import random
 import sys
+import traceback
 from dataclasses import FrozenInstanceError
 from itertools import islice
 
@@ -102,12 +103,51 @@ def test_step_outputs_are_canonical():
 
 
 def test_step_division_by_zero_is_exact_division_error():
-    # gcd(e_0, a_0) = gcd(0, 0) = 0 is then a divisor of a_1.
-    with pytest.raises(ExactDivisionError):
-        gcd_step(_int_state((0, 3), (0,)))
+    # gcd(e_i, a_i) = gcd(0, 0) = 0 is then a divisor of a_{i+1}.  Over ZZ
+    # the step divides with //, whose ZeroDivisionError is replaced by the
+    # error exact_div raises, its context suppressed as there.
     ring = PolyModP(3)
-    with pytest.raises(ExactDivisionError):
-        gcd_step(GcdTodaState((ring(0), ring([1, 1])), (ring(0),)))
+    for state in (_int_state((0, 3), (0,)), _int_state((2, 0, 5), (2, 0)),
+                  GcdTodaState((ring(0), ring([1, 1])), (ring(0),))):
+        with pytest.raises(ExactDivisionError) as info:
+            gcd_step(state)
+        assert str(info.value) == "division by zero"
+        assert isinstance(info.value.__context__, ZeroDivisionError)
+        assert info.value.__suppress_context__
+        assert info.value.__cause__ is None
+        shown = "".join(traceback.format_exception(info.value))
+        assert "ZeroDivisionError" not in shown
+
+
+def _checked_chain(state, steps):
+    """The states after the seed by toda_step with ZZ.exact_div, which
+    raises on any quotient that floor division would round."""
+    q, e = tuple(map(abs, state.q)), tuple(map(abs, state.e))
+    chain = []
+    for _ in range(steps):
+        q, e = ud_toda.toda_step(q, e, ZZ.gcd, ZZ.mul, ZZ.exact_div)
+        chain.append((q, e))
+    return chain
+
+
+def test_integer_iterate_is_the_checked_generic_step():
+    # iterate divides ZZ payloads with //; step for step it yields what the
+    # generic step with exact division does, so no quotient was floored.
+    rng = random.Random(19)
+    seeds = [_smooth_seed(), _int_state(*GOLDEN_TRACE[0])]
+    for n in (2, 3, 5, 8, 13, 21):
+        for _ in range(4):
+            bound = rng.choice((9, 10 ** 6, 10 ** 40))
+            diag = [rng.choice((-1, 1)) * rng.randint(1, bound)
+                    for _ in range(n)]
+            sub = [rng.randint(-bound, bound) for _ in range(n - 1)]
+            seeds.append(_int_state(diag, sub))
+            sub = [v if rng.random() < 0.5 else 0 for v in sub]
+            seeds.append(_int_state(diag, sub))
+            seeds.append(_int_state(diag[:-1] + [0], sub))
+    for seed in seeds:
+        states = islice(iterate(seed), 1, 61)
+        assert [(s.q, s.e) for s in states] == _checked_chain(seed, 60)
 
 
 def test_iteration_cap_raises_with_trace():
