@@ -22,27 +22,40 @@ Q when they are asked for), every step is a kernel mix_rows / mix_cols
 fed the cofactors of ring.xgcd or the addition (1, 1, 1, 0), and the
 grids become matrices again through DenseMatrix.from_payloads.
 BidiagonalForm reads its block size and corner flag off the bands.
-Over ZZ the kernels (_IntKernels) and ZZ.xgcd run on Python's int
+Over ZZ the kernels (_Modulus) and ZZ.xgcd run on Python's int
 operators; GF(p)[x] goes through the ring's payload calls.  The kernels
 touch only the live block: at level t the rows and columns before t are
 finished, so each call rewrites rows from column t on and walks columns
 from row t on.  The P and Q borders sit past n and still ride along.
 
-smith_normal_form over ZZ hands the sweeps a private modulus.  Before
-each level the modulus sees the pivot row; once an entry there outgrows
-the input's Hadamard bound, which no minor of the input exceeds, the
-modulus fixes D, a nonzero r x r minor of the input M (r its rank).
-From then on the kernels do their work on the modulus, which stores
-each written entry of more bits than |D| as its residue in (0, |D|].
-A residue is a column operation on [M | D I], whose Smith form is
-diag(gcd(s_i(M), D)), and s_i | D for i <= r; so the factors up to r
-are the gcds of the reduced form's factors with D (snf.py has the full
-argument), and SnfResult.trace and snf --trace replay the lattice on
-the reduced form's seed.  The residue is nonzero exactly where the
-unreduced entry is, so _level takes its branches on the same zero
-pattern as it would on the unreduced values, and the result is still a
-valid BidiagonalForm.  bidiagonalize itself never reduces: its form, P
-and Q are exact.
+Over ZZ, smith_normal_form bounds coefficient growth by sweeping modulo
+D (Kannan and Bachem 1979; Domich, Kannan and Trotter 1987), and
+_Modulus holds the whole rule.  Let M be the input with invariant
+factors s_1 | s_2 | ..., r its rank and D a nonzero r x r minor.  Then
+s_1 s_2 ... s_r, the gcd of all r x r minors, divides D, so s_i | D for
+i <= r, while s_i = 0 for i > r.  For any square B,
+
+    SNF([B | D I]) = diag(gcd(s_i(B), D)),
+
+and the sweeps never change the equivalence class of [B | D I]: their
+row and column maps are unimodular, and putting a residue modulo D in
+place of an entry subtracts a multiple of a column of D I.  So the
+reduced bidiagonal form B keeps gcd(s_i(B), D) = s_i(M) for i <= r:
+factor i < r (counting from 0) is the canonical gcd of the lattice's
+factor i with D, and every factor from r on is zero.
+
+The rule is lazy.  Before each level the modulus sees the pivot row;
+once an entry there outgrows the input's Hadamard bound, which no minor
+of the input exceeds, it fixes r and D by one full-pivot Bareiss pass
+(_rank_minor).  From then on the kernels store each written entry of
+more bits than |D| as its residue in (0, |D|].  The residue is nonzero
+exactly where the unreduced entry is, so _level takes its branches on
+the same zero pattern as it would on the unreduced values, and the
+result is still a valid BidiagonalForm.  The lattice runs on B's seed,
+so SnfResult.trace, and with it snf --trace, replays the reduced seed;
+an input whose pivot rows never outgrow the bound never reduces, and
+keeps the exact form, steps and trace.  bidiagonalize itself never
+reduces: its form, P and Q are exact.
 """
 
 from __future__ import annotations
@@ -89,20 +102,39 @@ def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, cof,
         row[j2] = add(mul(x, t), mul(y, s))
 
 
-class _IntKernels:
-    """mix_rows and mix_cols over ZZ, on Python's int operators.
+class _Modulus:
+    """The ZZ sweep kernels, on Python's int operators, and the mod-D rule.
 
-    Exact while d is None.  Once d is set (snf._Modulus sets it when its
-    rule goes live) each written entry of more than bits bits is stored
-    as its residue in (0, d], so a zero stays zero and a nonzero entry
-    stays nonzero.
+    mix_rows and mix_cols are exact while d is None.  Once d is set each
+    written entry of more than bits bits is stored as its residue in
+    (0, d], so a zero stays zero and a nonzero entry stays nonzero.
+
+    watch returns None until the rule is live and self from then on.  It
+    computes the Hadamard bound only on a pivot row with something right
+    of its pivot, so an input whose sweeps call no kernel pays nothing.
+    Passing rank and d makes the rule live at once.
     """
 
-    __slots__ = ("bits", "d")
+    __slots__ = ("bits", "d", "matrix", "rank")
 
-    def __init__(self, d: int | None = None):
+    def __init__(self, matrix: DenseMatrix | None = None,
+                 rank: int | None = None, d: int | None = None):
+        self.matrix, self.rank = matrix, rank
         self.d = None if d is None else abs(d)
         self.bits = None if d is None else self.d.bit_length()
+
+    def watch(self, row: list[int], t: int) -> _Modulus | None:
+        """self once live, after checking row, the pivot row of level t."""
+        if self.d is None:
+            if not any(row[t + 1:]):
+                return None
+            if self.bits is None:
+                self.bits = _hadamard_bits(self.matrix)
+            if max(map(int.bit_length, row)) <= self.bits:
+                return None
+            self.rank, d = _rank_minor(self.matrix.payload_grid())
+            self.d, self.bits = abs(d), abs(d).bit_length()
+        return self
 
     def mix_rows(self, grid: list[list[int]], i1: int, i2: int, cof,
                  start: int = 0) -> None:
@@ -138,7 +170,56 @@ class _IntKernels:
 
 
 #: The exact ZZ kernels, those of every sweep without a live modulus.
-_EXACT = _IntKernels()
+_EXACT = _Modulus()
+
+
+def _hadamard_bits(matrix: DenseMatrix) -> int:
+    """Bits enough for any minor of an integer matrix: a minor is at most
+    the product of the nonzero norms of its rows, or of its columns when
+    it is tall."""
+    grid = matrix.payload_grid()
+    square = 1
+    for line in zip(*grid) if matrix.nrows > matrix.ncols else grid:
+        square *= max(1, sum(v * v for v in line))
+    return (square.bit_length() + 1) // 2
+
+
+def _rank_minor(grid: list[list[int]]) -> tuple[int, int]:
+    """The rank r of an integer grid and a nonzero r x r minor D of it.
+
+    One Bareiss pass with full pivoting: each pivot is the first nonzero
+    entry, row by row, of the block left to eliminate, swapped into place
+    with its row and its column.  After step t every entry below and
+    right of the pivot is a minor of order t + 2, so floor division by
+    the previous pivot is exact.  D is the minor on the pivot rows and
+    columns (1 when r is 0): the last pivot, up to the sign of putting
+    those rows and columns back in order.  Consumes grid.
+    """
+    m, n = len(grid), len(grid[0])
+    rows, cols = list(range(m)), list(range(n))
+    prev, r = 1, 0
+    for t in range(min(m, n)):
+        at = next(((i, j) for i in range(t, m) for j in range(t, n)
+                   if grid[i][j]), None)
+        if at is None:
+            break
+        swap, col = at
+        for row in grid:
+            row[t], row[col] = row[col], row[t]
+        grid[t], grid[swap] = grid[swap], grid[t]
+        rows[t], rows[swap] = rows[swap], rows[t]
+        cols[t], cols[col] = cols[col], cols[t]
+        pivot, tail = grid[t][t], grid[t][t + 1:]
+        for row in grid[t + 1:]:
+            lead = row[t]
+            row[t + 1:] = [(pivot * x - lead * y) // prev
+                           for x, y in zip(row[t + 1:], tail)]
+        prev, r = pivot, t + 1
+    # The pivot rows and columns, each in the order elimination met them;
+    # an odd number of inversions between them flips the minor's sign.
+    inversions = sum(a > b for order in (rows[:r], cols[:r])
+                     for k, a in enumerate(order) for b in order[k + 1:])
+    return r, -prev if inversions % 2 else prev
 
 
 @dataclass(frozen=True, slots=True)

@@ -193,10 +193,17 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     At least one step is always taken, so the returned diagonal is made of
     canonical associates even when the seed already passes the test.
     Only the seed and the last state are kept; the trace is replayed.
+
+    A zero subdiagonal entry splits the lattice into blocks that no factor
+    can cross, so such a seed could only spin to the cap; run refuses it,
+    even one whose blocks already sit in divisor order (q = (2, 6),
+    e = (0,)).  iterate and gcd_step still step split seeds.
     """
     if not all(state.q[:-1]):  # zero payloads are the falsy ones
         raise ValueError("interior diagonal entries must be nonzero; "
                          "only the last may vanish")
+    if not all(state.e):
+        raise ValueError("a zero subdiagonal entry splits the lattice")
     _check_cap(max_iters)
     if max_iters is None:
         max_iters = default_max_iters(state)

@@ -8,33 +8,18 @@ with remainder only, no Bezout rotations.  verify confirms a result
 against the gcds of all k by k minors of the original matrix, each by
 one fraction-free (Bareiss) elimination on raw payloads, _det.
 
-Over ZZ the pipeline bounds coefficient growth by sweeping modulo D
-(Kannan and Bachem 1979; Domich, Kannan and Trotter 1987).  Let M be the
-input with invariant factors s_1 | s_2 | ..., r its rank and D a nonzero
-r x r minor, which _det's rank profile supplies.  Then s_1 s_2 ... s_r,
-the gcd of all r x r minors, divides D, so s_i | D for i <= r, while
-s_i = 0 for i > r.  For any square B,
-
-    SNF([B | D I]) = diag(gcd(s_i(B), D)),
-
-and the sweeps never change the equivalence class of [B | D I]: their
-row and column maps are unimodular, and putting a residue modulo D in
-place of an entry subtracts a multiple of a column of D I.  So the reduced bidiagonal form
-B keeps gcd(s_i(B), D) = s_i(M) for i <= r: factor i < r (counting from
-0) is the canonical gcd of the lattice's factor i with D, and every
-factor from r on is zero.  The lattice runs on B's seed, so
-SnfResult.trace, and with it snf --trace, replays the reduced seed; an
-input whose pivot rows never outgrow the Hadamard bound never reduces,
-and keeps the exact form, steps and trace.  _Modulus holds the rule.
+Over ZZ the sweeps run modulo D, a nonzero r x r minor of the rank-r
+input, once an entry outgrows the input's Hadamard bound; factor i < r
+is then the gcd of the lattice's factor i with D, and every later factor
+is zero.  elimination.py states the rule and why it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import mul
 
-from .elimination import _IntKernels, _reduced_form, seed_state
+from .elimination import _Modulus, _reduced_form, seed_state
 from .gcd_toda import GcdTodaState, TodaRun, _check_cap, run
 from .matrix import DenseMatrix
 from .ring import ZZ, RingValue, canonical, divides, gcd
@@ -82,8 +67,8 @@ def smith_normal_form(matrix: DenseMatrix,
     step cap (the default cap scales with the seed size).  The result
     keeps the lattice run; its trace replays every state, seed first.
     Over ZZ the sweeps run modulo D once entries outgrow the Hadamard
-    bound (see _Modulus), and the run and its trace are then those of the
-    reduced form's seed.
+    bound (see elimination.py), and the run and its trace are then those
+    of the reduced form's seed.
     """
     mod = _Modulus(matrix) if matrix.ring is ZZ else None
     return _lattice_snf(matrix, max_iters, mod)
@@ -105,53 +90,6 @@ def _lattice_snf(matrix: DenseMatrix, max_iters: int | None,
         factors = (tuple(gcd(f, d) for f in factors[:mod.rank])
                    + (ring.zero,) * (size - mod.rank))
     return SnfResult(factors, outcome.iterations, "toda", outcome)
-
-
-class _Modulus(_IntKernels):
-    """The lazy mod-D rule of the ZZ sweeps (see elimination.py).
-
-    watch sees each pivot row before its level and returns None until
-    the rule is live.  It goes live on the first row that holds an entry
-    of more bits than the input's Hadamard bound (computed then, and only
-    for a row with something right of its pivot, so that an input whose
-    sweeps call no kernel pays nothing): that fixes the rank r and
-    d = |D| by _det, and bits becomes size(d).  From then on the sweeps
-    hand the kernels to mix_rows and mix_cols, which _IntKernels runs on
-    native ints and which replace each written entry of more than bits
-    bits by its residue in (0, d].  Passing rank and d makes it live at
-    once.
-    """
-
-    __slots__ = ("matrix", "rank")
-
-    def __init__(self, matrix: DenseMatrix, rank: int | None = None,
-                 d: int | None = None):
-        super().__init__(d)
-        self.matrix, self.rank = matrix, rank
-
-    def watch(self, row: list[int], t: int) -> _Modulus | None:
-        """self once live, after checking row, the pivot row of level t."""
-        if self.d is None:
-            if not any(row[t + 1:]):
-                return None
-            if self.bits is None:
-                grid = self.matrix.payload_grid()
-                tall = self.matrix.nrows > self.matrix.ncols
-                self.bits = _hadamard_bits(zip(*grid) if tall else grid)
-            if max(map(int.bit_length, row)) <= self.bits:
-                return None
-            self.rank, d = _det(ZZ, self.matrix.payload_grid(), rank=True)
-            self.d, self.bits = abs(d), abs(d).bit_length()
-        return self
-
-
-def _hadamard_bits(lines) -> int:
-    """Bits enough for any minor of an integer grid, from its rows (or
-    columns): a minor is at most the product of their nonzero norms."""
-    square = 1
-    for line in lines:
-        square *= max(1, sum(map(mul, line, line)))
-    return (square.bit_length() + 1) // 2
 
 
 def classical_snf(matrix: DenseMatrix) -> SnfResult:
@@ -220,64 +158,34 @@ def classical_snf(matrix: DenseMatrix) -> SnfResult:
     return SnfResult(tuple(RingValue(ring, v) for v in factors), 0, "classical")
 
 
-def _det(ring, grid, rank=False):
+def _det(ring, grid):
     """Determinant of a square payload grid by Bareiss elimination.
 
     After step t every entry below and right of the pivot is a minor of
     order t + 2, so the division by the previous pivot is exact (and
     skipped when that pivot is one, as before the first step).  A zero
     pivot is swapped with a lower row, flipping the sign; a column with
-    no nonzero left ends the elimination with determinant zero.
-
-    With rank, the ring must be ZZ and the grid may be rectangular or
-    singular; the result is (r, D), r the rank and D a nonzero r x r
-    minor, the one on the pivot rows and columns (1 when r is 0).  Each
-    pivot is the first nonzero entry, row by row, of the block left to
-    eliminate, swapped into place with its row and its column, and the
-    updates run on Python's own int operators, whose floor division is
-    exact here.  The last pivot is D up to the sign of putting the pivot
-    rows and columns back in order.  Consumes grid.
+    no nonzero left ends the elimination with determinant zero.  Consumes
+    grid.
     """
     add, mul, neg, div = ring.add, ring.mul, ring.neg, ring.exact_div
     one = ring.coerce(1)
-    m, n = len(grid), len(grid[0])
-    rows, cols = list(range(m)), list(range(n))
-    sign, prev, r = one, one, 0
-    for t in range(min(m, n)):
-        if rank:
-            at = next(((i, j) for i in range(t, m) for j in range(t, n)
-                       if grid[i][j]), None)
-            if at is None:
-                break
-            swap, col = at
-            for row in grid:
-                row[t], row[col] = row[col], row[t]
-            cols[t], cols[col] = cols[col], cols[t]
-        else:
-            swap = next((i for i in range(t, m) if grid[i][t]), None)
-            if swap is None:
-                return ring.coerce(0)
+    n = len(grid)
+    sign, prev = one, one
+    for t in range(n):
+        swap = next((i for i in range(t, n) if grid[i][t]), None)
+        if swap is None:
+            return ring.coerce(0)
         if swap != t:
             grid[t], grid[swap], sign = grid[swap], grid[t], neg(sign)
-            rows[t], rows[swap] = rows[swap], rows[t]
         pivot, tail = grid[t][t], grid[t][t + 1:]
         for row in grid[t + 1:]:
             lead = row[t]
-            if rank:
-                row[t + 1:] = [(pivot * x - lead * y) // prev
-                               for x, y in zip(row[t + 1:], tail)]
-                continue
             new = [add(mul(pivot, x), neg(mul(lead, y)))
                    for x, y in zip(row[t + 1:], tail)]
             row[t + 1:] = new if prev == one else [div(v, prev) for v in new]
-        prev, r = pivot, t + 1
-    if not rank:
-        return mul(sign, prev)
-    # The pivot rows and columns, each in the order elimination met them;
-    # an odd number of inversions between them flips the minor's sign.
-    inversions = sum(a > b for order in (rows[:r], cols[:r])
-                     for k, a in enumerate(order) for b in order[k + 1:])
-    return r, -prev if inversions % 2 else prev
+        prev = pivot
+    return mul(sign, prev)
 
 
 def determinant(matrix: DenseMatrix) -> RingValue:

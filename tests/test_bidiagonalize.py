@@ -23,8 +23,7 @@ from todasnf import (
     run,
     seed_state,
 )
-from todasnf.elimination import _level, mix_cols, mix_rows
-from todasnf.snf import _Modulus
+from todasnf.elimination import _level, _Modulus, mix_cols, mix_rows
 
 
 def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:

@@ -167,6 +167,19 @@ def test_interior_zero_rejected():
     run(_int_state((3, 0), (2,)))
 
 
+def test_split_seed_rejected():
+    # A zero subdiagonal entry decouples the lattice: (6, 35) could never
+    # sort, and run would spin to its cap.  Sorted blocks are refused too,
+    # while iterate still steps a split seed.
+    for q in ((6, 35), (2, 6)):
+        with pytest.raises(ValueError, match="splits the lattice"):
+            run(_int_state(q, (0,)))
+    with pytest.raises(ValueError, match="splits the lattice"):
+        run(_int_state((1, 2, 3), (1, 0)))
+    split = next(islice(iterate(_int_state((6, 35), (0,))), 1, None))
+    assert split.q == (6, 35) and split.e == (0,)
+
+
 def test_default_cap_formula():
     assert default_max_iters(_int_state((1,), ())) == 64
     big = _int_state((2**40, 2**40), (2**40,))

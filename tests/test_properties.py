@@ -27,7 +27,8 @@ from todasnf import (
     classical_snf,
     smith_normal_form,
 )
-from todasnf.snf import _det, _lattice_snf, _Modulus
+from todasnf.elimination import _Modulus, _rank_minor
+from todasnf.snf import _lattice_snf
 
 GF5 = PolyModP(5)
 #: Ring, largest side, and a strategy for one entry as native data.
@@ -132,7 +133,7 @@ def _minors(grid, k):
 
 @given(grid=low_rank_grids())
 def test_rank_profile_matches_enumeration(grid):
-    rank, d = _det(ZZ, [row[:] for row in grid], rank=True)
+    rank, d = _rank_minor([row[:] for row in grid])
     by_minors = max((k for k in range(1, min(len(grid), len(grid[0])) + 1)
                      if any(_minors(grid, k))), default=0)
     assert rank == by_minors
@@ -141,7 +142,7 @@ def test_rank_profile_matches_enumeration(grid):
 
 def _mod_route(a, multiple=1):
     """The lattice route, reduced modulo multiple * D from its first kernel."""
-    rank, d = _det(ZZ, a.payload_grid(), rank=True)
+    rank, d = _rank_minor(a.payload_grid())
     return _lattice_snf(a, None, _Modulus(a, rank, multiple * d)).factors
 
 

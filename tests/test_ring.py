@@ -28,6 +28,7 @@ from todasnf import (
     seed_state,
     smith_normal_form,
 )
+from todasnf.elimination import _Modulus, _reduced_form
 
 
 def test_integer_canonical_is_nonnegative():
@@ -270,9 +271,12 @@ def test_integer_payload_arithmetic_enters_no_ring_frame():
     # Over ZZ the payload operations are builtins, so the elimination and
     # the lattice enter no Python frame for them; the lattice's quotients
     # are by their own gcd, so floor division stands in for exact_div.
+    # The mod-D route (D, its rank and the residue kernels) is held to the
+    # same rule.
     rng = random.Random(11)
     matrix = DenseMatrix(ZZ, [[rng.randint(-20, 20) for _ in range(8)]
                               for _ in range(8)])
+    mod = _Modulus(matrix)
     entered = set()
 
     def record(frame, event, arg):
@@ -282,10 +286,11 @@ def test_integer_payload_arithmetic_enters_no_ring_frame():
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        form = bidiagonalize(matrix)
-        run(seed_state(form))
+        for form in (bidiagonalize(matrix), _reduced_form(matrix, mod)):
+            run(seed_state(form))
     finally:
         sys.setprofile(previous)
+    assert mod.d is not None
     assert "xgcd" in entered
     assert not entered & {"add", "neg", "mul", "divmod", "is_zero", "gcd",
                           "exact_div"}

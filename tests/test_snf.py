@@ -21,8 +21,8 @@ from todasnf import (
     smith_normal_form,
     verify,
 )
-from todasnf.elimination import _reduced_form
-from todasnf.snf import _lattice_snf, _Modulus
+from todasnf.elimination import _Modulus, _reduced_form
+from todasnf.snf import _lattice_snf
 
 
 def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
@@ -145,7 +145,7 @@ def test_classical_route_stands_alone(monkeypatch):
 
     monkeypatch.setattr(Ring, "xgcd", shared)
     monkeypatch.setattr(IntegerRing, "xgcd", shared)
-    for kernels in (elimination, elimination._IntKernels):
+    for kernels in (elimination, elimination._Modulus):
         monkeypatch.setattr(kernels, "mix_rows", shared)
         monkeypatch.setattr(kernels, "mix_cols", shared)
     gf5 = PolyModP(5)

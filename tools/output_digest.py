@@ -60,8 +60,7 @@ from todasnf import (  # noqa: E402
     smith_normal_form,
 )
 from todasnf.cli import main as cli_main, render_trace_line  # noqa: E402
-from todasnf.elimination import _reduced_form  # noqa: E402
-from todasnf.snf import _Modulus  # noqa: E402
+from todasnf.elimination import _Modulus, _reduced_form  # noqa: E402
 
 SEEDS = (11, 12, 13)
 WORKLOADS = ("dense_zz", "lattice_smooth", "poly_gfp")
