@@ -27,6 +27,7 @@ import functools
 import os
 import sys
 from itertools import islice
+from math import comb
 
 from .gcd_toda import (
     GcdTodaState,
@@ -58,7 +59,8 @@ ERROR_EXITS = {IterationLimitError: EXIT_CAP, ExactDivisionError: EXIT_INTERNAL,
 #: Overrides the default iteration cap when set to a positive integer.
 MAX_ITERS_ENV = "TODASNF_MAX_ITERS"
 
-#: Minor enumeration explodes past this size; --verify refuses above it.
+#: --verify refuses an m x n input with more square minors, C(m + n, m) - 1,
+#: than a square one of this size has.
 VERIFY_SIZE_LIMIT = 6
 
 
@@ -182,10 +184,11 @@ def _resolve_max_iters(flag: int | None) -> int | None:
 
 def cmd_snf(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.file)
-    if args.verify and min(matrix.nrows, matrix.ncols) > VERIFY_SIZE_LIMIT:
+    most = comb(2 * VERIFY_SIZE_LIMIT, VERIFY_SIZE_LIMIT)
+    if args.verify and comb(matrix.nrows + matrix.ncols, matrix.nrows) > most:
         raise ValueError(
-            "--verify enumerates minors and needs "
-            f"min(rows, cols) <= {VERIFY_SIZE_LIMIT}"
+            "--verify enumerates square minors and refuses more than the "
+            f"{most - 1} of a {VERIFY_SIZE_LIMIT} x {VERIFY_SIZE_LIMIT} matrix"
         )
     if args.method == "classical":
         result = classical_snf(matrix)

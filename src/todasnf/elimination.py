@@ -44,18 +44,19 @@ reduced bidiagonal form B keeps gcd(s_i(B), D) = s_i(M) for i <= r:
 factor i < r (counting from 0) is the canonical gcd of the lattice's
 factor i with D, and every factor from r on is zero.
 
-The rule is lazy.  Before each level the modulus sees the pivot row;
-once an entry there outgrows the input's Hadamard bound, which no minor
-of the input exceeds, it fixes r and D by one full-pivot Bareiss pass
-(_rank_minor).  From then on the kernels store each written entry of
-more bits than |D| as its residue in (0, |D|].  The residue is nonzero
-exactly where the unreduced entry is, so _level takes its branches on
-the same zero pattern as it would on the unreduced values, and the
-result is still a valid BidiagonalForm.  The lattice runs on B's seed,
-so SnfResult.trace, and with it snf --trace, replays the reduced seed;
-an input whose pivot rows never outgrow the bound never reduces, and
-keeps the exact form, steps and trace.  bidiagonalize itself never
-reduces: its form, P and Q are exact.
+The rule is lazy.  The modulus reaches every kernel call, and before
+each level it sees the pivot row.  Once an entry there outgrows the
+input's Hadamard bound, which no minor of the input exceeds, it fixes r
+and |D| by one full-pivot Bareiss pass (_rank_minor); D's sign does not
+change the rule.  Until then the kernels are exact, and from then on
+they store each written entry of more bits than |D| as its residue in
+(0, |D|].  The residue is nonzero exactly where the unreduced entry is,
+so _level takes its branches on the same zero pattern as it would on
+the unreduced values, and the result is still a valid BidiagonalForm.
+The lattice runs on B's seed, so SnfResult.trace, and with it snf
+--trace, replays the reduced seed; an input whose pivot rows never
+outgrow the bound never reduces, and keeps the exact form, steps and
+trace.  bidiagonalize itself never reduces: its form, P and Q are exact.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, cof,
     cof = (p, q, s, t) has determinant p s - q t; ring.xgcd(x[k], y[k])[1:]
     leaves the gcd in x[k] and zero in y[k], and (1, 1, 1, 0) adds y to x.
     Only the entries from column start on are rewritten.  Over ZZ the
-    work runs on Python's int operators, in mod's arithmetic when a live
+    work runs on Python's int operators, in mod's arithmetic when the
     modulus is given.
     """
     if ring is ZZ:
@@ -105,14 +106,15 @@ def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, cof,
 class _Modulus:
     """The ZZ sweep kernels, on Python's int operators, and the mod-D rule.
 
-    mix_rows and mix_cols are exact while d is None.  Once d is set each
-    written entry of more than bits bits is stored as its residue in
-    (0, d], so a zero stays zero and a nonzero entry stays nonzero.
+    d is the rule's one state.  mix_rows and mix_cols are exact while d
+    is None.  Once d = |D| is set each written entry of more than bits
+    bits is stored as its residue in (0, d], so a zero stays zero and a
+    nonzero entry stays nonzero.
 
-    watch returns None until the rule is live and self from then on.  It
-    computes the Hadamard bound only on a pivot row with something right
-    of its pivot, so an input whose sweeps call no kernel pays nothing.
-    Passing rank and d makes the rule live at once.
+    watch sets rank, d and bits when the rule goes live.  It computes the
+    Hadamard bound only on a pivot row with something right of its
+    pivot, so an input whose sweeps call no kernel pays nothing.  Passing
+    rank and d makes the rule live at once.
     """
 
     __slots__ = ("bits", "d", "matrix", "rank")
@@ -123,18 +125,15 @@ class _Modulus:
         self.d = None if d is None else abs(d)
         self.bits = None if d is None else self.d.bit_length()
 
-    def watch(self, row: list[int], t: int) -> _Modulus | None:
-        """self once live, after checking row, the pivot row of level t."""
-        if self.d is None:
-            if not any(row[t + 1:]):
-                return None
-            if self.bits is None:
-                self.bits = _hadamard_bits(self.matrix)
-            if max(map(int.bit_length, row)) <= self.bits:
-                return None
-            self.rank, d = _rank_minor(self.matrix.payload_grid())
-            self.d, self.bits = abs(d), abs(d).bit_length()
-        return self
+    def watch(self, row: list[int], t: int) -> None:
+        """Go live if row, the pivot row of level t, outgrows the bound."""
+        if self.d is not None or not any(row[t + 1:]):
+            return
+        if self.bits is None:
+            self.bits = _hadamard_bits(self.matrix)
+        if max(map(int.bit_length, row)) > self.bits:
+            self.rank, self.d = _rank_minor(self.matrix.payload_grid())
+            self.bits = self.d.bit_length()
 
     def mix_rows(self, grid: list[list[int]], i1: int, i2: int, cof,
                  start: int = 0) -> None:
@@ -169,7 +168,7 @@ class _Modulus:
             row[j2] = v if -top <= v <= top else v % d or d
 
 
-#: The exact ZZ kernels, those of every sweep without a live modulus.
+#: The exact ZZ kernels, those of every sweep without a modulus.
 _EXACT = _Modulus()
 
 
@@ -185,18 +184,16 @@ def _hadamard_bits(matrix: DenseMatrix) -> int:
 
 
 def _rank_minor(grid: list[list[int]]) -> tuple[int, int]:
-    """The rank r of an integer grid and a nonzero r x r minor D of it.
+    """The rank r of an integer grid and |D| for a nonzero r x r minor D.
 
     One Bareiss pass with full pivoting: each pivot is the first nonzero
     entry, row by row, of the block left to eliminate, swapped into place
     with its row and its column.  After step t every entry below and
     right of the pivot is a minor of order t + 2, so floor division by
     the previous pivot is exact.  D is the minor on the pivot rows and
-    columns (1 when r is 0): the last pivot, up to the sign of putting
-    those rows and columns back in order.  Consumes grid.
+    columns (1 when r is 0), the last pivot up to sign.  Consumes grid.
     """
     m, n = len(grid), len(grid[0])
-    rows, cols = list(range(m)), list(range(n))
     prev, r = 1, 0
     for t in range(min(m, n)):
         at = next(((i, j) for i in range(t, m) for j in range(t, n)
@@ -207,19 +204,13 @@ def _rank_minor(grid: list[list[int]]) -> tuple[int, int]:
         for row in grid:
             row[t], row[col] = row[col], row[t]
         grid[t], grid[swap] = grid[swap], grid[t]
-        rows[t], rows[swap] = rows[swap], rows[t]
-        cols[t], cols[col] = cols[col], cols[t]
         pivot, tail = grid[t][t], grid[t][t + 1:]
         for row in grid[t + 1:]:
             lead = row[t]
             row[t + 1:] = [(pivot * x - lead * y) // prev
                            for x, y in zip(row[t + 1:], tail)]
         prev, r = pivot, t + 1
-    # The pivot rows and columns, each in the order elimination met them;
-    # an odd number of inversions between them flips the minor's sign.
-    inversions = sum(a > b for order in (rows[:r], cols[:r])
-                     for k, a in enumerate(order) for b in order[k + 1:])
-    return r, -prev if inversions % 2 else prev
+    return r, abs(prev)
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,8 +247,8 @@ def _level(ring: Ring, grid: list[list], t: int, n: int, mod=None) -> bool:
     Works in place and returns False when nothing nonzero is left.  The
     rows before t vanish from column t on and the columns before t below
     row t, so every kernel call starts at t.  Rows and columns past n
-    only ride along with the updates; a live modulus reaches every
-    kernel call.
+    only ride along with the updates; the modulus, when given, reaches
+    every kernel call.
     """
     one, zero = ring.coerce(1), ring.coerce(0)
     addition = (one, one, one, zero)  # x += y
@@ -293,14 +284,13 @@ def _level(ring: Ring, grid: list[list], t: int, n: int, mod=None) -> bool:
 def _sweep(ring: Ring, grid: list[list], n: int, mod=None) -> None:
     """Run the pivot levels of the leading n by n block until none is left.
 
-    mod, when given, watches each pivot row first and, once it returns
-    itself, reaches every later kernel call.
+    mod, when given, watches each pivot row first and reaches every
+    kernel call; it reduces only once the watch has set its d.
     """
-    live = None
     for t in range(n):
-        if mod is not None and live is None:
-            live = mod.watch(grid[t], t)
-        if not _level(ring, grid, t, n, live):
+        if mod is not None:
+            mod.watch(grid[t], t)
+        if not _level(ring, grid, t, n, mod):
             break
 
 

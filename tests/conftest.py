@@ -71,6 +71,33 @@ def minors_gcd_int_brute(grid, k: int) -> int:
     return out
 
 
+def planted_int_grid(rng, n: int, rank: int, ops: int):
+    """An n x n integer grid whose Smith normal form is known, with it.
+
+    The chain s_1 | s_2 | ... | s_rank grows by a factor drawn from
+    (1, 1, 1, 2, 3, 5, 7) at each step, from s_0 = 1, and zeros follow
+    the rank.  Its diagonal matrix is mixed by ops random elementary
+    additions of one row, or one column, times c in [-2, 2] to another;
+    each has determinant one, so the chain stays the answer.  Returns
+    (grid, chain).
+    """
+    chain, s = [], 1
+    for _ in range(rank):
+        s *= rng.choice((1, 1, 1, 2, 3, 5, 7))
+        chain.append(s)
+    chain += [0] * (n - rank)
+    grid = [[chain[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(ops if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        if rng.random() < 0.5:
+            grid[i] = [a + c * b for a, b in zip(grid[i], grid[j])]
+        else:
+            for row in grid:
+                row[i] += c * row[j]
+    return grid, chain
+
+
 # -- non-adjacent subset oracles -------------------------------------------
 
 

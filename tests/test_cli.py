@@ -303,7 +303,8 @@ def test_error_texts(tmp_path, capsys):
         (["toda-trace"], "ring: int\nrows: 2\ncols: 2\n0 0\n3 4\n", "",
          "error: interior diagonal entries must be nonzero\n"),
         (["snf", "--verify"], f"ring: int\nrows: 7\ncols: 7\n{seven}\n", "",
-         "error: --verify enumerates minors and needs min(rows, cols) <= 6\n"),
+         "error: --verify enumerates square minors and refuses more than "
+         "the 923 of a 6 x 6 matrix\n"),
         (["snf"], "ring: int\nrows: 1\ncols: 2\n1\n", "",
          "error: line 4: expected 2 entries, got 1\n"),
     ]
@@ -311,6 +312,27 @@ def test_error_texts(tmp_path, capsys):
         path = _write(tmp_path, text)
         assert main([argv[0], path, *argv[1:]]) == EXIT_PARSE, argv
         assert capsys.readouterr() == (out, err), argv
+
+
+def test_verify_counts_minors_not_the_short_side(tmp_path, capsys):
+    # An m x n input has C(m + n, m) - 1 square minors: a 6 x 16 one has
+    # 74 612 and is refused before any factor prints, while a 2 x 40 one
+    # has 860, fewer than the 923 of a 6 x 6 input, and is checked.
+    rng = random.Random(5)
+
+    def text(m, n):
+        rows = "\n".join(" ".join(str(rng.randint(-9, 9)) for _ in range(n))
+                         for _ in range(m))
+        return f"ring: int\nrows: {m}\ncols: {n}\n{rows}\n"
+
+    path = _write(tmp_path, text(6, 16))
+    assert main(["snf", path, "--verify"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --verify enumerates")
+    path = _write(tmp_path, text(2, 40))
+    assert main(["snf", path, "--verify"]) == EXIT_OK
+    assert "verify: ok" in capsys.readouterr().err
 
 
 def test_inexact_division_is_an_internal_error(example_file, capsys,

@@ -9,16 +9,20 @@ factors to the canonical forms of c times them.
 Over ZZ the rank profile of the Bareiss elimination must give the rank
 and a nonzero minor of that order, found here by enumeration, and the
 lattice route run modulo D from its first kernel must agree with the
-exact route for D and for every multiple c D.  The example budget and
-derandomised search come from the profile in conftest.py.
+exact route for D and for every multiple c D.  On a planted input, a
+known chain mixed by elementary additions (conftest.planted_int_grid),
+smith_normal_form must return the chain itself, full rank or not, for
+n <= 24.  The example budget and derandomised search come from the
+profile in conftest.py.
 """
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import det_int_brute
+from conftest import det_int_brute, planted_int_grid
 from todasnf import (
     DenseMatrix,
     PolyModP,
@@ -137,7 +141,7 @@ def test_rank_profile_matches_enumeration(grid):
     by_minors = max((k for k in range(1, min(len(grid), len(grid[0])) + 1)
                      if any(_minors(grid, k))), default=0)
     assert rank == by_minors
-    assert d != 0 and (rank == 0 or d in _minors(grid, rank))
+    assert d > 0 and (rank == 0 or d in map(abs, _minors(grid, rank)))
 
 
 def _mod_route(a, multiple=1):
@@ -159,3 +163,13 @@ def test_any_multiple_of_d_gives_the_same_factors(data):
         lambda grid: DenseMatrix(ZZ, grid))))
     c = data.draw(st.integers(-50, 50).filter(bool))
     assert _mod_route(a, c) == _mod_route(a)
+
+
+@given(data=st.data())
+def test_planted_chain_comes_back(data):
+    n = data.draw(st.integers(1, 24))
+    rank = data.draw(st.one_of(st.just(n), st.integers(0, n)))
+    seed = data.draw(st.integers(0, 2**32))
+    grid, chain = planted_int_grid(random.Random(seed), n, rank, 12 * n)
+    factors = smith_normal_form(DenseMatrix(ZZ, grid)).factors
+    assert [v.payload for v in factors] == chain
