@@ -18,13 +18,14 @@ the lattice evolution before the factors are sorted.
 
 The sweeps run on raw payloads: the padded matrix is copied out with
 payload_grid (bordered by identities that collect the transforms P and
-Q when they are asked for), every step is a kernel mix_rows / mix_cols
-fed the cofactors of ring.xgcd or the addition (1, 1, 1, 0), and the
-grids become matrices again through DenseMatrix.from_payloads.
+Q when they are asked for), every step is a call of mix_rows or
+mix_cols on the sweep's one kernel object, a _Modulus built once for
+the ring, fed the cofactors of ring.xgcd or the addition (1, 1, 1, 0),
+and the grids become matrices again through DenseMatrix.from_payloads.
 BidiagonalForm reads its block size and corner flag off the bands.
-Over ZZ the kernels (_Modulus) and ZZ.xgcd run on Python's int
-operators; GF(p)[x] goes through the ring's payload calls.  The kernels
-touch only the live block: at level t the rows and columns before t are
+Over ZZ the kernels and ZZ.xgcd run on Python's int operators; over
+GF(p)[x] the kernels go through the ring's payload calls.  They touch
+only the live block: at level t the rows and columns before t are
 finished, so each call rewrites rows from column t on and walks columns
 from row t on.  The P and Q borders sit past n and still ride along.
 
@@ -44,7 +45,7 @@ reduced bidiagonal form B keeps gcd(s_i(B), D) = s_i(M) for i <= r:
 factor i < r (counting from 0) is the canonical gcd of the lattice's
 factor i with D, and every factor from r on is zero.
 
-The rule is lazy.  The modulus reaches every kernel call, and before
+The rule is lazy.  The modulus makes every kernel call, and before
 each level it sees the pivot row.  Once an entry there outgrows the
 input's Hadamard bound, which no minor of the input exceeds, it fixes r
 and |D| by one full-pivot Bareiss pass (_rank_minor); D's sign does not
@@ -68,66 +69,42 @@ from .ring import ZZ, Ring
 from .gcd_toda import GcdTodaState
 
 
-def mix_rows(ring: Ring, grid: list[list], i1: int, i2: int, cof,
-             mod=None, start: int = 0) -> None:
-    """Map rows x = grid[i1], y = grid[i2] to (p x + q y, t x + s y).
-
-    cof = (p, q, s, t) has determinant p s - q t; ring.xgcd(x[k], y[k])[1:]
-    leaves the gcd in x[k] and zero in y[k], and (1, 1, 1, 0) adds y to x.
-    Only the entries from column start on are rewritten.  Over ZZ the
-    work runs on Python's int operators, in mod's arithmetic when the
-    modulus is given.
-    """
-    if ring is ZZ:
-        return (_EXACT if mod is None else mod).mix_rows(grid, i1, i2, cof,
-                                                         start)
-    p, q, s, t = cof
-    add, mul = ring.add, ring.mul
-    r1, r2 = grid[i1], grid[i2]
-    xs, ys = r1[start:], r2[start:]
-    r1[start:] = [add(mul(p, x), mul(q, y)) for x, y in zip(xs, ys)]
-    r2[start:] = [add(mul(t, x), mul(s, y)) for x, y in zip(xs, ys)]
-
-
-def mix_cols(ring: Ring, grid: list[list], j1: int, j2: int, cof,
-             mod=None, start: int = 0) -> None:
-    """The map of mix_rows on columns (j1, j2), in rows start on."""
-    if ring is ZZ:
-        return (_EXACT if mod is None else mod).mix_cols(grid, j1, j2, cof,
-                                                         start)
-    p, q, s, t = cof
-    add, mul = ring.add, ring.mul
-    for row in grid[start:]:
-        x, y = row[j1], row[j2]
-        row[j1] = add(mul(x, p), mul(y, q))
-        row[j2] = add(mul(x, t), mul(y, s))
-
-
 class _Modulus:
-    """The ZZ sweep kernels, on Python's int operators, and the mod-D rule.
+    """The kernels of one sweep, and over ZZ the mod-D rule.
 
-    d is the rule's one state.  mix_rows and mix_cols are exact while d
-    is None.  Once d = |D| is set each written entry of more than bits
-    bits is stored as its residue in (0, d], so a zero stays zero and a
-    nonzero entry stays nonzero.
+    mix_rows maps rows x = grid[i1], y = grid[i2] to (p x + q y, t x + s y)
+    for cof = (p, q, s, t), of determinant p s - q t, from column start
+    on; mix_cols does the same on columns (j1, j2) from row start on.
+    xgcd(x[k], y[k])[1:] leaves the gcd in x[k] and zero in y[k], and
+    addition (1, 1, 1, 0) adds y to x.
 
-    watch sets rank, d and bits when the rule goes live.  It computes the
-    Hadamard bound only on a pivot row with something right of its
-    pivot, so an input whose sweeps call no kernel pays nothing.  Passing
-    rank and d makes the rule live at once.
+    Over GF(p)[x] the kernels use the ring's payload calls.  Over ZZ they
+    run on Python's int operators and d is the rule's one state: exact
+    while d is None, and once d = |D| is set each written entry of more
+    than bits bits is stored as its residue in (0, d], so a zero stays
+    zero and a nonzero entry stays nonzero.
+
+    watch, which only a ZZ modulus given the input matrix runs, sets
+    rank, d and bits when the rule goes live.  It computes the Hadamard
+    bound only on a pivot row with something right of its pivot, so an
+    input whose sweeps call no kernel pays nothing.  Passing rank and d
+    makes the rule live at once.
     """
 
-    __slots__ = ("bits", "d", "matrix", "rank")
+    __slots__ = ("addition", "bits", "d", "matrix", "rank", "ring", "xgcd")
 
-    def __init__(self, matrix: DenseMatrix | None = None,
+    def __init__(self, ring: Ring, matrix: DenseMatrix | None = None,
                  rank: int | None = None, d: int | None = None):
-        self.matrix, self.rank = matrix, rank
+        one, zero = ring.coerce(1), ring.coerce(0)
+        self.ring, self.xgcd = ring, ring.xgcd
+        self.addition = (one, one, one, zero)  # x += y
+        self.matrix, self.rank = (matrix if ring is ZZ else None), rank
         self.d = None if d is None else abs(d)
         self.bits = None if d is None else self.d.bit_length()
 
     def watch(self, row: list[int], t: int) -> None:
         """Go live if row, the pivot row of level t, outgrows the bound."""
-        if self.d is not None or not any(row[t + 1:]):
+        if self.matrix is None or self.d is not None or not any(row[t + 1:]):
             return
         if self.bits is None:
             self.bits = _hadamard_bits(self.matrix)
@@ -135,11 +112,16 @@ class _Modulus:
             self.rank, self.d = _rank_minor(self.matrix.payload_grid())
             self.bits = self.d.bit_length()
 
-    def mix_rows(self, grid: list[list[int]], i1: int, i2: int, cof,
+    def mix_rows(self, grid: list[list], i1: int, i2: int, cof,
                  start: int = 0) -> None:
         p, q, s, t = cof
         r1, r2 = grid[i1], grid[i2]
         xs, ys = r1[start:], r2[start:]
+        if self.ring is not ZZ:
+            add, mul = self.ring.add, self.ring.mul
+            r1[start:] = [add(mul(p, x), mul(q, y)) for x, y in zip(xs, ys)]
+            r2[start:] = [add(mul(t, x), mul(s, y)) for x, y in zip(xs, ys)]
+            return
         d = self.d
         if d is None:
             r1[start:] = [p * x + q * y for x, y in zip(xs, ys)]
@@ -151,9 +133,16 @@ class _Modulus:
         r2[start:] = [v if -top <= (v := t * x + s * y) <= top else v % d or d
                       for x, y in zip(xs, ys)]
 
-    def mix_cols(self, grid: list[list[int]], j1: int, j2: int, cof,
+    def mix_cols(self, grid: list[list], j1: int, j2: int, cof,
                  start: int = 0) -> None:
         p, q, s, t = cof
+        if self.ring is not ZZ:
+            add, mul = self.ring.add, self.ring.mul
+            for row in grid[start:]:
+                x, y = row[j1], row[j2]
+                row[j1] = add(mul(x, p), mul(y, q))
+                row[j2] = add(mul(x, t), mul(y, s))
+            return
         d = self.d
         if d is None:
             for row in grid[start:]:
@@ -166,10 +155,6 @@ class _Modulus:
             u, v = x * p + y * q, x * t + y * s
             row[j1] = u if -top <= u <= top else u % d or d
             row[j2] = v if -top <= v <= top else v % d or d
-
-
-#: The exact ZZ kernels, those of every sweep without a modulus.
-_EXACT = _Modulus()
 
 
 def _hadamard_bits(matrix: DenseMatrix) -> int:
@@ -241,29 +226,27 @@ class BidiagonalForm:
         object.__setattr__(self, "corner", 0 < k < n and bool(e[k - 1]))
 
 
-def _level(ring: Ring, grid: list[list], t: int, n: int, mod=None) -> bool:
+def _level(mod: _Modulus, grid: list[list], t: int, n: int) -> bool:
     """Process pivot level t of the leading n by n block of a payload grid.
 
     Works in place and returns False when nothing nonzero is left.  The
     rows before t vanish from column t on and the columns before t below
     row t, so every kernel call starts at t.  Rows and columns past n
-    only ride along with the updates; the modulus, when given, reaches
-    every kernel call.
+    only ride along with the updates; mod's kernels make every one.
     """
-    one, zero = ring.coerce(1), ring.coerce(0)
-    addition = (one, one, one, zero)  # x += y
+    addition, xgcd = mod.addition, mod.xgcd
     # Pivot row fix: steal mass from a lower row when row t is empty.
     if not any(grid[t][t:n]):
         donor = next((i for i in range(t + 1, n) if any(grid[i][t:n])), None)
         if donor is None:
             return False
-        mix_rows(ring, grid, t, donor, addition, mod, t)
+        mod.mix_rows(grid, t, donor, addition, t)
 
     # Column sweep: collect the row gcd at (t, t), zeros to its right.
     for j in range(t + 1, n):
         if grid[t][j]:
-            cof = ring.xgcd(grid[t][t], grid[t][j])[1:]
-            mix_cols(ring, grid, t, j, cof, mod, t)
+            cof = xgcd(grid[t][t], grid[t][j])[1:]
+            mod.mix_cols(grid, t, j, cof, t)
 
     # Keep the subdiagonal alive while mass remains below the pivot.
     below = grid[t + 1:n]
@@ -271,33 +254,32 @@ def _level(ring: Ring, grid: list[list], t: int, n: int, mod=None) -> bool:
         donor_col = next((j for j in range(t + 1, n)
                           if any(row[j] for row in below)), None)
         if donor_col is not None:
-            mix_cols(ring, grid, t, donor_col, addition, mod, t)
+            mod.mix_cols(grid, t, donor_col, addition, t)
 
     # Row sweep: concentrate the column gcd at (t+1, t).
     for i in range(t + 2, n):
         if grid[i][t]:
-            cof = ring.xgcd(grid[t + 1][t], grid[i][t])[1:]
-            mix_rows(ring, grid, t + 1, i, cof, mod, t)
+            cof = xgcd(grid[t + 1][t], grid[i][t])[1:]
+            mod.mix_rows(grid, t + 1, i, cof, t)
     return True
 
 
-def _sweep(ring: Ring, grid: list[list], n: int, mod=None) -> None:
+def _sweep(mod: _Modulus, grid: list[list], n: int) -> None:
     """Run the pivot levels of the leading n by n block until none is left.
 
-    mod, when given, watches each pivot row first and reaches every
-    kernel call; it reduces only once the watch has set its d.
+    mod watches each pivot row first and makes every kernel call; it
+    reduces only once the watch has set its d.
     """
     for t in range(n):
-        if mod is not None:
-            mod.watch(grid[t], t)
-        if not _level(ring, grid, t, n, mod):
+        mod.watch(grid[t], t)
+        if not _level(mod, grid, t, n):
             break
 
 
-def _reduced_form(matrix: DenseMatrix, mod) -> BidiagonalForm:
-    """The form of bidiagonalize(matrix), with mod (or None) in its sweeps."""
+def _reduced_form(matrix: DenseMatrix, mod: _Modulus) -> BidiagonalForm:
+    """The form of bidiagonalize(matrix), swept by mod's kernels."""
     grid = matrix.padded_square().payload_grid()
-    _sweep(matrix.ring, grid, len(grid), mod)
+    _sweep(mod, grid, len(grid))
     return BidiagonalForm(DenseMatrix.from_payloads(matrix.ring, grid))
 
 
@@ -309,7 +291,7 @@ def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
     with determinant one over the padded shape.
     """
     if not transforms:
-        return _reduced_form(matrix, None)
+        return _reduced_form(matrix, _Modulus(matrix.ring))
     ring = matrix.ring
     padded = matrix.padded_square()
     n = padded.nrows
@@ -317,7 +299,7 @@ def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
     # updates carry along, and Q as extra rows for the column ones.
     eye = DenseMatrix.identity(ring, n).payload_grid()
     grid = [row + e for row, e in zip(padded.payload_grid(), eye)] + eye
-    _sweep(ring, grid, n)
+    _sweep(_Modulus(ring), grid, n)
     form, p, q = (DenseMatrix.from_payloads(ring, g) for g in (
         [row[:n] for row in grid[:n]], [row[n:] for row in grid[:n]], grid[n:]
     ))

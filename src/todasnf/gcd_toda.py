@@ -183,7 +183,11 @@ def default_max_iters(state: GcdTodaState) -> int:
 
 
 def _check_cap(max_iters: int | None) -> None:
-    if max_iters is not None and max_iters < 1:
+    if max_iters is None:
+        return
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
+        raise TypeError(f"max_iters must be an int or None, not {max_iters!r}")
+    if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
 

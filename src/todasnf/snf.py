@@ -22,7 +22,7 @@ from itertools import combinations
 from .elimination import _Modulus, _reduced_form, seed_state
 from .gcd_toda import GcdTodaState, TodaRun, _check_cap, run
 from .matrix import DenseMatrix
-from .ring import ZZ, RingValue, canonical, divides, gcd
+from .ring import RingValue, canonical, divides, gcd
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +70,12 @@ def smith_normal_form(matrix: DenseMatrix,
     bound (see elimination.py), and the run and its trace are then those
     of the reduced form's seed.
     """
-    mod = _Modulus(matrix) if matrix.ring is ZZ else None
-    return _lattice_snf(matrix, max_iters, mod)
+    return _lattice_snf(matrix, max_iters, _Modulus(matrix.ring, matrix))
 
 
 def _lattice_snf(matrix: DenseMatrix, max_iters: int | None,
-                 mod: _Modulus | None) -> SnfResult:
-    """smith_normal_form with the given modulus, or exactly with None."""
+                 mod: _Modulus) -> SnfResult:
+    """smith_normal_form with the given kernels; _Modulus(ring) is exact."""
     _check_cap(max_iters)
     ring = matrix.ring
     size = min(matrix.nrows, matrix.ncols)
@@ -85,7 +84,7 @@ def _lattice_snf(matrix: DenseMatrix, max_iters: int | None,
         return SnfResult((ring.zero,) * size, 0, "toda")
     outcome = run(seed_state(form), max_iters)
     factors = (outcome.factors + (ring.zero,) * size)[:size]
-    if mod is not None and mod.d is not None:
+    if mod.d is not None:
         d = RingValue(ring, mod.d)
         factors = (tuple(gcd(f, d) for f in factors[:mod.rank])
                    + (ring.zero,) * (size - mod.rank))

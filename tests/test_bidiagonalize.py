@@ -23,7 +23,7 @@ from todasnf import (
     run,
     seed_state,
 )
-from todasnf.elimination import _level, _Modulus, mix_cols, mix_rows
+from todasnf.elimination import _level, _Modulus
 
 
 def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
@@ -93,10 +93,10 @@ def test_block_updates_match_matrix_products():
         # left-multiply by ((p, q), (t, s)), columns right-multiply by
         # its transpose.
         grid = a.payload_grid()
-        mix_rows(ring, grid, i1, i2, cof)
+        _Modulus(ring).mix_rows(grid, i1, i2, cof)
         assert DenseMatrix(ring, grid) == embed(((p, q), (t, s))) @ a
         grid = a.payload_grid()
-        mix_cols(ring, grid, i1, i2, cof)
+        _Modulus(ring).mix_cols(grid, i1, i2, cof)
         assert DenseMatrix(ring, grid) == a @ embed(((p, t), (q, s)))
 
 
@@ -120,8 +120,8 @@ def test_levels_leave_the_finished_lines_alone():
              [rng.randrange(1, 7) for _ in range(rng.randint(0, 3))]
              for _ in range(n)]
             for i in range(n)])
-        live = _Modulus(zz, n, rng.randint(2**40, 2**41))
-        cases += [(zz, None), (zz, live), (poly, None)]
+        live = _Modulus(ZZ, zz, n, rng.randint(2**40, 2**41))
+        cases += [(zz, _Modulus(ZZ)), (zz, live), (poly, _Modulus(gf))]
     levels = 0
     for matrix, mod in cases:
         ring, n = matrix.ring, matrix.nrows
@@ -129,7 +129,7 @@ def test_levels_leave_the_finished_lines_alone():
         grid = [row + e for row, e in zip(matrix.payload_grid(), eye)] + eye
         for t in range(n):
             before = [list(row) for row in grid]
-            if not _level(ring, grid, t, n, mod):
+            if not _level(mod, grid, t, n):
                 break
             levels += 1
             for i, (old, new) in enumerate(zip(before, grid)):

@@ -9,7 +9,9 @@ products of low-degree factors, and dense +-20 integer matrices with
 n = 16 and 20, and 32 x 32 and 64 x 64 lower-bidiagonal integer
 matrices of 2^a 3^b 5^c entries, where the lattice does nearly all the
 work; these are also checked against the determinantal divisors of
-their bands.  At the largest prime the package takes, 65521, one dense
+their bands.  Dense +-20 integer 30 x 30, 30 x 24 and 24 x 30 draws and
+degree <= 2 GF(2), GF(5), GF(7)[x] 12 x 12 draws go one size up from
+there.  At the largest prime the package takes, 65521, one dense
 5 x 5 and one 8 x 8 lower-bidiagonal GF(65521)[x] draw check the widest
 packed products.  sympy's factors are brought to the package's
 canonical form (absolute value, monic) and padded with zeros to
@@ -222,3 +224,22 @@ def test_smooth_bidiagonal_32_and_64_match_sympy():
             divisors = [v.payload for v in determinantal_divisors(bands)]
             assert list(accumulate(got, operator.mul)) == divisors, \
                 f"{n} x {n}, draw {k}"
+
+
+def test_dense_30_and_poly_12_match_sympy():
+    # Both routes at n = 30 over ZZ and n = 12 over GF(p)[x].  The square
+    # integer draws outgrow the Hadamard bound, so the sweeps of
+    # smith_normal_form run modulo D.  Rank-deficient n = 30 products are
+    # left to the planted oracle: sympy took minutes on one.
+    rng = random.Random(77)
+    cases = [(ZZ, _int_grid(rng, m, n, 20))
+             for m, n in ((30, 30), (30, 30), (30, 24), (24, 30))]
+    cases += [(PolyModP(p), _poly_grid(rng, 12, 12, p)) for p in (2, 5, 7)]
+    for ring, rows in cases:
+        expected = (_sympy_int_factors(rows) if ring is ZZ
+                    else _sympy_poly_factors(rows, ring.p))
+        matrix = DenseMatrix(ring, rows)
+        for route in (smith_normal_form, classical_snf):
+            got = [v.payload for v in route(matrix).factors]
+            assert got == expected, (route.__name__, ring.name, len(rows),
+                                     len(rows[0]))

@@ -147,14 +147,14 @@ def test_rank_profile_matches_enumeration(grid):
 def _mod_route(a, multiple=1):
     """The lattice route, reduced modulo multiple * D from its first kernel."""
     rank, d = _rank_minor(a.payload_grid())
-    return _lattice_snf(a, None, _Modulus(a, rank, multiple * d)).factors
+    return _lattice_snf(a, None, _Modulus(ZZ, a, rank, multiple * d)).factors
 
 
 @given(data=st.data())
 def test_exact_and_mod_d_routes_agree(data):
     a = data.draw(st.one_of(matrices("ZZ"), low_rank_grids(6).map(
         lambda grid: DenseMatrix(ZZ, grid))))
-    assert _mod_route(a) == _lattice_snf(a, None, None).factors
+    assert _mod_route(a) == _lattice_snf(a, None, _Modulus(ZZ)).factors
 
 
 @given(data=st.data())

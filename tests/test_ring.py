@@ -276,7 +276,7 @@ def test_integer_payload_arithmetic_enters_no_ring_frame():
     rng = random.Random(11)
     matrix = DenseMatrix(ZZ, [[rng.randint(-20, 20) for _ in range(8)]
                               for _ in range(8)])
-    mod = _Modulus(matrix)
+    mod = _Modulus(ZZ, matrix)
     entered = set()
 
     def record(frame, event, arg):

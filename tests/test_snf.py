@@ -8,6 +8,7 @@ import pytest
 from conftest import int_grid, minors_gcd_int_brute, planted_int_grid
 from todasnf import (
     DenseMatrix,
+    GcdTodaState,
     PolyModP,
     RingValue,
     SnfResult,
@@ -17,6 +18,7 @@ from todasnf import (
     determinant,
     gcd_step,
     minors_gcd,
+    run,
     seed_state,
     smith_normal_form,
     verify,
@@ -145,9 +147,8 @@ def test_classical_route_stands_alone(monkeypatch):
 
     monkeypatch.setattr(Ring, "xgcd", shared)
     monkeypatch.setattr(IntegerRing, "xgcd", shared)
-    for kernels in (elimination, elimination._Modulus):
-        monkeypatch.setattr(kernels, "mix_rows", shared)
-        monkeypatch.setattr(kernels, "mix_cols", shared)
+    monkeypatch.setattr(elimination._Modulus, "mix_rows", shared)
+    monkeypatch.setattr(elimination._Modulus, "mix_cols", shared)
     gf5 = PolyModP(5)
     x, x1 = [0, 1], [1, 1]
     cases = [
@@ -207,6 +208,17 @@ def test_max_iters_is_honored():
         for cap in (0, -5):
             with pytest.raises(ValueError, match="max_iters must be at least"):
                 smith_normal_form(matrix, max_iters=cap)
+
+
+def test_max_iters_must_be_an_int():
+    # A bool or a float is refused before any step, not run as a count.
+    matrix = DenseMatrix(ZZ, [[2, 0, 0], [4, 6, 0], [0, 3, 9]])
+    state = GcdTodaState.from_payloads(ZZ, (2, 6), (4,))
+    for cap in (True, False, 2.5, 4.0, "3"):
+        with pytest.raises(TypeError, match="max_iters must be an int"):
+            smith_normal_form(matrix, max_iters=cap)
+        with pytest.raises(TypeError, match="max_iters must be an int"):
+            run(state, max_iters=cap)
 
 
 def _wraps(call) -> int:
@@ -346,11 +358,11 @@ def test_mod_d_sweeps_stay_within_the_size_of_d(monkeypatch):
                                              [row[b] for row in grid])}
 
     def bounded(name):
-        kernel = getattr(elimination, name)
+        kernel = getattr(elimination._Modulus, name)
 
-        def wrapped(ring, grid, a, b, cof, mod=None, start=0):
-            kernel(ring, grid, a, b, cof, mod, start)
-            if mod is not None and mod.d is not None:
+        def wrapped(mod, grid, a, b, cof, start=0):
+            kernel(mod, grid, a, b, cof, start)
+            if mod.d is not None:
                 top = max(v.bit_length() for line in lines[name](grid, a, b)
                           for v in line)
                 assert top <= mod.d.bit_length(), f"{name} wrote {top} bits"
@@ -358,7 +370,7 @@ def test_mod_d_sweeps_stay_within_the_size_of_d(monkeypatch):
         return wrapped
 
     for name in live:
-        monkeypatch.setattr(elimination, name, bounded(name))
+        monkeypatch.setattr(elimination._Modulus, name, bounded(name))
     grids = next(grids for ring, grids, _ in _ladder_draws()
                  if ring is ZZ and len(grids[0]) == 20)
     for k, grid in enumerate(grids):
@@ -371,7 +383,7 @@ def test_mod_d_sweeps_stay_within_the_size_of_d(monkeypatch):
 def test_residues_keep_the_zero_pattern():
     # A written multiple of d is stored as d, never as zero, and a zero
     # stays zero, so _level branches as it would on the unreduced values.
-    mod = _Modulus(DenseMatrix(ZZ, [[5]]), 1, -5)
+    mod = _Modulus(ZZ, DenseMatrix(ZZ, [[5]]), 1, -5)
     grid = [[10, -7, 0], [5, 3, 0]]
     mod.mix_rows(grid, 0, 1, (2, 0, 1, 0))
     assert grid == [[5, 1, 0], [5, 3, 0]]
@@ -388,9 +400,10 @@ def test_untriggered_inputs_keep_the_exact_route():
     for _ in range(80):
         a = _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
                                bound=rng.choice((1, 3, 20)))
-        mod = _Modulus(a)
+        mod = _Modulus(ZZ, a)
         form = _reduced_form(a, mod)
-        result, exact = smith_normal_form(a), _lattice_snf(a, None, None)
+        result = smith_normal_form(a)
+        exact = _lattice_snf(a, None, _Modulus(ZZ))
         assert result.factors == exact.factors
         if mod.d is None:
             quiet += 1
@@ -398,3 +411,35 @@ def test_untriggered_inputs_keep_the_exact_route():
             assert result.iterations == exact.iterations
             assert result.trace == exact.trace
     assert 0 < quiet < 80, quiet
+
+
+def test_only_the_zz_lattice_route_watches(monkeypatch):
+    # Only a ZZ modulus given the input matrix watches the pivot rows: the
+    # GF(p)[x] sweeps and bidiagonalize's exact ones never bound a minor
+    # or compute D, and their results stand without either.
+    import todasnf.elimination as elimination
+
+    class Watched(Exception):
+        pass
+
+    def watched(*_):
+        raise Watched
+
+    monkeypatch.setattr(elimination, "_hadamard_bits", watched)
+    monkeypatch.setattr(elimination, "_rank_minor", watched)
+    grids = next(grids for ring, grids, _ in _ladder_draws()
+                 if ring is not ZZ and ring.p == 2)
+    for k, grid in enumerate(grids):
+        matrix = DenseMatrix(PolyModP(2), grid)
+        assert (smith_normal_form(matrix).factors
+                == classical_snf(matrix).factors), f"GF(2)[x] draw {k}"
+    # The exact sweeps of the ladder's 20 x 20 draws take seconds each,
+    # so bidiagonalize runs on 12 x 12 draws of the same kind.
+    rng = random.Random(1)
+    draws = [DenseMatrix(ZZ, [[rng.randint(-20, 20) for _ in range(12)]
+                              for _ in range(12)]) for _ in range(5)]
+    for k, a in enumerate(draws):
+        form, p, q = bidiagonalize(a, transforms=True)
+        assert p @ a.padded_square() @ q == form.matrix, f"ZZ draw {k}"
+    with pytest.raises(Watched):
+        smith_normal_form(draws[0])

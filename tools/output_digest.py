@@ -151,7 +151,7 @@ def main() -> None:
     for k, rows in enumerate(ladder_draws()):
         matrix = DenseMatrix(ZZ, rows)
         digest.update(f"ladder/{k}\n".encode())
-        for line in (repr(_reduced_form(matrix, _Modulus(matrix))),
+        for line in (repr(_reduced_form(matrix, _Modulus(ZZ, matrix))),
                      factor_line(smith_normal_form(matrix))):
             digest.update(f"{line}\n".encode())
     print(digest.hexdigest())
