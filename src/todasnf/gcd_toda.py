@@ -25,9 +25,11 @@ GF(p)[x], and with floor division over ZZ, where each quotient is by a
 gcd of its dividend and so exact.  Like a DenseMatrix, a GcdTodaState
 stores payloads and wraps them into RingValues only when read.  iterate
 is the one loop over the step: it makes the seed canonical once, which
-keeps every kernel result canonical (see ud_toda.py), and yields trusted
+keeps every kernel result canonical (see ud_toda.py), carries the step's
+divisibility memo from each state to the next, and yields trusted
 states.  run, gcd_step and every trace consume it, so a replay costs
-about as much as the run it replays.
+about as much as the run it replays.  gcd_step starts a fresh iterate on
+each call, so it steps without a memo.
 """
 
 from __future__ import annotations
@@ -155,9 +157,10 @@ def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
     gcd, mul, canon = ring.gcd, ring.mul, ring.canonical
     div = operator.floordiv if ring is ZZ else ring.exact_div
     q, e = tuple(map(canon, state.q)), tuple(map(canon, state.e))
+    known = [False] * len(e)
     while True:
         try:
-            q, e = toda_step(q, e, gcd, mul, div)
+            q, e = toda_step(q, e, gcd, mul, div, known)
         except ZeroDivisionError:
             raise ExactDivisionError("division by zero") from None
         yield new(ring, q, e)

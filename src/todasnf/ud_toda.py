@@ -28,6 +28,23 @@ step is the same up to units and comes out canonical either way.
 The step divides before it multiplies, in one pass: q'_i = gcd(e_i, a_i)
 (or min) divides both (is at most both), so (a_i / q'_i) q_{i+1} equals
 a_i q_{i+1} / q'_i, and so for e'_i; only e_i = a_i = 0 fails to divide.
+
+The step can also carry a divisibility memo, which spares settled entries
+their gcd and division.  Write below(x, y) for add(x, y) == x: x divides
+y (is at most y).  Since e'_i = (e_i / q'_i) q_{i+1}, below(q'_i, q_{i+1})
+on the old q_{i+1} gives below(q'_i, e'_i), and the step records it as
+known[i].  At the next step, if known[i], a_i == q_i and below(q_i,
+q_{i+1}), then q'_i = add(e_i, q_i) is the canonical q_i itself, e'_i =
+e_i (q_{i+1} / q_i), a_{i+1} = q_{i+1}, and known[i] still holds; every
+other entry takes the full step.  These are the full step's canonical
+values, so states are the same entry for entry.  Over a ring a zero q_i
+never carries a true flag: it would need q'_i = q_{i+1} = 0, and the step
+that made it divided by that zero and raised.  The memo pays because the
+lattice sorts like the box-and-ball system, the large factors settling
+at the tail first.  From then on each step only rescales the tail's e_i
+by q_{i+1} / q_i, so they grow without bound (past 38 000 bits on 64 x 64
+benchmark inputs whose q_i stay under 200 bits), and the memo keeps the
+cost of each to one product by a small ratio.
 """
 
 from __future__ import annotations
@@ -100,21 +117,33 @@ def interleave(q, e) -> tuple:
     return (q[0],) + tuple(v for pair in zip(e, q[1:]) for v in pair)
 
 
-def toda_step(q, e, add, mul, div) -> tuple[tuple, tuple]:
+def toda_step(q, e, add, mul, div, known=None) -> tuple[tuple, tuple]:
     """One time step over a semiring, returning the new (q, e).
 
     a_0 = q_0, a_{i+1} = (a_i / q'_i) q_{i+1};  q'_i = add(e_i, a_i) but
     q'_{N-1} = a_{N-1};  e'_i = (e_i / q'_i) q_{i+1}.  Each quotient is
     exact: its divisor add(e_i, a_i) is a gcd of both dividends, and over
     min-plus div = sub is total.
+
+    known, if given, is a list of len(e) flags that the step reads and
+    rewrites in place, the divisibility memo of the module docstring: a
+    true known[i] must mean that q_i divides e_i (is at most e_i), and on
+    return it means so for the new state.  All false is always sound, so
+    an evolution starts with it and passes the same list to every step.
+    The result is the same with the memo or without it.
     """
     a = q[0]
     new_q, new_e = [], []
-    for ei, qn in zip(e, q[1:]):
-        qi = add(ei, a)
+    for i, (qi, ei, qn) in enumerate(zip(q, e, q[1:])):
+        if known is not None and known[i] and a == qi and add(qi, qn) == qi:
+            ei, a = mul(ei, div(qn, qi)), qn
+        else:
+            qi = add(ei, a)
+            ei, a = mul(div(ei, qi), qn), mul(div(a, qi), qn)
+            if known is not None:
+                known[i] = add(qi, qn) == qi
         new_q.append(qi)
-        new_e.append(mul(div(ei, qi), qn))
-        a = mul(div(a, qi), qn)
+        new_e.append(ei)
     new_q.append(a)
     return tuple(new_q), tuple(new_e)
 

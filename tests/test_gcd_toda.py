@@ -1,5 +1,6 @@
 """Lattice dynamics over a ring: step, termination, invariants, lifting."""
 
+import operator
 import pickle
 import random
 import sys
@@ -403,16 +404,86 @@ def test_run_wraps_only_the_final_state_and_replays_its_trace():
         assert info.value.trace == _gcd_step_chain(state, cap)
 
 
-def _smooth_seed():
-    """The n = 32 seed of 2^a 3^b 5^c entries used above."""
+def _smooth_seed(n=32):
+    """The n = 32 seed of 2^a 3^b 5^c entries used above, or one of n."""
     rng = random.Random(60)
-    n = 32
 
     def smooth():
         return 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 6) * 5 ** rng.randint(0, 6)
 
     return _int_state([smooth() for _ in range(n)],
                       [smooth() for _ in range(n - 1)])
+
+
+def _memo_free_states(seed):
+    """The states after the seed, as (q, e) payloads, by toda_step without
+    a memo; exact division raises on a zero gcd as iterate does."""
+    ring = seed.ring
+    q, e = map(ring.canonical, seed.q), map(ring.canonical, seed.e)
+    q, e = tuple(q), tuple(e)
+    while True:
+        q, e = ud_toda.toda_step(q, e, ring.gcd, ring.mul, ring.exact_div)
+        yield q, e
+
+
+def test_the_memo_of_iterate_changes_no_state(monkeypatch):
+    # iterate hands toda_step one divisibility memo for the whole
+    # evolution.  Chained without it, the step must give every state
+    # through run's final one, and split seeds must raise alike.  A
+    # settled entry takes one product instead of two, so fewer products
+    # than two per entry and step show that the memo was used.
+    ring = PolyModP(5)
+    x, x1 = ring([0, 1]), ring([1, 1])
+    powers = [x ** i * x1 ** j for i in range(4) for j in range(4)]
+    rng = random.Random(23)
+    poly = GcdTodaState([rng.choice(powers) for _ in range(16)],
+                        [rng.choice(powers) for _ in range(15)])
+    smooth = _smooth_seed()
+    zero_last = GcdTodaState.from_payloads(ZZ, smooth.q[:-1] + (0,), smooth.e)
+    products = 0
+    original = ZZ.mul
+
+    def counting(a, b):
+        nonlocal products
+        products += 1
+        return original(a, b)
+
+    for seed in (smooth, _smooth_seed(64), poly, zero_last):
+        products = 0
+        monkeypatch.setattr(type(ZZ), "mul", staticmethod(counting))
+        outcome = run(seed)
+        monkeypatch.undo()
+        steps = islice(iterate(seed), 1, outcome.iterations + 1)
+        for state, (q, e) in zip(steps, _memo_free_states(seed)):
+            assert (state.q, state.e) == (q, e)
+        assert state == outcome.final
+        if seed.ring is ZZ:
+            assert products < 1.5 * outcome.iterations * (seed.n - 1)
+
+    for seed in (_int_state((2, 0, 5), (2, 0)), _int_state((0, 3), (0,))):
+        memo = islice(iterate(seed), 1, None)
+        for states in (memo, _memo_free_states(seed)):
+            with pytest.raises(ExactDivisionError, match="division by zero"):
+                next(states)
+
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        state = UdTodaState([rng.randint(0, 9) for _ in range(n)],
+                            [rng.randint(0, 9) for _ in range(n - 1)])
+        q, e, known = state.blocks, state.gaps, [False] * (n - 1)
+        differences = 0
+
+        def sub(a, b):
+            nonlocal differences
+            differences += 1
+            return a - b
+
+        for _ in range(60):
+            q, e = ud_toda.toda_step(q, e, min, operator.add, sub, known)
+            state = ud_step(state)
+            assert (q, e) == (state.blocks, state.gaps)
+        assert differences < 2 * 60 * (n - 1)
 
 
 def test_iterate_wraps_nothing_until_a_diagonal_is_read(monkeypatch):

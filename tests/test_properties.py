@@ -12,8 +12,12 @@ lattice route run modulo D from its first kernel must agree with the
 exact route for D and for every multiple c D.  On a planted input, a
 known chain mixed by elementary additions (conftest.planted_int_grid),
 smith_normal_form must return the chain itself, full rank or not, for
-n <= 24.  The example budget and derandomised search come from the
-profile in conftest.py.
+n <= 24.
+
+On bidiagonal seeds over both rings, run, whose steps share one
+divisibility memo, must take as many steps to the same final state as
+chained gcd_step calls, which keep none.  The example budget and
+derandomised search come from the profile in conftest.py.
 """
 
 import random
@@ -25,11 +29,15 @@ from hypothesis import given, strategies as st
 from conftest import det_int_brute, planted_int_grid
 from todasnf import (
     DenseMatrix,
+    GcdTodaState,
     PolyModP,
     ZZ,
     canonical,
     classical_snf,
+    gcd_step,
+    run,
     smith_normal_form,
+    terminated,
 )
 from todasnf.elimination import _Modulus, _rank_minor
 from todasnf.snf import _lattice_snf
@@ -173,3 +181,24 @@ def test_planted_chain_comes_back(data):
     grid, chain = planted_int_grid(random.Random(seed), n, rank, 12 * n)
     factors = smith_normal_form(DenseMatrix(ZZ, grid)).factors
     assert [v.payload for v in factors] == chain
+
+
+@st.composite
+def lattice_seeds(draw):
+    """A seed run accepts: only the last diagonal entry may be zero."""
+    ring, _, entry = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    n = draw(st.integers(1, 10))
+    nonzero = entry.map(ring).filter(lambda v: not v.is_zero())
+    diag = draw(st.lists(nonzero, min_size=n - 1, max_size=n - 1))
+    sub = draw(st.lists(nonzero, min_size=n - 1, max_size=n - 1))
+    return GcdTodaState(diag + [draw(entry.map(ring))], sub)
+
+
+@given(seed=lattice_seeds())
+def test_run_steps_as_chained_gcd_steps(seed):
+    outcome = run(seed)
+    state, steps = gcd_step(seed), 1
+    while not terminated(state):
+        state, steps = gcd_step(state), steps + 1
+    assert outcome.iterations == steps
+    assert outcome.final == state == outcome.trace[-1]

@@ -14,7 +14,8 @@ next to it).  Per input the digest covers:
 - the factors of classical_snf;
 - the rendered --trace lines on dense_zz and poly_gfp;
 - the first 8 rendered states of iterate(seed_state(form)) on
-  lattice_smooth;
+  lattice_smooth, and every q and e entry of run(seed_state(form)).final
+  in hexadecimal (its e entries run past the 4300 digits str renders);
 - on dense_zz and poly_gfp inputs that take at least 2 steps, the message
   and rendered trace of the IterationLimitError of a run capped at half
   its steps.
@@ -107,8 +108,11 @@ def lines(workload: str, matrix: DenseMatrix):
     if workload in TRACED and result.trace is not None:
         yield from map(render_trace_line, result.trace)
     if workload == "lattice_smooth" and form.k:
-        prefix = islice(iterate(seed_state(form)), LATTICE_PREFIX)
+        state = seed_state(form)
+        prefix = islice(iterate(state), LATTICE_PREFIX)
         yield from map(render_trace_line, prefix)
+        final = run(state).final
+        yield " ".join(f"{v:x}" for v in final.q + final.e)
     if workload in TRACED and result.iterations >= 2:
         try:
             run(seed_state(form), result.iterations // 2)
