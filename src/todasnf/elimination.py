@@ -24,7 +24,8 @@ the ring, fed the cofactors of ring.xgcd or the addition (1, 1, 1, 0),
 and the grids become matrices again through DenseMatrix.from_payloads.
 BidiagonalForm reads its block size and corner flag off the bands.
 Over ZZ the kernels and ZZ.xgcd run on Python's int operators; over
-GF(p)[x] the kernels go through the ring's payload calls.  They touch
+GF(p)[x] each kernel call is one call of the ring's packed kernel
+PolyModP.mix, and PolyModP.xgcd runs on packed ints too.  They touch
 only the live block: at level t the rows and columns before t are
 finished, so each call rewrites rows from column t on and walks columns
 from row t on.  The P and Q borders sit past n and still ride along.
@@ -78,11 +79,12 @@ class _Modulus:
     xgcd(x[k], y[k])[1:] leaves the gcd in x[k] and zero in y[k], and
     addition (1, 1, 1, 0) adds y to x.
 
-    Over GF(p)[x] the kernels use the ring's payload calls.  Over ZZ they
-    run on Python's int operators and d is the rule's one state: exact
-    while d is None, and once d = |D| is set each written entry of more
-    than bits bits is stored as its residue in (0, d], so a zero stays
-    zero and a nonzero entry stays nonzero.
+    Over GF(p)[x] the kernels hand the two lines to ring.mix, which
+    packs each operand once (see ring.py).  Over ZZ they run on Python's
+    int operators and d is the rule's one state: exact while d is None,
+    and once d = |D| is set each written entry of more than bits bits is
+    stored as its residue in (0, d], so a zero stays zero and a nonzero
+    entry stays nonzero.
 
     watch, which only a ZZ modulus given the input matrix runs, sets
     rank, d and bits when the rule goes live.  It computes the Hadamard
@@ -118,9 +120,7 @@ class _Modulus:
         r1, r2 = grid[i1], grid[i2]
         xs, ys = r1[start:], r2[start:]
         if self.ring is not ZZ:
-            add, mul = self.ring.add, self.ring.mul
-            r1[start:] = [add(mul(p, x), mul(q, y)) for x, y in zip(xs, ys)]
-            r2[start:] = [add(mul(t, x), mul(s, y)) for x, y in zip(xs, ys)]
+            r1[start:], r2[start:] = self.ring.mix(cof, xs, ys)
             return
         d = self.d
         if d is None:
@@ -135,14 +135,14 @@ class _Modulus:
 
     def mix_cols(self, grid: list[list], j1: int, j2: int, cof,
                  start: int = 0) -> None:
-        p, q, s, t = cof
         if self.ring is not ZZ:
-            add, mul = self.ring.add, self.ring.mul
-            for row in grid[start:]:
-                x, y = row[j1], row[j2]
-                row[j1] = add(mul(x, p), mul(y, q))
-                row[j2] = add(mul(x, t), mul(y, s))
+            rows = grid[start:]
+            us, vs = self.ring.mix(cof, [row[j1] for row in rows],
+                                   [row[j2] for row in rows])
+            for row, u, v in zip(rows, us, vs):
+                row[j1], row[j2] = u, v
             return
+        p, q, s, t = cof
         d = self.d
         if d is None:
             for row in grid[start:]:

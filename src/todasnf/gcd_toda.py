@@ -22,14 +22,17 @@ The step, the divisor program, the termination test and the word are the
 semiring kernels of ud_toda.py, run on raw payloads with the bound methods
 ring.gcd and ring.mul.  The step divides with ring.exact_div over
 GF(p)[x], and with floor division over ZZ, where each quotient is by a
-gcd of its dividend and so exact.  Like a DenseMatrix, a GcdTodaState
-stores payloads and wraps them into RingValues only when read.  iterate
-is the one loop over the step: it makes the seed canonical once, which
-keeps every kernel result canonical (see ud_toda.py), carries the step's
-divisibility memo from each state to the next, and yields trusted
-states.  run, gcd_step and every trace consume it, so a replay costs
-about as much as the run it replays.  gcd_step starts a fresh iterate on
-each call, so it steps without a memo.
+gcd of its dividend and so exact.  Over GF(p)[x] the step's memo tests
+divisibility with ring.divides, one remainder where a gcd is a Euclidean
+loop; over ZZ it keeps the inline gcd test, which enters no Python
+frame.  Like a DenseMatrix, a GcdTodaState stores payloads and wraps
+them into RingValues only when read.  iterate is the one loop over the
+step: it makes the seed canonical once, which keeps every kernel result
+canonical (see ud_toda.py), carries the step's divisibility memo from
+each state to the next, and yields trusted states.  run, gcd_step and
+every trace consume it, so a replay costs about as much as the run it
+replays.  gcd_step starts a fresh iterate on each call, so it steps
+without a memo.
 """
 
 from __future__ import annotations
@@ -155,12 +158,13 @@ def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
     yield state
     ring, new = state.ring, GcdTodaState.from_payloads
     gcd, mul, canon = ring.gcd, ring.mul, ring.canonical
-    div = operator.floordiv if ring is ZZ else ring.exact_div
+    div, below = ((operator.floordiv, None) if ring is ZZ
+                  else (ring.exact_div, ring.divides))
     q, e = tuple(map(canon, state.q)), tuple(map(canon, state.e))
     known = [False] * len(e)
     while True:
         try:
-            q, e = toda_step(q, e, gcd, mul, div, known)
+            q, e = toda_step(q, e, gcd, mul, div, known, below)
         except ZeroDivisionError:
             raise ExactDivisionError("division by zero") from None
         yield new(ring, q, e)

@@ -4,8 +4,15 @@ Supported rings:
 
   * the rational integers, backed by Python's arbitrary-precision ``int``;
   * ``PolyModP(p)``, univariate polynomials over the prime field Z/pZ,
-    backed by tuples of residues in ascending degree order, multiplied by
-    Kronecker substitution in 64-bit slots that p < 2**16 keeps from carrying.
+    backed by tuples of residues in ascending degree order.
+
+PolyModP's hot loops run on packed ints (Kronecker substitution): _pack
+puts each coefficient in a 64-bit slot, little-endian on every host, and
+_unpack reduces each slot mod p and trims, since a sum of products can
+cancel at the top or everywhere.  That one pair serves mul, the sweep
+kernel mix and xgcd.  A slot of a kernel sum P X + Q Y adds
+min(len P, len X) + min(len Q, len Y) products below p**2 < 2**32, as
+p < 2**16, so no slot carries while each min is below 2**31.
 
 Every element is carried as a :class:`RingValue`, a thin wrapper that tags
 an opaque payload with the ring it lives in.  Mixing values from different
@@ -130,13 +137,20 @@ class Ring:
       ExactDivisionError;
     * ``canonicalizing_unit(a)``, a unit u with u*a canonical (nonnegative,
       monic); the identity on zero;
-    * ``size(a)``, bit length or degree, the measure the step caps use.
+    * ``size(a)``, bit length or degree, the measure the step caps use;
+    * ``xgcd(a, b)``, the Bezout data (d, p, q, s, t) with d the canonical
+      gcd and a*p + b*q == d, a == s*d, b == -t*d; ValueError when both
+      are zero.  Both rings run one Euclidean loop: from the rows
+      (a, 1, 0) and (b, 0, 1), while the second remainder is nonzero,
+      take (quot, rem) = divmod(r0, r1) and replace the rows by
+      (r1, x1, y1) and (rem, x0 - quot*x1, y0 - quot*y1); then scale the
+      first row by canonicalizing_unit(r0).  The sweeps' forms, P, Q
+      and traces rest on these cofactors, not merely on some Bezout
+      tuple.
 
     Zero payloads are the falsy ones, and truthiness is the only payload
     zero test.  Ring derives the rest.  Gcds are canonical associates;
-    ``gcd(0, 0) == 0`` and everything divides zero.  IntegerRing overrides
-    ``xgcd`` with the same loop on Python's int operators, which yields the
-    same cofactors.
+    ``gcd(0, 0) == 0`` and everything divides zero.
     """
 
     def canonical(self, a):
@@ -148,31 +162,6 @@ class Ring:
         while b:
             a, b = b, quorem(a, b)[1]
         return self.canonical(a)
-
-    def xgcd(self, a, b):
-        """Bezout data (d, p, q, s, t) of two payloads.
-
-        d is the canonical gcd of (a, b) and
-
-            a*p + b*q == d,    a == s*d,    b == -t*d.
-
-        Undefined (raises ValueError) when both inputs are zero.
-        """
-        if not a and not b:
-            raise ValueError("extended gcd of (0, 0) is undefined")
-        add, neg, mul, quorem = self.add, self.neg, self.mul, self.divmod
-        one, zero = self.coerce(1), self.coerce(0)
-        r0, x0, y0 = a, one, zero
-        r1, x1, y1 = b, zero, one
-        while r1:
-            quot, rem = quorem(r0, r1)
-            r0, r1 = r1, rem
-            x0, x1 = x1, add(x0, neg(mul(quot, x1)))
-            y0, y1 = y1, add(y0, neg(mul(quot, y1)))
-        u = self.canonicalizing_unit(r0)
-        d = mul(u, r0)
-        return (d, mul(u, x0), mul(u, y0), quorem(a, d)[0],
-                neg(quorem(b, d)[0]))
 
     def exact_div(self, a, b):
         """a / b when b divides a exactly; ExactDivisionError otherwise."""
@@ -239,7 +228,7 @@ class IntegerRing(Ring):
     render = staticmethod(str)
 
     def xgcd(self, a: int, b: int):
-        """Ring.xgcd's loop and cofactors, on Python's int operators."""
+        """The Euclidean loop of the Ring contract on int operators."""
         if not a and not b:
             raise ValueError("extended gcd of (0, 0) is undefined")
         r0, x0, y0 = a, 1, 0
@@ -273,6 +262,18 @@ class IntegerRing(Ring):
 
 #: The ring of rational integers, the only instance of IntegerRing.
 ZZ = object.__new__(IntegerRing)
+
+#: Packed payloads are little-endian on every host, so that the slots of
+#: a sum of products of unequal lengths line up from the constant term.
+_SWAP = sys.byteorder == "big"
+
+
+def _pack(coeffs) -> int:
+    """One int with a 64-bit slot per coefficient, lowest first."""
+    slots = array("Q", coeffs)
+    if _SWAP:
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
 
 
 def _is_prime(n: int) -> bool:
@@ -332,24 +333,71 @@ class PolyModP(Ring):
         return tuple([p - c if c else 0 for c in a]) if a else a
 
     def mul(self, a, b):
-        """Product by Kronecker substitution: one big-int product in C.
-
-        Each operand packs into an int with one 64-bit slot per coefficient
-        (in host byte order: a big-endian host reads both reversed, and
-        their product too).  A product slot sums at most min(len(a), len(b))
-        terms below (p - 1)**2 < 2**32, as p < 2**16, so slots never carry.
-        The top slot is nonzero, since GF(p) has no zero divisors.
-        """
+        """Product by Kronecker substitution: one big-int product in C."""
         if not a or not b:
             return ()
-        p, order = self.p, sys.byteorder
         if len(a) == 1 or len(b) == 1:
+            p = self.p
             c, b = (a[0], b) if len(a) == 1 else (b[0], a)
             return tuple([c * x % p for x in b])
-        prod = (int.from_bytes(array("Q", a), order)
-                * int.from_bytes(array("Q", b), order))
-        slots = array("Q", prod.to_bytes(8 * (len(a) + len(b) - 1), order))
-        return tuple([c % p for c in slots])
+        return self._unpack(_pack(a) * _pack(b))
+
+    def mix(self, cof, xs, ys):
+        """The sweep kernel: (p x + q y, t x + s y) for cof = (p, q, s, t),
+        as the lists us and vs over the pairs of xs and ys.
+
+        Each cofactor, x and y is packed once, and each u and v is two
+        big-int products and a sum, unpacked once.
+        """
+        pack, unpack = _pack, self._unpack
+        pp, pq, ps, pt = map(pack, cof)
+        us, vs = [], []
+        for x, y in zip(xs, ys):
+            x, y = pack(x), pack(y)
+            us.append(unpack(pp * x + pq * y))
+            vs.append(unpack(pt * x + ps * y))
+        return us, vs
+
+    def xgcd(self, a, b):
+        """The Euclidean loop of the Ring contract, its cofactors packed.
+
+        For the loop's rows x_k, y_k, the packed X_k = (-1)**k x_k and
+        Y_k = (-1)**(k + 1) y_k follow X_{k+1} = X_{k-1} + quot X_k, and
+        so for Y: sums of nonnegative slots, reduced mod p once a step.
+        After k steps, with c = lead(r0), u = 1 / c and sign = (-1)**k,
+        the first row gives the Bezout pair (u sign X0, -u sign Y0), and
+        the last row, in place of two long divisions, the quotients
+        a / d = c Y1 and -b / d = -c X1.
+        """
+        if not a and not b:
+            raise ValueError("extended gcd of (0, 0) is undefined")
+        p, quorem, pack, unpack = self.p, self.divmod, _pack, self._unpack
+        r0, x0, y0 = a, 1, 0
+        r1, x1, y1 = b, 0, 1
+        sign = 1
+        while r1:
+            quot, rem = quorem(r0, r1)
+            r0, r1, quot = r1, rem, pack(quot)
+            x0, x1 = x1, pack(unpack(x0 + quot * x1))
+            y0, y1 = y1, pack(unpack(y0 + quot * y1))
+            sign = p - sign
+        c = r0[-1]
+        u = pow(c, -1, p)
+        return (tuple([v * u % p for v in r0]), unpack(sign * u * x0),
+                unpack((p - sign) * u * y0), unpack(c * y1),
+                unpack((p - c) * x1))
+
+    def _unpack(self, packed: int):
+        """The payload of a packed int: each slot reduced mod p, trimmed."""
+        slots = array("Q", packed.to_bytes((packed.bit_length() + 63) // 64
+                                           * 8, "little"))
+        if _SWAP:
+            slots.byteswap()
+        p = self.p
+        coeffs = [c % p for c in slots]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
 
     def divmod(self, a, b):
         """Long division, reducing mod p only the coefficients it reads."""

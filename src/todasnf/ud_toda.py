@@ -117,7 +117,8 @@ def interleave(q, e) -> tuple:
     return (q[0],) + tuple(v for pair in zip(e, q[1:]) for v in pair)
 
 
-def toda_step(q, e, add, mul, div, known=None) -> tuple[tuple, tuple]:
+def toda_step(q, e, add, mul, div, known=None,
+              below=None) -> tuple[tuple, tuple]:
     """One time step over a semiring, returning the new (q, e).
 
     a_0 = q_0, a_{i+1} = (a_i / q'_i) q_{i+1};  q'_i = add(e_i, a_i) but
@@ -130,18 +131,21 @@ def toda_step(q, e, add, mul, div, known=None) -> tuple[tuple, tuple]:
     true known[i] must mean that q_i divides e_i (is at most e_i), and on
     return it means so for the new state.  All false is always sound, so
     an evolution starts with it and passes the same list to every step.
-    The result is the same with the memo or without it.
+    The result is the same with the memo or without it.  below, if
+    given, is the memo's test below(x, y) in place of add(x, y) == x,
+    for a ring whose divisibility test is cheaper than its gcd.
     """
     a = q[0]
     new_q, new_e = [], []
     for i, (qi, ei, qn) in enumerate(zip(q, e, q[1:])):
-        if known is not None and known[i] and a == qi and add(qi, qn) == qi:
+        if known is not None and known[i] and a == qi and (
+                below(qi, qn) if below else add(qi, qn) == qi):
             ei, a = mul(ei, div(qn, qi)), qn
         else:
             qi = add(ei, a)
             ei, a = mul(div(ei, qi), qn), mul(div(a, qi), qn)
             if known is not None:
-                known[i] = add(qi, qn) == qi
+                known[i] = below(qi, qn) if below else add(qi, qn) == qi
         new_q.append(qi)
         new_e.append(ei)
     new_q.append(a)

@@ -220,6 +220,34 @@ def det_poly_brute(grid, p: int) -> tuple[int, ...]:
     return total
 
 
+# -- the Euclidean loop of the Ring contract ---------------------------------
+
+
+def euclid_xgcd(ring, a, b):
+    """Bezout data (d, p, q, s, t) of two payloads by the Ring contract's
+    loop, written once on the ring's add, neg, mul and divmod.
+
+    Not an independent oracle: the spec that every ring's own xgcd must
+    match tuple for tuple, since the sweeps' forms, P, Q and traces rest
+    on these cofactors, not merely on some Bezout tuple.
+    """
+    if not a and not b:
+        raise ValueError("extended gcd of (0, 0) is undefined")
+    add, neg, mul, quorem = ring.add, ring.neg, ring.mul, ring.divmod
+    one, zero = ring.coerce(1), ring.coerce(0)
+    r0, x0, y0 = a, one, zero
+    r1, x1, y1 = b, zero, one
+    while r1:
+        quot, rem = quorem(r0, r1)
+        r0, r1 = r1, rem
+        x0, x1 = x1, add(x0, neg(mul(quot, x1)))
+        y0, y1 = y1, add(y0, neg(mul(quot, y1)))
+    u = ring.canonicalizing_unit(r0)
+    d = mul(u, r0)
+    return (d, mul(u, x0), mul(u, y0), quorem(a, d)[0],
+            neg(quorem(b, d)[0]))
+
+
 # -- builders (package objects, not oracles) --------------------------------
 
 

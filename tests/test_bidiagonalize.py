@@ -74,13 +74,21 @@ def test_gcd_rotation_poly():
 
 def test_block_updates_match_matrix_products():
     rng = random.Random(33)
-    ring = ZZ
-    for _ in range(50):
+    gf = PolyModP(7)
+
+    def draw(ring, low, high):
+        """An int in [low, high], or over gf a polynomial of degree < 3."""
+        if ring is ZZ:
+            return rng.randint(low, high)
+        return ring.coerce([rng.randint(low, high) for _ in range(3)])
+
+    for k in range(100):
+        ring = ZZ if k < 50 else gf
         n = rng.randint(2, 4)
-        a = DenseMatrix(ring, [[rng.randint(-9, 9) for _ in range(n)]
+        a = DenseMatrix(ring, [[draw(ring, -9, 9) for _ in range(n)]
                                for _ in range(n)])
         i1, i2 = rng.sample(range(n), 2)
-        p, q, s, t = cof = tuple(rng.randint(-3, 3) for _ in range(4))
+        p, q, s, t = cof = tuple(draw(ring, -3, 3) for _ in range(4))
 
         def embed(block):
             """The identity with a 2x2 block at rows and columns (i1, i2)."""

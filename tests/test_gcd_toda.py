@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import traceback
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import islice
 
@@ -415,6 +416,16 @@ def _smooth_seed(n=32):
                       [smooth() for _ in range(n - 1)])
 
 
+def _poly_seed():
+    """A 16-level GF(5)[x] seed of products x**i (x + 1)**j, i, j < 4."""
+    ring = PolyModP(5)
+    x, x1 = ring([0, 1]), ring([1, 1])
+    powers = [x ** i * x1 ** j for i in range(4) for j in range(4)]
+    rng = random.Random(23)
+    return GcdTodaState([rng.choice(powers) for _ in range(16)],
+                        [rng.choice(powers) for _ in range(15)])
+
+
 def _memo_free_states(seed):
     """The states after the seed, as (q, e) payloads, by toda_step without
     a memo; exact division raises on a zero gcd as iterate does."""
@@ -432,12 +443,7 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
     # through run's final one, and split seeds must raise alike.  A
     # settled entry takes one product instead of two, so fewer products
     # than two per entry and step show that the memo was used.
-    ring = PolyModP(5)
-    x, x1 = ring([0, 1]), ring([1, 1])
-    powers = [x ** i * x1 ** j for i in range(4) for j in range(4)]
-    rng = random.Random(23)
-    poly = GcdTodaState([rng.choice(powers) for _ in range(16)],
-                        [rng.choice(powers) for _ in range(15)])
+    poly = _poly_seed()
     smooth = _smooth_seed()
     zero_last = GcdTodaState.from_payloads(ZZ, smooth.q[:-1] + (0,), smooth.e)
     products = 0
@@ -484,6 +490,25 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
             state = ud_step(state)
             assert (q, e) == (state.blocks, state.gaps)
         assert differences < 2 * 60 * (n - 1)
+
+
+def test_the_poly_memo_tests_divisibility_by_remainder(monkeypatch):
+    # Over GF(p)[x] a gcd is a Euclidean loop, so the memo's test "q_i
+    # divides q_{i+1}" goes through ring.divides, one remainder.  Every
+    # ring.gcd call of the evolution is then a full step's gcd(e_i, a_i),
+    # fewer than one per entry and step once the memo skips some.
+    seed = _poly_seed()
+    calls = Counter()
+    for name in ("gcd", "divides"):
+        def counting(ring, a, b, name=name, original=getattr(PolyModP, name)):
+            calls[name] += 1
+            return original(ring, a, b)
+
+        monkeypatch.setattr(PolyModP, name, counting)
+    outcome = run(seed)
+    monkeypatch.undo()
+    entry_steps = outcome.iterations * (seed.n - 1)
+    assert calls["gcd"] < entry_steps < calls["divides"]
 
 
 def test_iterate_wraps_nothing_until_a_diagonal_is_read(monkeypatch):

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from conftest import int_gcd_brute, padd, pdivmod, pgcd_brute, pmul, pneg
+from conftest import (euclid_xgcd, int_gcd_brute, padd, pdivmod,
+                      pgcd_brute, pmul, pneg)
 from todasnf import (
     DenseMatrix,
     ExactDivisionError,
@@ -29,6 +30,7 @@ from todasnf import (
     smith_normal_form,
 )
 from todasnf.elimination import _Modulus, _reduced_form
+from todasnf.ring import _pack
 
 
 def test_integer_canonical_is_nonnegative():
@@ -218,13 +220,14 @@ def test_extended_gcd_rejects_double_zero():
     with pytest.raises(ValueError):
         ZZ.xgcd(0, 0)
     with pytest.raises(ValueError):
-        Ring.xgcd(ZZ, 0, 0)
+        PolyModP(5).xgcd((), ())
 
 
 def test_integer_xgcd_is_the_generic_one(int_digit_limit):
-    # IntegerRing.xgcd runs Ring.xgcd's loop on int operators.  The
-    # sweeps' forms, P, Q and traces rest on its cofactors, so they must be
-    # the generic ones, tuple for tuple, not merely another Bezout tuple.
+    # IntegerRing.xgcd runs the Ring contract's loop on int operators.
+    # The sweeps' forms, P, Q and traces rest on its cofactors, so they
+    # must be the generic ones, tuple for tuple, not merely another
+    # Bezout tuple.
     big = 10**4400 + 7  # past the 4300-digit int <-> str limit
     small = (0, 1, -1, 2, -2, 6, -6, 21, -35)
     pairs = [(a, b) for a in small for b in small if a or b]
@@ -237,7 +240,80 @@ def test_integer_xgcd_is_the_generic_one(int_digit_limit):
               for k in (1, 3, 30, 300) for _ in range(150)]
     for k, (a, b) in enumerate(pairs):
         if a or b:
-            assert ZZ.xgcd(a, b) == Ring.xgcd(ZZ, a, b), f"pair {k}"
+            assert ZZ.xgcd(a, b) == euclid_xgcd(ZZ, a, b), f"pair {k}"
+
+
+def test_poly_xgcd_is_the_generic_one():
+    # PolyModP.xgcd runs the same loop with its cofactor rows packed and
+    # reads s and t off the last row; tuple for tuple the generic one.
+    # Zero and unit operands, equal and associate ones, a shorter than b,
+    # and random pairs of degree 0 to 300 at every prime.
+    rng = random.Random(2404)
+    for p in (2, 3, 5, 7, 65521):
+        ring = PolyModP(p)
+        c = ring.coerce(p - 1)
+        pairs = []
+        for la in _LENGTHS:
+            a = _poly(rng, p, la)
+            pairs += [(a, ()), ((), a), (a, (1,)), ((1,), a), (a, c),
+                      (a, a), (a, ring.mul(c, a)), (ring.mul(c, a), a)]
+            for lb in _LENGTHS:
+                b = _poly(rng, p, lb)
+                common = _poly(rng, p, rng.randint(1, 4))
+                pairs += [(a, b), (ring.mul(common, a), ring.mul(common, b))]
+        for k, (a, b) in enumerate(pairs):
+            if a or b:
+                assert ring.xgcd(a, b) == euclid_xgcd(ring, a, b), (p, k)
+
+
+def test_poly_mix_is_the_ring_call_kernel():
+    # The packed sweep kernel equals the comprehension of ring calls it
+    # replaced, on random rows at every prime, with long operands at the
+    # largest prime (the slot bound), zero x or y, and rows that cancel.
+    rng = random.Random(2405)
+
+    def by_ring_calls(ring, cof, xs, ys):
+        add, mul = ring.add, ring.mul
+        p, q, s, t = cof
+        return ([add(mul(p, x), mul(q, y)) for x, y in zip(xs, ys)],
+                [add(mul(t, x), mul(s, y)) for x, y in zip(xs, ys)])
+
+    for p in _PRIMES:
+        ring = PolyModP(p)
+        for _ in range(40):
+            width = rng.randint(0, 6)
+            cof = tuple(_poly(rng, p, rng.choice(_LENGTHS[:5]))
+                        for _ in range(4))
+            xs, ys = ([_poly(rng, p, rng.choice(_LENGTHS)) for _ in range(width)]
+                      for _ in range(2))
+            xs.append(())
+            ys.insert(0, ())
+            for rows in ((xs, ys), (ys, xs), (xs, xs)):
+                assert ring.mix(cof, *rows) == by_ring_calls(ring, cof, *rows)
+        # p x + q y cancels to zero where (x, y) = (q, -p), and at the top
+        # only where the leading terms of p x and q y cancel.
+        x, y = _poly(rng, p, 7), _poly(rng, p, 5)
+        cof = ((1,), (1,), (1,), (0, 1))
+        cancel = ((x, ring.neg(x), ring.add(x, (1,)), ()),
+                  (ring.neg(x), x, ring.neg(x), y))
+        assert ring.mix(cof, *cancel) == by_ring_calls(ring, cof, *cancel)
+        assert ring.mix(cof, *cancel)[0][:2] == [(), ()]
+    p = 65521
+    ring = PolyModP(p)
+    top = (p - 1,) * 300
+    for cof in ((top, top, top, top), (top[:1], top, top[:7], top)):
+        rows = ([top, top[:150], ()], [top, top, top[:3]])
+        assert ring.mix(cof, *rows) == by_ring_calls(ring, cof, *rows)
+
+
+def test_packed_payloads_are_little_endian_slots():
+    # On every host a payload packs to its value at x = 2**64, so sums of
+    # products of unequal lengths line up from the constant term.
+    ring = PolyModP(5)
+    assert _pack(()) == 0 and ring._unpack(0) == ()
+    assert _pack((3, 0, 4)) == 3 + 4 * 2**128
+    assert ring._unpack(7 + 10 * 2**64 + 5 * 2**128) == (2,)
+    assert ring._unpack(2**64 * 9) == (0, 4)
 
 
 def test_exact_div():
@@ -445,7 +521,8 @@ def test_poly_coefficients_follow_the_scalar_rule():
 
 #: The payload operations that the Ring docstring asks a subclass for.
 RING_CONTRACT = ("add", "neg", "mul", "divmod", "is_unit",
-                 "canonicalizing_unit", "size", "coerce", "render", "parse")
+                 "canonicalizing_unit", "size", "coerce", "render", "parse",
+                 "xgcd")
 
 
 @pytest.mark.parametrize("ring", [ZZ, PolyModP(2), PolyModP(5),

@@ -140,13 +140,14 @@ def test_classical_route_stands_alone(monkeypatch):
     # The classical route cross-checks the lattice route, so it must not
     # share the Bezout data or the 2x2 kernels that bidiagonalize sweeps with.
     import todasnf.elimination as elimination
-    from todasnf.ring import IntegerRing, Ring
+    from todasnf.ring import IntegerRing
 
     def shared(*_):
         raise AssertionError("classical_snf reached a lattice-route kernel")
 
-    monkeypatch.setattr(Ring, "xgcd", shared)
     monkeypatch.setattr(IntegerRing, "xgcd", shared)
+    monkeypatch.setattr(PolyModP, "xgcd", shared)
+    monkeypatch.setattr(PolyModP, "mix", shared)
     monkeypatch.setattr(elimination._Modulus, "mix_rows", shared)
     monkeypatch.setattr(elimination._Modulus, "mix_cols", shared)
     gf5 = PolyModP(5)

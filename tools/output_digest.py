@@ -26,10 +26,12 @@ stderr of cli.main on every cli_small call of the same seeds (snf
 on a few fixed bidiagonal inputs with a zero subdiagonal, a zero last
 diagonal entry or a zero interior diagonal entry.
 
-Last, it covers the dense ZZ scale-ladder draws of tests/test_snf.py
-whose sweeps run modulo D for many levels (the five Random(1) 20 x 20
-draws and the Random(2) 32 x 32 one): the form smith_normal_form's
-sweeps leave, and its factors and iteration count.
+Last, it covers scale-ladder draws of tests/test_snf.py: the dense ZZ
+ones whose sweeps run modulo D for many levels (the five Random(1)
+20 x 20 draws and the Random(2) 32 x 32 one), and the Random(3)
+GF(2)[x] 12 x 12 and GF(5)[x] 14 x 14 ones, the GF(p)[x] sweeps of the
+highest degrees in the suite.  Per draw it hashes the form
+smith_normal_form's sweeps leave, and its factors and iteration count.
 """
 
 from __future__ import annotations
@@ -81,14 +83,24 @@ FIXED_TRACES = tuple(
 
 
 def ladder_draws():
-    """The Random(1) 20 x 20 draws (after the 4 to 16 ones) and the
-    Random(2) 32 x 32 draw, each randint(-20, 20) and row-major."""
+    """(ring, row-major grid) of the ladder draws: the Random(1) 20 x 20
+    draws (after the 4 to 16 ones) and the Random(2) 32 x 32 draw, each
+    randint(-20, 20); then of the Random(3) draws, three per n in 8, 10,
+    12, 14 for p = 2 then 5 with entries of degree < 3, the GF(2)[x]
+    12 x 12 and the GF(5)[x] 14 x 14 ones."""
     rng = random.Random(1)
     draws = [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
              for n in (4, 8, 12, 16, 20) for _ in range(5)][-5:]
     rng = random.Random(2)
-    return draws + [[[rng.randint(-20, 20) for _ in range(32)]
-                     for _ in range(32)]]
+    draws.append([[rng.randint(-20, 20) for _ in range(32)]
+                  for _ in range(32)])
+    rng = random.Random(3)
+    poly = {(p, n): [[[[rng.randrange(p) for _ in range(3)] for _ in range(n)]
+                      for _ in range(n)] for _ in range(3)]
+            for p in (2, 5) for n in (8, 10, 12, 14)}
+    return ([(ZZ, grid) for grid in draws]
+            + [(PolyModP(2), grid) for grid in poly[2, 12]]
+            + [(PolyModP(5), grid) for grid in poly[5, 14]])
 
 
 def factor_line(result) -> str:
@@ -152,10 +164,10 @@ def main() -> None:
             digest.update(f"{label}\n".encode())
             for line in cli_call(argv, matrix, workdir):
                 digest.update(f"{line}\n".encode())
-    for k, rows in enumerate(ladder_draws()):
-        matrix = DenseMatrix(ZZ, rows)
+    for k, (ring, rows) in enumerate(ladder_draws()):
+        matrix = DenseMatrix(ring, rows)
         digest.update(f"ladder/{k}\n".encode())
-        for line in (repr(_reduced_form(matrix, _Modulus(ZZ, matrix))),
+        for line in (repr(_reduced_form(matrix, _Modulus(ring, matrix))),
                      factor_line(smith_normal_form(matrix))):
             digest.update(f"{line}\n".encode())
     print(digest.hexdigest())
