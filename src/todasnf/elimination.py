@@ -16,19 +16,19 @@ subdiagonal entry under that pivot is forced to be nonzero (by adding a
 column that still has mass).  A decoupled zero subdiagonal would freeze
 the lattice evolution before the factors are sorted.
 
-The sweeps run on raw payloads: the padded matrix is copied out with
-payload_grid (bordered by identities that collect the transforms P and
-Q when they are asked for), every step is a call of mix_rows or
-mix_cols on the sweep's one kernel object, a _Modulus built once for
-the ring, fed the cofactors of ring.xgcd or the addition (1, 1, 1, 0),
-and the grids become matrices again through DenseMatrix.from_payloads.
-BidiagonalForm reads its block size and corner flag off the bands.
-Over ZZ the kernels and ZZ.xgcd run on Python's int operators; over
-GF(p)[x] each kernel call is one call of the ring's packed kernel
-PolyModP.mix, and PolyModP.xgcd runs on packed ints too.  They touch
-only the live block: at level t the rows and columns before t are
-finished, so each call rewrites rows from column t on and walks columns
-from row t on.  The P and Q borders sit past n and still ride along.
+One driver, _reduced_form, runs every sweep on raw payloads.  It copies
+the padded matrix out with payload_grid, bordered by identities that
+collect P and Q when they are asked for, and every step is a call of
+mix_rows or mix_cols on the sweep's one kernel object, a _Modulus, fed
+the cofactors of ring.xgcd or the addition (1, 1, 1, 0).  bidiagonalize
+runs it with exact kernels, smith_normal_form modulo D (below).  Over
+ZZ the kernels and ZZ.xgcd run on Python's int operators; over GF(p)[x]
+each kernel call is one call of PolyModP.mix, on packed ints like
+PolyModP.xgcd.  At level t the rows and columns before t are finished,
+so each call rewrites rows from column t on and walks columns from row
+t on.  The P and Q borders past n ride along under any modulus but
+never steer: the watch and _level read only the leading n x n block,
+so a bordered sweep takes the same branches and leaves the same B.
 
 Over ZZ, smith_normal_form bounds coefficient growth by sweeping modulo
 D (Kannan and Bachem 1979; Domich, Kannan and Trotter 1987), and
@@ -58,7 +58,10 @@ the unreduced values, and the result is still a valid BidiagonalForm.
 The lattice runs on B's seed, so SnfResult.trace, and with it snf
 --trace, replays the reduced seed; an input whose pivot rows never
 outgrow the bound never reduces, and keeps the exact form, steps and
-trace.  bidiagonalize itself never reduces: its form, P and Q are exact.
+trace.  Under a live modulus P pad(M) Q is congruent to B modulo D, and
+det P and det Q to 1: every block has determinant one, and a residue
+moves an entry by a multiple of D.  bidiagonalize itself never
+reduces: its form, P and Q are exact.
 """
 
 from __future__ import annotations
@@ -232,7 +235,7 @@ def _level(mod: _Modulus, grid: list[list], t: int, n: int) -> bool:
     Works in place and returns False when nothing nonzero is left.  The
     rows before t vanish from column t on and the columns before t below
     row t, so every kernel call starts at t.  Rows and columns past n
-    only ride along with the updates; mod's kernels make every one.
+    ride along.
     """
     addition, xgcd = mod.addition, mod.xgcd
     # Pivot row fix: steal mass from a lower row when row t is empty.
@@ -264,23 +267,29 @@ def _level(mod: _Modulus, grid: list[list], t: int, n: int) -> bool:
     return True
 
 
-def _sweep(mod: _Modulus, grid: list[list], n: int) -> None:
-    """Run the pivot levels of the leading n by n block until none is left.
+def _reduced_form(matrix: DenseMatrix, mod: _Modulus,
+                  transforms: bool = False):
+    """The one sweep driver: the padded matrix swept by mod's kernels.
 
-    mod watches each pivot row first and makes every kernel call; it
-    reduces only once the watch has set its d.
+    Returns the BidiagonalForm, or (form, p, q) when transforms is asked
+    for.  Before each level mod watches the pivot row's leading n
+    entries, and it reduces only once the watch has set its d.
     """
+    ring, grid = matrix.ring, matrix.padded_square().payload_grid()
+    n = len(grid)
+    if transforms:
+        eye = DenseMatrix.identity(ring, n).payload_grid()
+        grid = [row + e for row, e in zip(grid, eye)] + eye
     for t in range(n):
-        mod.watch(grid[t], t)
+        mod.watch(grid[t][:n], t)
         if not _level(mod, grid, t, n):
             break
-
-
-def _reduced_form(matrix: DenseMatrix, mod: _Modulus) -> BidiagonalForm:
-    """The form of bidiagonalize(matrix), swept by mod's kernels."""
-    grid = matrix.padded_square().payload_grid()
-    _sweep(mod, grid, len(grid))
-    return BidiagonalForm(DenseMatrix.from_payloads(matrix.ring, grid))
+    if not transforms:
+        return BidiagonalForm(DenseMatrix.from_payloads(ring, grid))
+    form, p, q = (DenseMatrix.from_payloads(ring, g) for g in (
+        [row[:n] for row in grid[:n]], [row[n:] for row in grid[:n]], grid[n:]
+    ))
+    return BidiagonalForm(form), p, q
 
 
 def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
@@ -288,22 +297,11 @@ def bidiagonalize(matrix: DenseMatrix, transforms: bool = False):
 
     Returns the BidiagonalForm, or (form, p, q) with p @ padded @ q equal
     to the form's matrix when transforms is requested; p and q are square
-    with determinant one over the padded shape.
+    with determinant one over the padded shape.  The sweeps are exact,
+    with no bound on coefficient growth over ZZ; smith_normal_form takes
+    the bounded route, the same sweeps modulo D.
     """
-    if not transforms:
-        return _reduced_form(matrix, _Modulus(matrix.ring))
-    ring = matrix.ring
-    padded = matrix.padded_square()
-    n = padded.nrows
-    # Border the grid with identities: P as extra columns, which the row
-    # updates carry along, and Q as extra rows for the column ones.
-    eye = DenseMatrix.identity(ring, n).payload_grid()
-    grid = [row + e for row, e in zip(padded.payload_grid(), eye)] + eye
-    _sweep(_Modulus(ring), grid, n)
-    form, p, q = (DenseMatrix.from_payloads(ring, g) for g in (
-        [row[:n] for row in grid[:n]], [row[n:] for row in grid[:n]], grid[n:]
-    ))
-    return BidiagonalForm(form), p, q
+    return _reduced_form(matrix, _Modulus(matrix.ring), transforms)
 
 
 def seed_state(form: BidiagonalForm) -> GcdTodaState:

@@ -8,10 +8,9 @@ with remainder only, no Bezout rotations.  verify confirms a result
 against the gcds of all k by k minors of the original matrix, each by
 one fraction-free (Bareiss) elimination on raw payloads, _det.
 
-Over ZZ the sweeps run modulo D, a nonzero r x r minor of the rank-r
-input, once an entry outgrows the input's Hadamard bound; factor i < r
-is then the gcd of the lattice's factor i with D, and every later factor
-is zero.  elimination.py states the rule and why it holds.
+Over ZZ the sweeps take the bounded route of the elimination module,
+whose docstring states the mod-D rule, when it goes live and why the
+factors it gives are the input's.
 """
 
 from __future__ import annotations
@@ -66,9 +65,8 @@ def smith_normal_form(matrix: DenseMatrix,
     Raises IterationLimitError if the lattice does not settle within the
     step cap (the default cap scales with the seed size).  The result
     keeps the lattice run; its trace replays every state, seed first.
-    Over ZZ the sweeps run modulo D once entries outgrow the Hadamard
-    bound (see elimination.py), and the run and its trace are then those
-    of the reduced form's seed.
+    Over ZZ the sweeps take elimination's bounded route (see its module
+    docstring), and the run and its trace are those of the form it leaves.
     """
     return _lattice_snf(matrix, max_iters, _Modulus(matrix.ring, matrix))
 

@@ -1,5 +1,6 @@
 """Smith normal form: lattice route against classical route and minors."""
 
+import math
 import random
 import time
 
@@ -16,6 +17,7 @@ from todasnf import (
     bidiagonalize,
     classical_snf,
     determinant,
+    determinantal_divisors,
     gcd_step,
     minors_gcd,
     run,
@@ -24,7 +26,7 @@ from todasnf import (
     verify,
 )
 from todasnf.elimination import _Modulus, _reduced_form
-from todasnf.snf import _lattice_snf
+from todasnf.snf import _det, _lattice_snf
 
 
 def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
@@ -346,6 +348,60 @@ def test_scale_ladder_planted_rungs():
         elapsed = time.perf_counter() - start
         assert [v.payload for v in factors] == chain, f"{n}x{n}"
         assert elapsed < budget, f"planted {n}x{n} took {elapsed:.2f} s"
+
+
+def _product_mod(a, b, d):
+    """a @ b of two square int grids, each entry reduced modulo d."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % d for col in cols]
+            for row in a]
+
+
+def test_mod_d_transforms_certify_the_factors():
+    # The bordered sweep modulo D carries P and Q without steering, and
+    # they certify smith_normal_form through the lattice's conserved
+    # quantities (Kaltofen, Nehring and Saunders 2011): P pad(A) Q = B
+    # (mod D), det P and det Q are units mod D, and factor i < r is
+    # gcd(d_i / d_(i-1), D) for the determinantal divisors d of B's seed.
+    # Inputs: the ladder's ZZ 16 x 16 and 20 x 20 draws, planted 24 x 24
+    # rank 18 and 48 x 48 rank 40 inputs, and dense +-20 14 x 9 and 9 x 14
+    # draws.  The 14 inputs took 1.8 s on a 2-vCPU Xeon VM, 0.9 s of it at
+    # 48 x 48, where the Bareiss det P alone would take about 15 s, so the
+    # unit check stops at n = 24; the budget is about five times 1.8 s.
+    inputs = [(grid, None) for ring, grids, _ in _ladder_draws()
+              if ring is ZZ and len(grids[0]) in (16, 20) for grid in grids]
+    rng = random.Random(7)
+    inputs += [planted_int_grid(rng, n, rank, ops)
+               for n, rank, ops in ((24, 18, 288), (48, 40, 700))]
+    rng = random.Random(8)
+    inputs += [([[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)],
+                None) for m, n in ((14, 9), (9, 14))]
+    start = time.perf_counter()
+    for grid, chain in inputs:
+        a = DenseMatrix(ZZ, grid)
+        shape = f"{a.nrows}x{a.ncols}"
+        mod = _Modulus(ZZ, a)
+        form, p, q = _reduced_form(a, mod, transforms=True)
+        assert mod.d is not None, f"{shape}: the modulus never went live"
+        assert form == _reduced_form(a, _Modulus(ZZ, a)), shape
+        d, n = mod.d, form.matrix.nrows
+        pad = a.padded_square().payload_grid()
+        pq = _product_mod(_product_mod(p.payload_grid(), pad, d),
+                          q.payload_grid(), d)
+        assert pq == [[v % d for v in row]
+                      for row in form.matrix.payload_grid()], shape
+        seed = seed_state(form)
+        divisors = [v.payload for v in determinantal_divisors(seed)]
+        size = min(a.nrows, a.ncols)
+        factors = [math.gcd(divisors[i] // (divisors[i - 1] if i else 1), d)
+                   for i in range(mod.rank)] + [0] * (size - mod.rank)
+        assert factors == [v.payload for v in smith_normal_form(a).factors]
+        assert chain is None or factors == chain, shape
+        if n <= 24:
+            for t in (p, q):
+                assert math.gcd(_det(ZZ, t.payload_grid()), d) == 1, shape
+    elapsed = time.perf_counter() - start
+    assert elapsed < 9.0, f"certificates took {elapsed:.2f} s"
 
 
 def test_mod_d_sweeps_stay_within_the_size_of_d(monkeypatch):

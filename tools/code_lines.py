@@ -1,12 +1,16 @@
 """Print the line counts of the package, per module and in total.
 
     python3 tools/code_lines.py [PACKAGE_DIR]
+    python3 tools/code_lines.py OLD_DIR NEW_DIR
 
 For each module of src/todasnf (or of PACKAGE_DIR) it prints the
 `wc -l` count and the code lines: every line that is not blank, not a
 comment line (first non-space character `#`) and not part of a
 docstring.  Docstrings are those of the AST: the leading string
-expression of a module, class or function body.
+expression of a module, class or function body.  Given two package
+directories, it prints both counts before and after, and their deltas,
+for every module of either and in total; a module missing on one side
+counts zero there.
 """
 
 from __future__ import annotations
@@ -39,15 +43,31 @@ def counts(path: Path) -> tuple[int, int]:
     return text.count("\n"), code
 
 
+def package_counts(package: Path) -> dict[str, tuple[int, int]]:
+    """counts of every module of a package directory, and their total."""
+    table = {path.name: counts(path) for path in sorted(package.glob("*.py"))}
+    table["total"] = (sum(wc for wc, _ in table.values()),
+                      sum(code for _, code in table.values()))
+    return table
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        old, new = (package_counts(Path(arg)) for arg in argv)
+        names = sorted((set(old) | set(new)) - {"total"}) + ["total"]
+        print(f"{'module':<16} {'wc -l before/after':>20} "
+              f"{'code before/after':>20}")
+        for name in names:
+            cells = []
+            for k in (0, 1):
+                a, b = old.get(name, (0, 0))[k], new.get(name, (0, 0))[k]
+                cells.append(f"{a:>6} {b:>6} {b - a:>+6}")
+            print(f"{name:<16} {cells[0]} {cells[1]}")
+        return 0
     package = Path(argv[0]) if argv else ROOT / "src" / "todasnf"
-    total_wc = total_code = 0
     print(f"{'module':<16} {'wc -l':>6} {'code':>6}")
-    for path in sorted(package.glob("*.py")):
-        wc, code = counts(path)
-        total_wc, total_code = total_wc + wc, total_code + code
-        print(f"{path.name:<16} {wc:>6} {code:>6}")
-    print(f"{'total':<16} {total_wc:>6} {total_code:>6}")
+    for name, (wc, code) in package_counts(package).items():
+        print(f"{name:<16} {wc:>6} {code:>6}")
     return 0
 
 
