@@ -26,13 +26,17 @@ gcd of its dividend and so exact.  Over GF(p)[x] the step's memo tests
 divisibility with ring.divides, one remainder where a gcd is a Euclidean
 loop; over ZZ it keeps the inline gcd test, which enters no Python
 frame.  Like a DenseMatrix, a GcdTodaState stores payloads and wraps
-them into RingValues only when read.  iterate is the one loop over the
+them into RingValues only when read.  _evolve is the one loop over the
 step: it makes the seed canonical once, which keeps every kernel result
-canonical (see ud_toda.py), carries the step's divisibility memo from
-each state to the next, and yields trusted states.  run, gcd_step and
-every trace consume it, so a replay costs about as much as the run it
-replays.  gcd_step starts a fresh iterate on each call, so it steps
-without a memo.
+canonical (see ud_toda.py), and steps one ud_toda stepper, which carries
+the step's divisibility memo and frozen suffix from each state to the
+next.  iterate pays the suffix's lag before each state it yields, so
+gcd_step and every trace see plain states.  run builds none: it tests
+termination on the stepper, reading q and only the e_i the memo does
+not vouch for, and pays once, at the end or at the cap.  A replay thus
+costs more than the run it replays: it makes, one step at a time, every
+rescaling that run skipped.  gcd_step starts a fresh iterate on each
+call, so it steps without a memo.
 """
 
 from __future__ import annotations
@@ -53,10 +57,10 @@ from .ring import (
 )
 from .ud_toda import (
     UdTodaState,
+    _Stepper,
     interleave,
     non_adjacent_totals,
     settled,
-    toda_step,
 )
 
 
@@ -153,21 +157,28 @@ class TodaRun:
         return tuple(islice(iterate(self.seed), self.iterations + 1))
 
 
+def _evolve(state: GcdTodaState) -> Iterator[_Stepper]:
+    """One stepper on the canonical payloads of state, stepped once before
+    each time it is yielded, without end."""
+    ring = state.ring
+    div, below = ((operator.floordiv, None) if ring is ZZ
+                  else (ring.exact_div, ring.divides))
+    lattice = _Stepper(map(ring.canonical, state.q),
+                       map(ring.canonical, state.e), ring.gcd, ring.mul,
+                       div, below=below)
+    while True:
+        try:
+            lattice.step()
+        except ZeroDivisionError:
+            raise ExactDivisionError("division by zero") from None
+        yield lattice
+
+
 def iterate(state: GcdTodaState) -> Iterator[GcdTodaState]:
     """The state, then each gcd_step after it, without end."""
     yield state
-    ring, new = state.ring, GcdTodaState.from_payloads
-    gcd, mul, canon = ring.gcd, ring.mul, ring.canonical
-    div, below = ((operator.floordiv, None) if ring is ZZ
-                  else (ring.exact_div, ring.divides))
-    q, e = tuple(map(canon, state.q)), tuple(map(canon, state.e))
-    known = [False] * len(e)
-    while True:
-        try:
-            q, e = toda_step(q, e, gcd, mul, div, known, below)
-        except ZeroDivisionError:
-            raise ExactDivisionError("division by zero") from None
-        yield new(ring, q, e)
+    for lattice in _evolve(state):
+        yield GcdTodaState.from_payloads(state.ring, *lattice.pay())
 
 
 def gcd_step(state: GcdTodaState) -> GcdTodaState:
@@ -218,10 +229,12 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     _check_cap(max_iters)
     if max_iters is None:
         max_iters = default_max_iters(state)
-    for steps, last in enumerate(islice(iterate(state), 1, max_iters + 1), 1):
-        if terminated(last):
-            return TodaRun(state, steps, last)
-    raise IterationLimitError(TodaRun(state, max_iters, last))
+    new, ring = GcdTodaState.from_payloads, state.ring
+    for steps, lattice in enumerate(islice(_evolve(state), max_iters), 1):
+        if settled(lattice.q, lattice.e, ring.divides, lattice.known):
+            return TodaRun(state, steps, new(ring, *lattice.pay()))
+    raise IterationLimitError(
+        TodaRun(state, max_iters, new(ring, *lattice.pay())))
 
 
 def interleaved(state: GcdTodaState) -> tuple[RingValue, ...]:

@@ -45,13 +45,29 @@ at the tail first.  From then on each step only rescales the tail's e_i
 by q_{i+1} / q_i, so they grow without bound (past 38 000 bits on 64 x 64
 benchmark inputs whose q_i stay under 200 bits), and the memo keeps the
 cost of each to one product by a small ratio.
+
+The memo also freezes a suffix, which a step can skip whole.  Call [s, N)
+frozen when every entry j >= s took the memo arm on the last step: that
+step left each q_j with j >= s, the last one included, and each known[j]
+as they were.  If the next step's carrier reaches s equal to q_s, entry
+s takes the memo arm again, since known[s] holds and below(q_s, q_{s+1})
+held last step on the same q_s and q_{s+1}; it hands on a = q_{s+1}, so
+every later entry of the suffix does the same.  That step changes
+nothing in the suffix but each e_j, which it multiplies by r_j =
+q_{j+1} / q_j, fixed while the suffix stays frozen, so the step can end
+at s.  After k such steps e_j owes r_j^k.  mul is associative and
+commutative in all three semirings, and products of canonical payloads
+are canonical, so e_j times r_j^k formed by squaring is the very payload
+that the k steps would have made one factor at a time.  A _Stepper pays
+this lag only when a carrier breaks the suffix or a caller reads the
+state.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, groupby
 
 from .ring import ZZ
 
@@ -135,21 +151,75 @@ def toda_step(q, e, add, mul, div, known=None,
     given, is the memo's test below(x, y) in place of add(x, y) == x,
     for a ring whose divisibility test is cheaper than its gcd.
     """
-    a = q[0]
-    new_q, new_e = [], []
-    for i, (qi, ei, qn) in enumerate(zip(q, e, q[1:])):
-        if known is not None and known[i] and a == qi and (
-                below(qi, qn) if below else add(qi, qn) == qi):
-            ei, a = mul(ei, div(qn, qi)), qn
-        else:
-            qi = add(ei, a)
-            ei, a = mul(div(ei, qi), qn), mul(div(a, qi), qn)
-            if known is not None:
+    lattice = _Stepper(q, e, add, mul, div, known, below)
+    lattice.step()  # a fresh stepper has no frozen suffix, so nothing lags
+    return tuple(lattice.q), tuple(lattice.e)
+
+
+def _power(x, k, mul):
+    """x to the k-th power under mul, k >= 1, by squaring."""
+    if k == 1:
+        return x
+    y = _power(mul(x, x), k >> 1, mul)
+    return mul(y, x) if k & 1 else y
+
+
+class _Stepper:
+    """An evolution under toda_step's recurrence, stepped in place on
+    lists q and e with one memo known, skipping its frozen suffix (module
+    docstring).
+
+    Entries j >= frozen took the memo arm on the last step.  skipped counts
+    the steps that stopped at the suffix, and e[j] there lags the state by
+    the skipped steps after since[j]; q and known are always current, and
+    so is e[j] wherever known[j] is false.  pay() clears every lag.
+    """
+
+    __slots__ = ("q", "e", "known", "since", "frozen", "skipped", "ops")
+
+    def __init__(self, q, e, add, mul, div, known=None, below=None):
+        self.q, self.e, self.ops = list(q), list(e), (add, mul, div, below)
+        n = len(self.e)
+        self.known = [False] * n if known is None else known
+        self.since, self.frozen, self.skipped = [0] * n, n, 0
+
+    def step(self) -> None:
+        """Advance one time step, ending it at the frozen suffix if the
+        carrier reaches it unchanged."""
+        q, e, known = self.q, self.e, self.known
+        add, mul, div, below = self.ops
+        s, n, a, last = self.frozen, len(e), q[0], -1
+        for i in range(n):
+            qi, qn = q[i], q[i + 1]
+            if i == s:
+                if a == qi:
+                    self.skipped += 1
+                    break
+                self.pay()
+            if known[i] and a == qi and (
+                    below(qi, qn) if below else add(qi, qn) == qi):
+                e[i], a = mul(e[i], div(qn, qi)), qn
+            else:
+                q[i] = qi = add(e[i], a)
+                e[i], a = mul(div(e[i], qi), qn), mul(div(a, qi), qn)
                 known[i] = below(qi, qn) if below else add(qi, qn) == qi
-        new_q.append(qi)
-        new_e.append(ei)
-    new_q.append(a)
-    return tuple(new_q), tuple(new_e)
+                last = i
+        else:
+            q[-1], s = a, n
+        self.frozen = last + 1
+        self.since[last + 1:s] = [self.skipped] * (s - last - 1)
+
+    def pay(self) -> tuple[tuple, tuple]:
+        """Rescale each lagging e[j] by q[j+1] / q[j] to the power of its
+        lag; the state as (q, e) tuples."""
+        q, e, since, now = self.q, self.e, self.since, self.skipped
+        mul, div = self.ops[1:3]
+        for j in range(self.frozen, len(e)):
+            if since[j] != now:
+                e[j] = mul(e[j], _power(div(q[j + 1], q[j]), now - since[j],
+                                        mul))
+                since[j] = now
+        return tuple(q), tuple(e)
 
 
 def non_adjacent_totals(q, e, add, mul, one) -> tuple:
@@ -168,9 +238,18 @@ def non_adjacent_totals(q, e, add, mul, one) -> tuple:
     return tuple(prev[1:])
 
 
-def settled(q, e, below) -> bool:
-    """Whether below(q_i, q_{i+1}) and below(q_i, e_i) hold for every i."""
-    return all(map(below, q, q[1:])) and all(map(below, q, e))
+def settled(q, e, below, known=None) -> bool:
+    """Whether below(q_i, q_{i+1}) and below(q_i, e_i) hold for every i.
+
+    A true known[i] of toda_step's memo stands for the second test, so a
+    _Stepper's lagging e_i is never read.
+    """
+    if not all(map(below, q, q[1:])):
+        return False
+    if known is not None:
+        unknown = list(map(operator.not_, known))
+        q, e = compress(q, unknown), compress(e, unknown)
+    return all(map(below, q, e))
 
 
 def interleaved(state: UdTodaState) -> tuple[int, ...]:

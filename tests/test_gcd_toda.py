@@ -426,6 +426,16 @@ def _poly_seed():
                         [rng.choice(powers) for _ in range(15)])
 
 
+def _lattice_seeds():
+    """(seed, stride) pairs: the seeds above, the n = 64 smooth one and
+    the n = 32 one with a zero last diagonal entry; the stride says how
+    many of its capped runs a test can afford, every one or every 7th."""
+    smooth = _smooth_seed()
+    zero_last = GcdTodaState.from_payloads(ZZ, smooth.q[:-1] + (0,), smooth.e)
+    return ((smooth, 1), (_poly_seed(), 1), (_smooth_seed(64), 7),
+            (zero_last, 7))
+
+
 def _memo_free_states(seed):
     """The states after the seed, as (q, e) payloads, by toda_step without
     a memo; exact division raises on a zero gcd as iterate does."""
@@ -442,21 +452,22 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
     # evolution.  Chained without it, the step must give every state
     # through run's final one, and split seeds must raise alike.  A
     # settled entry takes one product instead of two, so fewer products
-    # than two per entry and step show that the memo was used.
-    poly = _poly_seed()
-    smooth = _smooth_seed()
-    zero_last = GcdTodaState.from_payloads(ZZ, smooth.q[:-1] + (0,), smooth.e)
-    products = 0
-    original = ZZ.mul
+    # than two per entry and step show that the memo was used.  A walked
+    # entry costs one gcd or two (the memo's test, or the step's gcd and
+    # its flag), and a step that ends at the frozen suffix costs none
+    # there, so fewer than 1.2 gcds per entry and step show the skip.
+    calls, counters = Counter(), {}
+    for name in ("mul", "gcd"):
+        def counting(a, b, name=name, original=getattr(ZZ, name)):
+            calls[name] += 1
+            return original(a, b)
 
-    def counting(a, b):
-        nonlocal products
-        products += 1
-        return original(a, b)
+        counters[name] = staticmethod(counting)
 
-    for seed in (smooth, _smooth_seed(64), poly, zero_last):
-        products = 0
-        monkeypatch.setattr(type(ZZ), "mul", staticmethod(counting))
+    for seed, _ in _lattice_seeds():
+        calls.clear()
+        for name, counting in counters.items():
+            monkeypatch.setattr(type(ZZ), name, counting)
         outcome = run(seed)
         monkeypatch.undo()
         steps = islice(iterate(seed), 1, outcome.iterations + 1)
@@ -464,7 +475,9 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
             assert (state.q, state.e) == (q, e)
         assert state == outcome.final
         if seed.ring is ZZ:
-            assert products < 1.5 * outcome.iterations * (seed.n - 1)
+            entry_steps = outcome.iterations * (seed.n - 1)
+            assert calls["mul"] < 1.5 * entry_steps
+            assert calls["gcd"] < 1.2 * entry_steps
 
     for seed in (_int_state((2, 0, 5), (2, 0)), _int_state((0, 3), (0,))):
         memo = islice(iterate(seed), 1, None)
@@ -604,3 +617,40 @@ def test_run_enters_no_generator_of_the_lattice_kernels():
         sys.setprofile(previous)
     assert outcome.iterations > 1
     assert entered == []
+
+
+def test_a_capped_run_ends_on_the_last_state_of_its_trace():
+    # run pays the frozen suffix's lag only at the end or at the cap, and
+    # the error's trace is replayed by iterate, which pays at every step.
+    # Each capped trace is a prefix of the full run's, replayed once here.
+    for seed, stride in _lattice_seeds():
+        outcome = run(seed)
+        trace = outcome.trace
+        for cap in range(1, outcome.iterations, stride):
+            with pytest.raises(IterationLimitError) as info:
+                run(seed, max_iters=cap)
+            assert info.value.capped.final == trace[cap]
+            if cap % 8 == 1:
+                assert info.value.trace == trace[:cap + 1]
+        assert outcome.final == trace[-1]
+        assert run(seed, max_iters=outcome.iterations) == outcome
+
+
+def test_run_stops_on_the_first_terminated_state_of_iterate():
+    # run skips "q_i divides e_i" wherever the memo knows it and so never
+    # reads a lagging e_i; it must stop at the first terminated state.
+    # Small random seeds often reach a dividing diagonal whose e_i are not
+    # all divided yet, and some end on a step that stopped at the frozen
+    # suffix, whose lag run must pay; the seeds above do neither.
+    rng = random.Random(26)
+    seeds = [seed for seed, _ in _lattice_seeds()]
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        seeds.append(_int_state([rng.randint(1, 30) for _ in range(n)],
+                                [rng.randint(1, 30) for _ in range(n - 1)]))
+    for seed in seeds:
+        outcome = run(seed)
+        states = list(islice(iterate(seed), 1, outcome.iterations + 1))
+        assert not any(map(terminated, states[:-1]))
+        assert terminated(states[-1])
+        assert outcome.final == states[-1]

@@ -16,6 +16,8 @@ next to it).  Per input the digest covers:
 - the first 8 rendered states of iterate(seed_state(form)) on
   lattice_smooth, and every q and e entry of run(seed_state(form)).final
   in hexadecimal (its e entries run past the 4300 digits str renders);
+  there too, for a run capped at half its steps, the IterationLimitError
+  message and every q and e entry of its capped.final in hexadecimal;
 - on dense_zz and poly_gfp inputs that take at least 2 steps, the message
   and rendered trace of the IterationLimitError of a run capped at half
   its steps.
@@ -107,6 +109,11 @@ def factor_line(result) -> str:
     return f"toda {result.iterations}: {' '.join(map(str, result.factors))}"
 
 
+def hex_line(state) -> str:
+    """Every q and e entry of an integer state in hexadecimal."""
+    return " ".join(f"{v:x}" for v in state.q + state.e)
+
+
 def lines(workload: str, matrix: DenseMatrix):
     """The outputs of one input, one string each."""
     form = bidiagonalize(matrix)
@@ -123,8 +130,14 @@ def lines(workload: str, matrix: DenseMatrix):
         state = seed_state(form)
         prefix = islice(iterate(state), LATTICE_PREFIX)
         yield from map(render_trace_line, prefix)
-        final = run(state).final
-        yield " ".join(f"{v:x}" for v in final.q + final.e)
+        outcome = run(state)
+        yield hex_line(outcome.final)
+        if outcome.iterations >= 2:
+            try:
+                run(state, outcome.iterations // 2)
+            except IterationLimitError as capped:
+                yield str(capped)
+                yield hex_line(capped.capped.final)
     if workload in TRACED and result.iterations >= 2:
         try:
             run(seed_state(form), result.iterations // 2)
