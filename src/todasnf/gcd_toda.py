@@ -29,14 +29,14 @@ frame.  Like a DenseMatrix, a GcdTodaState stores payloads and wraps
 them into RingValues only when read.  _evolve is the one loop over the
 step: it makes the seed canonical once, which keeps every kernel result
 canonical (see ud_toda.py), and steps one ud_toda stepper, which carries
-the step's divisibility memo and frozen suffix from each state to the
-next.  iterate pays the suffix's lag before each state it yields, so
-gcd_step and every trace see plain states.  run builds none: it tests
-termination on the stepper, reading q and only the e_i the memo does
-not vouch for, and pays once, at the end or at the cap.  A replay thus
-costs more than the run it replays: it makes, one step at a time, every
-rescaling that run skipped.  gcd_step starts a fresh iterate on each
-call, so it steps without a memo.
+the step's divisibility memo and the lag of every memo-arm entry from
+each state to the next.  iterate pays every lag before each state it
+yields, so gcd_step and every trace see plain states.  run builds none:
+it tests termination on the stepper, reading q and only the e_i the memo
+does not vouch for, which never lag, and pays once, at the end or at the
+cap.  A replay thus costs more than the run it replays: it makes, one
+step at a time, every rescaling that run deferred.  gcd_step starts a
+fresh iterate on each call, so it steps without a memo.
 """
 
 from __future__ import annotations

@@ -43,24 +43,39 @@ that made it divided by that zero and raised.  The memo pays because the
 lattice sorts like the box-and-ball system, the large factors settling
 at the tail first.  From then on each step only rescales the tail's e_i
 by q_{i+1} / q_i, so they grow without bound (past 38 000 bits on 64 x 64
-benchmark inputs whose q_i stay under 200 bits), and the memo keeps the
-cost of each to one product by a small ratio.
+benchmark inputs whose q_i stay under 200 bits).
 
-The memo also freezes a suffix, which a step can skip whole.  Call [s, N)
-frozen when every entry j >= s took the memo arm on the last step: that
-step left each q_j with j >= s, the last one included, and each known[j]
-as they were.  If the next step's carrier reaches s equal to q_s, entry
-s takes the memo arm again, since known[s] holds and below(q_s, q_{s+1})
-held last step on the same q_s and q_{s+1}; it hands on a = q_{s+1}, so
-every later entry of the suffix does the same.  That step changes
-nothing in the suffix but each e_j, which it multiplies by r_j =
-q_{j+1} / q_j, fixed while the suffix stays frozen, so the step can end
-at s.  After k such steps e_j owes r_j^k.  mul is associative and
-commutative in all three semirings, and products of canonical payloads
-are canonical, so e_j times r_j^k formed by squaring is the very payload
-that the k steps would have made one factor at a time.  A _Stepper pays
-this lag only when a carrier breaks the suffix or a caller reads the
-state.
+So the memo arm does no arithmetic: it hands on a = q_{i+1} and leaves
+e_i to lag.  A _Stepper keeps one step clock, now, and per entry the
+step since[i] after which e[i] was true, so that e[i] owes r_i^(now -
+since[i]), r_i = q_{i+1} / q_i.  The ratio holds still while the lag
+grows: the memo arm keeps q_i, and when a full arm at i + 1 changes q_{i+1}
+it first pays e[i] with the old q_{i+1}, since that ratio rescaled e_i on
+every lagged step up to and including the current one, and marks e[i]
+current.  A full arm at i first pays e[i]'s own lag, through the last
+step, on the q_i and q_{i+1} that the current step has not yet touched,
+and then steps the true e_i.  mul is associative and commutative in all
+three semirings, and products of canonical payloads are canonical, so
+e_i times r_i^k formed by squaring is the very payload that the k steps
+would have made one factor at a time.  Only the memo arm lags an entry,
+and only with known[i] true, so e[i] is current wherever known[i] is
+false.
+
+The clock also vouches for the memo's test.  If since[i] < now - 1 when
+step now reaches entry i, then e[i] lagged through step since[i] + 1, so
+entry i took the memo arm there, walked or in the frozen suffix below:
+known[i] and below(q_i, q_{i+1}) held.
+Neither q_i, q_{i+1} nor known[i] has changed since, or e[i] would have
+been paid and marked, so the test reduces to a == q_i, with no gcd.
+
+The lag also ends the walk early.  Call [s, N) frozen when every entry
+j >= s took the memo arm on the last step.  If the next step's carrier
+reaches s equal to q_s, entry s takes the memo arm again, since known[s],
+q_s and q_{s+1} are as they were when it last took it, and hands on a =
+q_{s+1}, so every later entry of the suffix does the same.
+That changes nothing but the lags, which the clock already counts, so
+the step ends at s.  A _Stepper pays the lags only when a caller reads
+the state.
 """
 
 from __future__ import annotations
@@ -152,8 +167,8 @@ def toda_step(q, e, add, mul, div, known=None,
     for a ring whose divisibility test is cheaper than its gcd.
     """
     lattice = _Stepper(q, e, add, mul, div, known, below)
-    lattice.step()  # a fresh stepper has no frozen suffix, so nothing lags
-    return tuple(lattice.q), tuple(lattice.e)
+    lattice.step()
+    return lattice.pay()
 
 
 def _power(x, k, mul):
@@ -166,55 +181,59 @@ def _power(x, k, mul):
 
 class _Stepper:
     """An evolution under toda_step's recurrence, stepped in place on
-    lists q and e with one memo known, skipping its frozen suffix (module
-    docstring).
+    lists q and e with one memo known, deferring each memo-arm entry's
+    rescaling and ending a step at its frozen suffix (module docstring).
 
-    Entries j >= frozen took the memo arm on the last step.  skipped counts
-    the steps that stopped at the suffix, and e[j] there lags the state by
-    the skipped steps after since[j]; q and known are always current, and
-    so is e[j] wherever known[j] is false.  pay() clears every lag.
+    now counts the steps taken.  e[j] is the true e_j after step since[j]
+    and owes (q[j+1] / q[j]) ** (now - since[j]); q and known are always
+    current, and so is e[j] wherever known[j] is false.  Entries j >=
+    frozen took the memo arm on the last step.  pay() clears every lag.
     """
 
-    __slots__ = ("q", "e", "known", "since", "frozen", "skipped", "ops")
+    __slots__ = ("q", "e", "known", "since", "frozen", "now", "ops")
 
     def __init__(self, q, e, add, mul, div, known=None, below=None):
         self.q, self.e, self.ops = list(q), list(e), (add, mul, div, below)
         n = len(self.e)
         self.known = [False] * n if known is None else known
-        self.since, self.frozen, self.skipped = [0] * n, n, 0
+        self.since, self.frozen, self.now = [0] * n, n, 0
 
     def step(self) -> None:
         """Advance one time step, ending it at the frozen suffix if the
         carrier reaches it unchanged."""
-        q, e, known = self.q, self.e, self.known
+        q, e, known, since = self.q, self.e, self.known, self.since
         add, mul, div, below = self.ops
-        s, n, a, last = self.frozen, len(e), q[0], -1
-        for i in range(n):
+        prev = self.now
+        self.now = now = prev + 1
+        s, a, last = self.frozen, q[0], -1
+        for i in range(len(e)):
             qi, qn = q[i], q[i + 1]
-            if i == s:
-                if a == qi:
-                    self.skipped += 1
+            if a == qi and (since[i] < prev or i == s or known[i] and (
+                    below(qi, qn) if below else add(qi, qn) == qi)):
+                if i == s:
                     break
-                self.pay()
-            if known[i] and a == qi and (
-                    below(qi, qn) if below else add(qi, qn) == qi):
-                e[i], a = mul(e[i], div(qn, qi)), qn
-            else:
-                q[i] = qi = add(e[i], a)
-                e[i], a = mul(div(e[i], qi), qn), mul(div(a, qi), qn)
-                known[i] = below(qi, qn) if below else add(qi, qn) == qi
-                last = i
+                a = qn
+                continue
+            if since[i] < prev:
+                e[i] = mul(e[i], _power(div(qn, qi), prev - since[i], mul))
+            q[i] = new = add(e[i], a)
+            e[i], a = mul(div(e[i], new), qn), mul(div(a, new), qn)
+            known[i] = below(new, qn) if below else add(new, qn) == new
+            if new != qi and last < i - 1:
+                e[i - 1] = mul(e[i - 1], _power(div(qi, q[i - 1]),
+                                                now - since[i - 1], mul))
+                since[i - 1] = now
+            since[i], last = now, i
         else:
-            q[-1], s = a, n
+            q[-1] = a
         self.frozen = last + 1
-        self.since[last + 1:s] = [self.skipped] * (s - last - 1)
 
     def pay(self) -> tuple[tuple, tuple]:
         """Rescale each lagging e[j] by q[j+1] / q[j] to the power of its
         lag; the state as (q, e) tuples."""
-        q, e, since, now = self.q, self.e, self.since, self.skipped
+        q, e, since, now = self.q, self.e, self.since, self.now
         mul, div = self.ops[1:3]
-        for j in range(self.frozen, len(e)):
+        for j in range(len(e)):
             if since[j] != now:
                 e[j] = mul(e[j], _power(div(q[j + 1], q[j]), now - since[j],
                                         mul))

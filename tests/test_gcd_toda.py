@@ -451,11 +451,12 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
     # iterate hands toda_step one divisibility memo for the whole
     # evolution.  Chained without it, the step must give every state
     # through run's final one, and split seeds must raise alike.  A
-    # settled entry takes one product instead of two, so fewer products
-    # than two per entry and step show that the memo was used.  A walked
-    # entry costs one gcd or two (the memo's test, or the step's gcd and
-    # its flag), and a step that ends at the frozen suffix costs none
-    # there, so fewer than 1.2 gcds per entry and step show the skip.
+    # full step costs two products and two gcds (the step's and its
+    # flag's).  A settled entry costs at most its memo test, and none
+    # from its second lagging step on; its rescaling waits for one
+    # product by a power.  So fewer than one product and 0.9 gcds per
+    # entry and step show that the memo arm defers its product and does
+    # not repeat a test it passed.
     calls, counters = Counter(), {}
     for name in ("mul", "gcd"):
         def counting(a, b, name=name, original=getattr(ZZ, name)):
@@ -476,8 +477,8 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
         assert state == outcome.final
         if seed.ring is ZZ:
             entry_steps = outcome.iterations * (seed.n - 1)
-            assert calls["mul"] < 1.5 * entry_steps
-            assert calls["gcd"] < 1.2 * entry_steps
+            assert calls["mul"] < 1.0 * entry_steps
+            assert calls["gcd"] < 0.9 * entry_steps
 
     for seed in (_int_state((2, 0, 5), (2, 0)), _int_state((0, 3), (0,))):
         memo = islice(iterate(seed), 1, None)
@@ -508,20 +509,27 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
 def test_the_poly_memo_tests_divisibility_by_remainder(monkeypatch):
     # Over GF(p)[x] a gcd is a Euclidean loop, so the memo's test "q_i
     # divides q_{i+1}" goes through ring.divides, one remainder.  Every
-    # ring.gcd call of the evolution is then a full step's gcd(e_i, a_i),
-    # fewer than one per entry and step once the memo skips some.
+    # ring.gcd call of the evolution is then a full step's g = gcd(e_i,
+    # a_i), and the step's next two calls divide e_i and a_i by g; a
+    # memo test through ring.gcd is followed by no such pair.  There are
+    # fewer such gcds than entries and steps once the memo skips some.
     seed = _poly_seed()
-    calls = Counter()
-    for name in ("gcd", "divides"):
-        def counting(ring, a, b, name=name, original=getattr(PolyModP, name)):
-            calls[name] += 1
-            return original(ring, a, b)
+    calls = []
+    for name in ("gcd", "exact_div", "divides"):
+        def logging(ring, a, b, name=name, original=getattr(PolyModP, name)):
+            out = original(ring, a, b)
+            calls.append((name, a, b, out))
+            return out
 
-        monkeypatch.setattr(PolyModP, name, counting)
+        monkeypatch.setattr(PolyModP, name, logging)
     outcome = run(seed)
     monkeypatch.undo()
-    entry_steps = outcome.iterations * (seed.n - 1)
-    assert calls["gcd"] < entry_steps < calls["divides"]
+    gcds = [k for k, call in enumerate(calls) if call[0] == "gcd"]
+    for k in gcds:
+        _, e, a, g = calls[k]
+        divisions = [call[:3] for call in calls[k + 1:k + 3]]
+        assert divisions == [("exact_div", e, g), ("exact_div", a, g)]
+    assert 0 < len(gcds) < outcome.iterations * (seed.n - 1)
 
 
 def test_iterate_wraps_nothing_until_a_diagonal_is_read(monkeypatch):
@@ -634,6 +642,32 @@ def test_a_capped_run_ends_on_the_last_state_of_its_trace():
                 assert info.value.trace == trace[:cap + 1]
         assert outcome.final == trace[-1]
         assert run(seed, max_iters=outcome.iterations) == outcome
+
+
+def _small_seeds():
+    """60 random ZZ seeds of 2 to 12 blocks, entries 1 to 30."""
+    rng = random.Random(27)
+    sizes = [rng.randint(2, 12) for _ in range(60)]
+    return [_int_state([rng.randint(1, 30) for _ in range(n)],
+                       [rng.randint(1, 30) for _ in range(n - 1)])
+            for n in sizes]
+
+
+def test_a_capped_run_pays_every_lag_at_every_cap():
+    # run defers each memo-arm entry's rescaling until the entry next
+    # takes the full step, the q_{i+1} it owes changes, or the run ends
+    # or hits its cap.  Small seeds break and re-freeze their suffix
+    # often; every capped state must be the memo-free chain's, which
+    # takes no lagging path of the stepper.
+    for seed in _small_seeds() + [_poly_seed()]:
+        outcome = run(seed)
+        states = list(islice(_memo_free_states(seed), outcome.iterations))
+        for cap in range(1, outcome.iterations):
+            with pytest.raises(IterationLimitError) as info:
+                run(seed, max_iters=cap)
+            capped = info.value.capped.final
+            assert (capped.q, capped.e) == states[cap - 1]
+        assert (outcome.final.q, outcome.final.e) == states[-1]
 
 
 def test_run_stops_on_the_first_terminated_state_of_iterate():

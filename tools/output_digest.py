@@ -20,7 +20,9 @@ next to it).  Per input the digest covers:
   message and every q and e entry of its capped.final in hexadecimal;
 - on dense_zz and poly_gfp inputs that take at least 2 steps, the message
   and rendered trace of the IterationLimitError of a run capped at half
-  its steps.
+  its steps, and on the bidiagonal poly_gfp ones also every q and e
+  entry of its capped.final in hexadecimal (each coefficient of a
+  polynomial).
 
 It also covers the CLI on short operands: the exit code, stdout and
 stderr of cli.main on every cli_small call of the same seeds (snf
@@ -34,6 +36,12 @@ ones whose sweeps run modulo D for many levels (the five Random(1)
 GF(2)[x] 12 x 12 and GF(5)[x] 14 x 14 ones, the GF(p)[x] sweeps of the
 highest degrees in the suite.  Per draw it hashes the form
 smith_normal_form's sweeps leave, and its factors and iteration count.
+
+And it covers the small random lattice seeds of tests/test_gcd_toda.py
+(60 of 2 to 12 blocks, entries 1 to 30), whose runs often break and
+re-freeze their settled tail: per seed, the message and every q and e
+entry, in hexadecimal, of the capped.final of a run capped at half its
+steps.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import corpus  # noqa: E402
 from todasnf import (  # noqa: E402
     DenseMatrix,
+    GcdTodaState,
     IterationLimitError,
     PolyModP,
     ZZ,
@@ -105,13 +114,37 @@ def ladder_draws():
             + [(PolyModP(5), grid) for grid in poly[5, 14]])
 
 
+def small_seeds():
+    """The 60 random ZZ lattice seeds of tests/test_gcd_toda.py: 2 to 12
+    blocks, entries 1 to 30, drawn from Random(27)."""
+    rng = random.Random(27)
+    sizes = [rng.randint(2, 12) for _ in range(60)]
+    return [GcdTodaState.from_payloads(
+        ZZ, tuple(rng.randint(1, 30) for _ in range(n)),
+        tuple(rng.randint(1, 30) for _ in range(n - 1))) for n in sizes]
+
+
+def capped_lines(state, steps: int):
+    """The message and hexadecimal capped.final of run(state) capped at
+    half its steps, if it takes at least 2."""
+    if steps >= 2:
+        try:
+            run(state, steps // 2)
+        except IterationLimitError as capped:
+            yield str(capped)
+            yield hex_line(capped.capped.final)
+
+
 def factor_line(result) -> str:
     return f"toda {result.iterations}: {' '.join(map(str, result.factors))}"
 
 
 def hex_line(state) -> str:
-    """Every q and e entry of an integer state in hexadecimal."""
-    return " ".join(f"{v:x}" for v in state.q + state.e)
+    """Every q and e entry of a state in hexadecimal, a polynomial's
+    coefficients joined by commas."""
+    return " ".join(f"{v:x}" if isinstance(v, int)
+                    else ",".join(f"{c:x}" for c in v)
+                    for v in state.q + state.e)
 
 
 def lines(workload: str, matrix: DenseMatrix):
@@ -132,18 +165,15 @@ def lines(workload: str, matrix: DenseMatrix):
         yield from map(render_trace_line, prefix)
         outcome = run(state)
         yield hex_line(outcome.final)
-        if outcome.iterations >= 2:
-            try:
-                run(state, outcome.iterations // 2)
-            except IterationLimitError as capped:
-                yield str(capped)
-                yield hex_line(capped.capped.final)
+        yield from capped_lines(state, outcome.iterations)
     if workload in TRACED and result.iterations >= 2:
         try:
             run(seed_state(form), result.iterations // 2)
         except IterationLimitError as capped:
             yield str(capped)
             yield from map(render_trace_line, capped.trace)
+            if workload == "poly_gfp" and matrix.is_lower_bidiagonal():
+                yield hex_line(capped.capped.final)
 
 
 def cli_call(argv, matrix: corpus.MatrixInput | None, workdir: str):
@@ -182,6 +212,10 @@ def main() -> None:
         digest.update(f"ladder/{k}\n".encode())
         for line in (repr(_reduced_form(matrix, _Modulus(ring, matrix))),
                      factor_line(smith_normal_form(matrix))):
+            digest.update(f"{line}\n".encode())
+    for k, state in enumerate(small_seeds()):
+        digest.update(f"small/{k}\n".encode())
+        for line in capped_lines(state, run(state).iterations):
             digest.update(f"{line}\n".encode())
     print(digest.hexdigest())
 
