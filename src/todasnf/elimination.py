@@ -30,6 +30,15 @@ t on.  The P and Q borders past n ride along under any modulus but
 never steer: the watch and _level read only the leading n x n block,
 so a bordered sweep takes the same branches and leaves the same B.
 
+The sweeps do only the arithmetic a step changes.  The cofactors of
+xgcd(x, y) = (g, p, q, s, t) send the pair (x, y) itself to (g, 0), so
+after each gcd step _level writes that pivot pair, g as the kernel
+would store it (mod.residue), and the kernel starts one entry past it.
+And a kernel keeps a line whose block row is the identity's, (p, q) =
+(1, 0) for the first line or (t, s) = (0, 1) for the second: the first
+line of the elimination block xgcd returns when x divides y, most of
+the blocks of a sweep, and the second of the addition.
+
 Over ZZ, smith_normal_form bounds coefficient growth by sweeping modulo
 D (Kannan and Bachem 1979; Domich, Kannan and Trotter 1987), and
 _Modulus holds the whole rule.  Let M be the input with invariant
@@ -52,9 +61,11 @@ input's Hadamard bound, which no minor of the input exceeds, it fixes r
 and |D| by one full-pivot Bareiss pass (_rank_minor); D's sign does not
 change the rule.  Until then the kernels are exact, and from then on
 they store each written entry of more bits than |D| as its residue in
-(0, |D|].  The residue is nonzero exactly where the unreduced entry is,
-so _level takes its branches on the same zero pattern as it would on
-the unreduced values, and the result is still a valid BidiagonalForm.
+(0, |D|]; that includes the entries of a kept line, which can predate
+the rule, and the written pivot pair.  The residue is nonzero exactly
+where the unreduced entry is, so _level takes its branches on the same
+zero pattern as it would on the unreduced values, and the result is
+still a valid BidiagonalForm.
 The lattice runs on B's seed, so SnfResult.trace, and with it snf
 --trace, replays the reduced seed; an input whose pivot rows never
 outgrow the bound never reduces, and keeps the exact form, steps and
@@ -80,14 +91,16 @@ class _Modulus:
     for cof = (p, q, s, t), of determinant p s - q t, from column start
     on; mix_cols does the same on columns (j1, j2) from row start on.
     xgcd(x[k], y[k])[1:] leaves the gcd in x[k] and zero in y[k], and
-    addition (1, 1, 1, 0) adds y to x.
+    addition (1, 1, 1, 0) adds y to x.  Neither recomputes a kept line,
+    x where (p, q) = (1, 0) or y where (t, s) = (0, 1).
 
     Over GF(p)[x] the kernels hand the two lines to ring.mix, which
     packs each operand once (see ring.py).  Over ZZ they run on Python's
     int operators and d is the rule's one state: exact while d is None,
-    and once d = |D| is set each written entry of more than bits bits is
-    stored as its residue in (0, d], so a zero stays zero and a nonzero
-    entry stays nonzero.
+    and once d = |D| is set each entry of either line of more than bits
+    bits, kept or written, is stored as its residue in (0, d], so a zero
+    stays zero and a nonzero entry stays nonzero.  residue(v) is that
+    map on one entry, which _level applies to the gcd it writes.
 
     watch, which only a ZZ modulus given the input matrix runs, sets
     rank, d and bits when the rule goes live.  It computes the Hadamard
@@ -117,47 +130,57 @@ class _Modulus:
             self.rank, self.d = _rank_minor(self.matrix.payload_grid())
             self.bits = self.d.bit_length()
 
+    def residue(self, v):
+        """v as a kernel stores it: in (0, d] past bits bits once live."""
+        d = self.d
+        return v if d is None or v.bit_length() <= self.bits else v % d or d
+
     def mix_rows(self, grid: list[list], i1: int, i2: int, cof,
                  start: int = 0) -> None:
-        p, q, s, t = cof
         r1, r2 = grid[i1], grid[i2]
         xs, ys = r1[start:], r2[start:]
         if self.ring is not ZZ:
             r1[start:], r2[start:] = self.ring.mix(cof, xs, ys)
             return
-        d = self.d
-        if d is None:
+        p, q, s, t = cof
+        if p != 1 or q:
             r1[start:] = [p * x + q * y for x, y in zip(xs, ys)]
+        if s != 1 or t:
             r2[start:] = [t * x + s * y for x, y in zip(xs, ys)]
-            return
-        top = (1 << self.bits) - 1
-        r1[start:] = [v if -top <= (v := p * x + q * y) <= top else v % d or d
-                      for x, y in zip(xs, ys)]
-        r2[start:] = [v if -top <= (v := t * x + s * y) <= top else v % d or d
-                      for x, y in zip(xs, ys)]
+        d = self.d
+        if d is not None:
+            top = (1 << self.bits) - 1
+            for r in r1, r2:
+                r[start:] = [v if -top <= v <= top else v % d or d
+                             for v in r[start:]]
 
     def mix_cols(self, grid: list[list], j1: int, j2: int, cof,
                  start: int = 0) -> None:
+        rows = grid[start:]
         if self.ring is not ZZ:
-            rows = grid[start:]
             us, vs = self.ring.mix(cof, [row[j1] for row in rows],
                                    [row[j2] for row in rows])
             for row, u, v in zip(rows, us, vs):
                 row[j1], row[j2] = u, v
             return
         p, q, s, t = cof
-        d = self.d
-        if d is None:
-            for row in grid[start:]:
+        if p == 1 and not q:
+            for row in rows:
+                row[j2] = row[j1] * t + row[j2] * s
+        elif s == 1 and not t:
+            for row in rows:
+                row[j1] = row[j1] * p + row[j2] * q
+        else:
+            for row in rows:
                 x, y = row[j1], row[j2]
                 row[j1], row[j2] = x * p + y * q, x * t + y * s
-            return
-        top = (1 << self.bits) - 1
-        for row in grid[start:]:
-            x, y = row[j1], row[j2]
-            u, v = x * p + y * q, x * t + y * s
-            row[j1] = u if -top <= u <= top else u % d or d
-            row[j2] = v if -top <= v <= top else v % d or d
+        d = self.d
+        if d is not None:
+            top = (1 << self.bits) - 1
+            for row in rows:
+                u, v = row[j1], row[j2]
+                row[j1] = u if -top <= u <= top else u % d or d
+                row[j2] = v if -top <= v <= top else v % d or d
 
 
 def _hadamard_bits(matrix: DenseMatrix) -> int:
@@ -234,10 +257,12 @@ def _level(mod: _Modulus, grid: list[list], t: int, n: int) -> bool:
 
     Works in place and returns False when nothing nonzero is left.  The
     rows before t vanish from column t on and the columns before t below
-    row t, so every kernel call starts at t.  Rows and columns past n
-    ride along.
+    row t, so every kernel call starts at t, or at t + 1 past the pivot
+    pair (g, 0) a gcd step writes itself.  Rows and columns past n ride
+    along.
     """
-    addition, xgcd = mod.addition, mod.xgcd
+    addition, xgcd, residue = mod.addition, mod.xgcd, mod.residue
+    zero = addition[3]  # addition is (1, 1, 1, 0)
     # Pivot row fix: steal mass from a lower row when row t is empty.
     if not any(grid[t][t:n]):
         donor = next((i for i in range(t + 1, n) if any(grid[i][t:n])), None)
@@ -248,8 +273,9 @@ def _level(mod: _Modulus, grid: list[list], t: int, n: int) -> bool:
     # Column sweep: collect the row gcd at (t, t), zeros to its right.
     for j in range(t + 1, n):
         if grid[t][j]:
-            cof = xgcd(grid[t][t], grid[t][j])[1:]
-            mod.mix_cols(grid, t, j, cof, t)
+            g, *cof = xgcd(grid[t][t], grid[t][j])
+            grid[t][t], grid[t][j] = residue(g), zero
+            mod.mix_cols(grid, t, j, cof, t + 1)
 
     # Keep the subdiagonal alive while mass remains below the pivot.
     below = grid[t + 1:n]
@@ -262,8 +288,9 @@ def _level(mod: _Modulus, grid: list[list], t: int, n: int) -> bool:
     # Row sweep: concentrate the column gcd at (t+1, t).
     for i in range(t + 2, n):
         if grid[i][t]:
-            cof = xgcd(grid[t + 1][t], grid[i][t])[1:]
-            mod.mix_rows(grid, t + 1, i, cof, t)
+            g, *cof = xgcd(grid[t + 1][t], grid[i][t])
+            grid[t + 1][t], grid[i][t] = residue(g), zero
+            mod.mix_rows(grid, t + 1, i, cof, t + 1)
     return True
 
 

@@ -12,7 +12,8 @@ _unpack reduces each slot mod p and trims, since a sum of products can
 cancel at the top or everywhere.  That one pair serves mul, the sweep
 kernel mix and xgcd.  A slot of a kernel sum P X + Q Y adds
 min(len P, len X) + min(len Q, len Y) products below p**2 < 2**32, as
-p < 2**16, so no slot carries while each min is below 2**31.
+p < 2**16, so no slot carries while each min is below 2**31.  xgcd's
+rows go unreduced for several steps, under a bound it tracks (below).
 
 Every element is carried as a :class:`RingValue`, a thin wrapper that tags
 an opaque payload with the ring it lives in.  Mixing values from different
@@ -347,44 +348,72 @@ class PolyModP(Ring):
         as the lists us and vs over the pairs of xs and ys.
 
         Each cofactor, x and y is packed once, and each u and v is two
-        big-int products and a sum, unpacked once.
+        big-int products and a sum, unpacked once.  A line whose block row
+        is the identity's, (p, q) = (1, 0) for us or (t, s) = (0, 1) for
+        vs, is not recomputed: it is xs or ys itself.
         """
         pack, unpack = _pack, self._unpack
+        p, q, s, t = cof
         pp, pq, ps, pt = map(pack, cof)
-        us, vs = [], []
-        for x, y in zip(xs, ys):
-            x, y = pack(x), pack(y)
-            us.append(unpack(pp * x + pq * y))
-            vs.append(unpack(pt * x + ps * y))
-        return us, vs
+        packed = [(pack(x), pack(y)) for x, y in zip(xs, ys)]
+        return (xs if p == (1,) and not q else
+                [unpack(pp * x + pq * y) for x, y in packed],
+                ys if s == (1,) and not t else
+                [unpack(pt * x + ps * y) for x, y in packed])
 
     def xgcd(self, a, b):
         """The Euclidean loop of the Ring contract, its cofactors packed.
 
         For the loop's rows x_k, y_k, the packed X_k = (-1)**k x_k and
         Y_k = (-1)**(k + 1) y_k follow X_{k+1} = X_{k-1} + quot X_k, and
-        so for Y: sums of nonnegative slots, reduced mod p once a step.
+        so for Y: sums of nonnegative slots.  They are reduced mod p only
+        when needed: b_k bounds every slot of X_k and Y_k (b_0 = b_1 = 1),
+        a slot of quot X_k adds at most len(quot) products of a
+        coefficient below p and a slot, so
+
+            b_{k+1} <= b_{k-1} + len(quot) (p - 1) b_k,
+
+        and the step first reduces both rows (their bounds drop to p - 1,
+        and the step's to below 2**64 while len(quot) < 2**31) when that
+        bound reaches 2**64.  As len(quot) >= 1 after the first step, b_k
+        never falls, so the last bound covers both rows.
         After k steps, with c = lead(r0), u = 1 / c and sign = (-1)**k,
         the first row gives the Bezout pair (u sign X0, -u sign Y0), and
         the last row, in place of two long divisions, the quotients
-        a / d = c Y1 and -b / d = -c X1.
+        a / d = c Y1 and -b / d = -c X1.  Each of these closing products
+        has a scalar below p (u sign and u (p - sign) are taken mod p
+        first), so its slots are at most (p - 1) b_k, and the rows are
+        reduced first when that reaches 2**64.
+
+        A constant a = (c,) against b of degree >= 1 takes two steps,
+        quot () and then quot b / c, and the loop's answer is ((1,),
+        (1 / c,), (), a, -b), which is returned in closed form.
         """
         if not a and not b:
             raise ValueError("extended gcd of (0, 0) is undefined")
         p, quorem, pack, unpack = self.p, self.divmod, _pack, self._unpack
+        if len(a) == 1 and len(b) > 1:
+            return (1,), (pow(a[0], -1, p),), (), a, self.neg(b)
         r0, x0, y0 = a, 1, 0
         r1, x1, y1 = b, 0, 1
-        sign = 1
+        sign, b0, b1 = 1, 1, 1
         while r1:
             quot, rem = quorem(r0, r1)
-            r0, r1, quot = r1, rem, pack(quot)
-            x0, x1 = x1, pack(unpack(x0 + quot * x1))
-            y0, y1 = y1, pack(unpack(y0 + quot * y1))
-            sign = p - sign
+            r0, r1, bound = r1, rem, b0 + len(quot) * (p - 1) * b1
+            if bound >> 64:
+                x0, x1, y0, y1 = (pack(unpack(v)) for v in (x0, x1, y0, y1))
+                b1 = p - 1
+                bound = b1 + len(quot) * b1 * b1
+            quot = pack(quot)
+            x0, x1 = x1, x0 + quot * x1
+            y0, y1 = y1, y0 + quot * y1
+            b0, b1, sign = b1, bound, p - sign
+        if (p - 1) * b1 >> 64:
+            x0, x1, y0, y1 = (pack(unpack(v)) for v in (x0, x1, y0, y1))
         c = r0[-1]
         u = pow(c, -1, p)
-        return (tuple([v * u % p for v in r0]), unpack(sign * u * x0),
-                unpack((p - sign) * u * y0), unpack(c * y1),
+        return (tuple([v * u % p for v in r0]), unpack(sign * u % p * x0),
+                unpack((p - sign) * u % p * y0), unpack(c * y1),
                 unpack((p - c) * x1))
 
     def _unpack(self, packed: int):

@@ -73,6 +73,8 @@ def test_gcd_rotation_poly():
 
 
 def test_block_updates_match_matrix_products():
+    # Random blocks, and the sweeps' elimination blocks (1, 0, s, t) and
+    # addition (1, 1, 1, 0), whose kept line the kernels do not recompute.
     rng = random.Random(33)
     gf = PolyModP(7)
 
@@ -84,11 +86,14 @@ def test_block_updates_match_matrix_products():
 
     for k in range(100):
         ring = ZZ if k < 50 else gf
+        one, zero = ring.coerce(1), ring.coerce(0)
         n = rng.randint(2, 4)
         a = DenseMatrix(ring, [[draw(ring, -9, 9) for _ in range(n)]
                                for _ in range(n)])
         i1, i2 = rng.sample(range(n), 2)
-        p, q, s, t = cof = tuple(draw(ring, -3, 3) for _ in range(4))
+        cof = tuple(draw(ring, -3, 3) for _ in range(4))
+        st = draw(ring, -3, 3), draw(ring, -3, 3)
+        blocks = (cof, (one, zero, *st), (one, one, one, zero))
 
         def embed(block):
             """The identity with a 2x2 block at rows and columns (i1, i2)."""
@@ -100,12 +105,63 @@ def test_block_updates_match_matrix_products():
         # Both kernels map (x, y) to (p x + q y, t x + s y): rows
         # left-multiply by ((p, q), (t, s)), columns right-multiply by
         # its transpose.
-        grid = a.payload_grid()
-        _Modulus(ring).mix_rows(grid, i1, i2, cof)
-        assert DenseMatrix(ring, grid) == embed(((p, q), (t, s))) @ a
-        grid = a.payload_grid()
-        _Modulus(ring).mix_cols(grid, i1, i2, cof)
-        assert DenseMatrix(ring, grid) == a @ embed(((p, t), (q, s)))
+        for cof in blocks:
+            p, q, s, t = cof
+            grid = a.payload_grid()
+            _Modulus(ring).mix_rows(grid, i1, i2, cof)
+            assert DenseMatrix(ring, grid) == embed(((p, q), (t, s))) @ a
+            grid = a.payload_grid()
+            _Modulus(ring).mix_cols(grid, i1, i2, cof)
+            assert DenseMatrix(ring, grid) == a @ embed(((p, t), (q, s)))
+
+
+def test_live_kernels_reduce_the_kept_line():
+    # Entries can predate the modulus, so under a live one a kept line
+    # comes back as the residues the full 2x2 kernel stores: each entry
+    # of more than bits bits as its residue in (0, d].
+    rng = random.Random(34)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        d = rng.randint(2**40, 2**41)
+        a = [[rng.choice((0, rng.randint(-2**80, 2**80), rng.randint(-9, 9)))
+              for _ in range(n)] for _ in range(n)]
+        i1, i2 = rng.sample(range(n), 2)
+        # Each kept row and column holds an entry of more than d's bits.
+        a[i1][i2], a[i2][i1] = rng.randint(2**60, 2**80), -2**70
+        st = rng.randint(-3, 3), rng.randint(-3, 3)
+        for cof in ((1, 0, *st), (1, 1, 1, 0)):
+            mod = _Modulus(ZZ, DenseMatrix(ZZ, [[d]]), 1, d)
+            p, q, s, t = cof
+
+            def fit(v):
+                return v if v.bit_length() <= mod.bits else v % d or d
+
+            grid = [list(row) for row in a]
+            mod.mix_rows(grid, i1, i2, cof)
+            full = [list(row) for row in a]
+            full[i1] = [fit(p * x + q * y) for x, y in zip(a[i1], a[i2])]
+            full[i2] = [fit(t * x + s * y) for x, y in zip(a[i1], a[i2])]
+            assert grid == full, (cof, i1, i2)
+            grid = [list(row) for row in a]
+            mod.mix_cols(grid, i1, i2, cof)
+            for row, old in zip(full, a):
+                row[:] = old
+                x, y = row[i1], row[i2]
+                row[i1], row[i2] = fit(p * x + q * y), fit(t * x + s * y)
+            assert grid == full, (cof, i1, i2)
+
+
+def test_live_levels_write_the_pivot_pair_as_residues():
+    # _level writes each sweep's pivot pair (g, 0) itself, as the full
+    # kernel would store it: here g = |b| predates the modulus, since the
+    # row sweep meets a zero at (1, 0), and comes back as b mod d.
+    d = 2**40 + 15
+    for b in (2**70 + 3, -(2**70 + 3), 2**90):
+        grid = [[1, 0, 0], [0, 5, 0], [b, 0, 7]]
+        assert _level(_Modulus(ZZ, DenseMatrix(ZZ, [[d]]), 1, d), grid, 0, 3)
+        assert grid[1][0] == abs(b) % d and grid[2][0] == 0, b
+        assert all(v.bit_length() <= d.bit_length() for row in grid
+                   for v in row), b
 
 
 def test_levels_leave_the_finished_lines_alone():

@@ -243,11 +243,12 @@ def test_integer_xgcd_is_the_generic_one(int_digit_limit):
             assert ZZ.xgcd(a, b) == euclid_xgcd(ZZ, a, b), f"pair {k}"
 
 
-def test_poly_xgcd_is_the_generic_one():
+def test_poly_xgcd_is_the_generic_one(monkeypatch):
     # PolyModP.xgcd runs the same loop with its cofactor rows packed and
     # reads s and t off the last row; tuple for tuple the generic one.
     # Zero and unit operands, equal and associate ones, a shorter than b,
-    # and random pairs of degree 0 to 300 at every prime.
+    # a constant a against b of degree >= 1 (the closed form), and random
+    # pairs of degree 0 to 300 at every prime.
     rng = random.Random(2404)
     for p in (2, 3, 5, 7, 65521):
         ring = PolyModP(p)
@@ -256,7 +257,8 @@ def test_poly_xgcd_is_the_generic_one():
         for la in _LENGTHS:
             a = _poly(rng, p, la)
             pairs += [(a, ()), ((), a), (a, (1,)), ((1,), a), (a, c),
-                      (a, a), (a, ring.mul(c, a)), (ring.mul(c, a), a)]
+                      (a, a), (a, ring.mul(c, a)), (ring.mul(c, a), a),
+                      (c, a), ((rng.randrange(1, p),), a)]
             for lb in _LENGTHS:
                 b = _poly(rng, p, lb)
                 common = _poly(rng, p, rng.randint(1, 4))
@@ -264,12 +266,34 @@ def test_poly_xgcd_is_the_generic_one():
         for k, (a, b) in enumerate(pairs):
             if a or b:
                 assert ring.xgcd(a, b) == euclid_xgcd(ring, a, b), (p, k)
+        if p not in (2, 65521):
+            continue
+        # The packed rows stay unreduced while their slot bound fits in 64
+        # bits: a loop that never reduces them mid-way unpacks at most 8
+        # times (the 4 cofactors, after reducing the 4 rows once), and one
+        # that reduced them every step would unpack 2 per step more.  Long
+        # sequences at p = 2, and short ones at p = 65521, reduce mid-way.
+        unpack, quorem = ring._unpack, ring.divmod
+        sizes = ((300, 299), (300, 150)) if p == 2 else ((31, 30), (8, 7))
+        for la, lb in sizes:
+            a, b = _poly(rng, p, la), _poly(rng, p, lb)
+            expected = euclid_xgcd(ring, a, b)
+            seen, steps = [], []
+            with monkeypatch.context() as patch:
+                patch.setattr(ring, "_unpack",
+                              lambda v: seen.append(v) or unpack(v))
+                patch.setattr(ring, "divmod",
+                              lambda a, b: steps.append(b) or quorem(a, b))
+                assert ring.xgcd(a, b) == expected, (p, la, lb)
+            assert 8 < len(seen) < 2 * len(steps) + 4, (p, la, lb)
 
 
 def test_poly_mix_is_the_ring_call_kernel():
     # The packed sweep kernel equals the comprehension of ring calls it
     # replaced, on random rows at every prime, with long operands at the
     # largest prime (the slot bound), zero x or y, and rows that cancel.
+    # Elimination blocks (1, 0, s, t) keep x and addition (1, 1, 1, 0)
+    # keeps y: that line comes back as the row itself, not recomputed.
     rng = random.Random(2405)
 
     def by_ring_calls(ring, cof, xs, ys):
@@ -288,8 +312,14 @@ def test_poly_mix_is_the_ring_call_kernel():
                       for _ in range(2))
             xs.append(())
             ys.insert(0, ())
+            elimination = ((1,), (), cof[2], cof[3])
+            addition = ((1,), (1,), (1,), ())
             for rows in ((xs, ys), (ys, xs), (xs, xs)):
                 assert ring.mix(cof, *rows) == by_ring_calls(ring, cof, *rows)
+                for block, kept in ((elimination, 0), (addition, 1)):
+                    mixed = ring.mix(block, *rows)
+                    assert mixed == by_ring_calls(ring, block, *rows)
+                    assert mixed[kept] is rows[kept]
         # p x + q y cancels to zero where (x, y) = (q, -p), and at the top
         # only where the leading terms of p x and q y cancel.
         x, y = _poly(rng, p, 7), _poly(rng, p, 5)

@@ -35,7 +35,10 @@ ones whose sweeps run modulo D for many levels (the five Random(1)
 20 x 20 draws and the Random(2) 32 x 32 one), and the Random(3)
 GF(2)[x] 12 x 12 and GF(5)[x] 14 x 14 ones, the GF(p)[x] sweeps of the
 highest degrees in the suite.  Per draw it hashes the form
-smith_normal_form's sweeps leave, and its factors and iteration count.
+smith_normal_form's sweeps leave, and its factors and iteration count,
+and the P and Q of the same sweep bordered by identities
+(_reduced_form with transforms), whose border lines the modulus reduces
+once it is live.
 
 And it covers the small random lattice seeds of tests/test_gcd_toda.py
 (60 of 2 to 12 blocks, entries 1 to 30), whose runs often break and
@@ -210,8 +213,10 @@ def main() -> None:
     for k, (ring, rows) in enumerate(ladder_draws()):
         matrix = DenseMatrix(ring, rows)
         digest.update(f"ladder/{k}\n".encode())
+        _, p, q = _reduced_form(matrix, _Modulus(ring, matrix), True)
         for line in (repr(_reduced_form(matrix, _Modulus(ring, matrix))),
-                     factor_line(smith_normal_form(matrix))):
+                     factor_line(smith_normal_form(matrix)),
+                     repr(p), repr(q)):
             digest.update(f"{line}\n".encode())
     for k, state in enumerate(small_seeds()):
         digest.update(f"small/{k}\n".encode())
