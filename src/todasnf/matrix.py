@@ -2,6 +2,8 @@
 
 A DenseMatrix keeps its entries as the ring's payloads and wraps them
 into RingValues only when they are read through [i, j], row or rows.
+Construction builds none: each row goes through the ring's coerce_row,
+which coerces native entries and only checks a RingValue entry's ring.
 Elimination code reads a mutable copy with payload_grid, updates it in
 place on payloads (see elimination.py and classical_snf), and turns the
 result back into a matrix with the trusted from_payloads; no RingValue
@@ -17,12 +19,16 @@ from .ring import Ring, RingValue
 
 
 class DenseMatrix:
-    """An immutable rectangular matrix over one of the supported rings."""
+    """An immutable rectangular matrix over one of the supported rings.
+
+    DenseMatrix(ring, rows) takes native data (ints, or coefficient lists
+    for GF(p)[x]) or RingValues of ring, and builds no RingValue.
+    """
 
     __slots__ = ("ring", "_rows")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence]):
-        grid = tuple(tuple(ring(v).payload for v in row) for row in rows)
+        grid = tuple(map(ring.coerce_row, rows))
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(grid[0])

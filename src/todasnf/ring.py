@@ -150,7 +150,12 @@ class Ring:
       tuple.
 
     Zero payloads are the falsy ones, and truthiness is the only payload
-    zero test.  Ring derives the rest.  Gcds are canonical associates;
+    zero test.  Ring derives the rest, among it ``coerce_row(values)``,
+    the tuple of payloads of one row of native data or RingValues: a
+    RingValue passes the ring check of ``ring(v)`` and gives its payload,
+    any other entry goes to ``coerce``, and no RingValue is built.  An
+    override may skip per-entry calls only where it returns the same
+    payloads and raises the same errors.  Gcds are canonical associates;
     ``gcd(0, 0) == 0`` and everything divides zero.
     """
 
@@ -195,6 +200,11 @@ class Ring:
                 )
             return value
         return RingValue(self, self.coerce(value))
+
+    def coerce_row(self, values) -> tuple:
+        coerce = self.coerce
+        return tuple([self(v).payload if isinstance(v, RingValue) else coerce(v)
+                      for v in values])
 
     @property
     def zero(self) -> RingValue:
@@ -254,6 +264,13 @@ class IntegerRing(Ring):
             raise TypeError(f"cannot coerce {_printable(repr, value)} "
                             f"into {self.name}")
         return value
+
+    def coerce_row(self, values) -> tuple:
+        """A row of exact ints as it is, with no call per entry."""
+        row = tuple(values)
+        if set(map(type, row)) <= {int}:
+            return row
+        return super().coerce_row(row)
 
     def parse(self, text: str) -> int:
         if _DECIMAL(text) is None:

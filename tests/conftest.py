@@ -98,6 +98,110 @@ def planted_int_grid(rng, n: int, rank: int, ops: int):
     return grid, chain
 
 
+# -- boundary matrices of simplicial complexes ------------------------------
+
+
+def boundary_grid(triangles):
+    """The boundary map d2 (edges x triangles) of a 2-complex, an int grid.
+
+    Each triangle [a < b < c] is oriented as [b, c] - [a, c] + [a, b]
+    and numbered as given; edges are numbered in order of first
+    appearance.  Asserts that the triangles are distinct vertex sets, so
+    the complex is simplicial, and that d1 d2 = 0, with d1 sending each
+    edge [u < v] to v - u.
+    """
+    cols = [tuple(sorted(t)) for t in triangles]
+    assert len(set(cols)) == len(cols)
+    edges = {}
+    grid_cols = []
+    for a, b, c in cols:
+        assert a < b < c
+        grid_cols.append([(edges.setdefault(edge, len(edges)), sign)
+                          for edge, sign in (((b, c), 1), ((a, c), -1),
+                                             ((a, b), 1))])
+    ends = list(edges)
+    for col in grid_cols:
+        d1d2 = {}
+        for i, sign in col:
+            u, v = ends[i]
+            d1d2[u] = d1d2.get(u, 0) - sign
+            d1d2[v] = d1d2.get(v, 0) + sign
+        assert not any(d1d2.values())
+    grid = [[0] * len(cols) for _ in ends]
+    for j, col in enumerate(grid_cols):
+        for i, sign in col:
+            grid[i][j] = sign
+    return grid
+
+
+def surface_grid(n: int, twist: bool):
+    """d2 of an n x n grid of squares, each cut along a diagonal, glued
+    into a torus, or into a Klein bottle when twist is set: 3 n^2 edges
+    by 2 n^2 triangles, n >= 3.
+
+    Grid point (i, j) is glued to (i, j + n) and to (i + n, j), or with
+    the twist to (i + n, -j).  H_1 is Z^2 on the torus and Z + Z/2 on
+    the Klein bottle; H_2 is Z and 0.  So the factors are 2 n^2 - 1 ones
+    and a 0, or 2 n^2 - 1 ones and a 2.
+    """
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, -j if twist else j
+        return i * n + j % n
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j + 1)
+            triangles += [(a, vertex(i + 1, j), b), (a, vertex(i, j + 1), b)]
+    return boundary_grid(triangles)
+
+
+def moore_wedge(ks, m: int, rings: int):
+    """d2 of a wedge of Moore spaces M(Z/k, 1), one per k in ks, m >= 3
+    and rings >= 1: m + k m (3 rings + 1) edges and k m (2 rings + 1)
+    triangles per k.
+
+    Each piece is a disk of rings concentric rings of k m vertices around
+    a centre.  Its boundary winds k times around a circle of m vertices,
+    and the circles of all pieces share vertex 0.  So H_1 is the direct
+    sum of the Z/k and H_2 is 0: the factors are ones and then the
+    invariant factors of that sum (see invariant_chain).
+    """
+    triangles, top = [], 1
+    for k in ks:
+        circle = [0] + list(range(top, top + m - 1))
+        top += m - 1
+        outer, size = [circle[t % m] for t in range(k * m)], k * m
+        for _ in range(rings):
+            inner = list(range(top, top + size))
+            top += size
+            for t in range(size):
+                u = (t + 1) % size
+                triangles += [(outer[t], outer[u], inner[t]),
+                              (outer[u], inner[t], inner[u])]
+            outer = inner
+        triangles += [(top, outer[t], outer[(t + 1) % size])
+                      for t in range(size)]
+        top += 1
+    return boundary_grid(triangles)
+
+
+def invariant_chain(ks) -> list[int]:
+    """The invariant factors above 1 of the direct sum of the Z/k.
+
+    Replacing each pair (a, b) by (gcd, lcm), over all pairs in order,
+    leaves a divisibility chain with the same product and the same
+    group.
+    """
+    chain = list(ks)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return [k for k in chain if k > 1]
+
+
 # -- non-adjacent subset oracles -------------------------------------------
 
 

@@ -6,7 +6,14 @@ import time
 import pytest
 
 from conftest import det_int_brute, det_poly_brute, int_grid
-from todasnf import DenseMatrix, PolyModP, ZZ, determinant
+from todasnf import (
+    DenseMatrix,
+    PolyModP,
+    RingMismatchError,
+    RingValue,
+    ZZ,
+    determinant,
+)
 
 
 def test_construction_and_shape():
@@ -23,6 +30,61 @@ def test_construction_and_shape():
         DenseMatrix(ZZ, [[1, 2], [3]])
     with pytest.raises(TypeError):
         DenseMatrix(ZZ, [[1.5]])
+
+
+def test_construction_builds_no_ring_values(monkeypatch):
+    count = 0
+    original = RingValue.__init__
+
+    def counting(self, ring, payload):
+        nonlocal count
+        count += 1
+        original(self, ring, payload)
+
+    rng = random.Random(33)
+    grid = [[rng.randint(-99, 99) for _ in range(64)] for _ in range(64)]
+    poly = [[[rng.randint(-9, 9) for _ in range(3)] for _ in range(8)]
+            for _ in range(8)]
+    monkeypatch.setattr(RingValue, "__init__", counting)
+    DenseMatrix(ZZ, grid)
+    DenseMatrix(PolyModP(5), poly)
+    assert count == 0
+
+
+class _Int(int):
+    pass
+
+
+def test_construction_keeps_payloads_and_errors():
+    gf5 = PolyModP(5)
+    plain = DenseMatrix(ZZ, [[1, 2], [3, -4]])
+    mixed = DenseMatrix(ZZ, [[1, ZZ(2)], (ZZ(3), -4)])
+    assert mixed == plain
+    assert all(type(v) is int for row in mixed.payload_grid() for v in row)
+    odd = _Int(7)
+    kept = DenseMatrix(ZZ, [[odd, 1]])[0, 0].payload
+    assert kept is ZZ.coerce(odd) and type(kept) is _Int
+    assert (DenseMatrix(gf5, [[[1, 1], gf5([1, 1])], [-1, (0, 5)]])
+            == DenseMatrix(gf5, [[(1, 1), [6, 1]], [4, 0]]))
+    for ring, entry, error, text in (
+            (ZZ, True, TypeError, "cannot coerce True into ZZ"),
+            (ZZ, 1.5, TypeError, "cannot coerce 1.5 into ZZ"),
+            (gf5, [1, True], TypeError, "cannot coerce [1, True] into GF(5)[x]"),
+            (ZZ, gf5([1, 1]), RingMismatchError,
+             "value from GF(5)[x] passed to ZZ"),
+            (gf5, ZZ(1), RingMismatchError,
+             "value from ZZ passed to GF(5)[x]")):
+        for row in ([entry, 1], [1, 2, entry]):
+            with pytest.raises(error) as info:
+                DenseMatrix(ring, [[1, 2, 3], row])
+            assert str(info.value) == text
+    for rows, text in (([], "matrix needs at least one row and one column"),
+                       ([[]], "matrix needs at least one row and one column"),
+                       ([[1, 2], [3]], "rows must all have the same length"),
+                       ([[1], [ZZ(2), 3]], "rows must all have the same length")):
+        with pytest.raises(ValueError) as info:
+            DenseMatrix(ZZ, rows)
+        assert str(info.value) == text
 
 
 def test_identity_and_matmul():

@@ -12,7 +12,9 @@ lattice route run modulo D from its first kernel must agree with the
 exact route for D and for every multiple c D.  On a planted input, a
 known chain mixed by elementary additions (conftest.planted_int_grid),
 smith_normal_form must return the chain itself, full rank or not, for
-n <= 24.
+n <= 24.  On the boundary map of a wedge of Moore spaces M(Z/k, 1)
+(conftest.moore_wedge) it must return ones and then the invariant
+factors of the direct sum of the Z/k, the torsion topology plants.
 
 On bidiagonal seeds over both rings, run, whose steps share one
 divisibility memo, must take as many steps to the same final state as
@@ -24,9 +26,14 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import det_int_brute, planted_int_grid
+from conftest import (
+    det_int_brute,
+    invariant_chain,
+    moore_wedge,
+    planted_int_grid,
+)
 from todasnf import (
     DenseMatrix,
     GcdTodaState,
@@ -181,6 +188,16 @@ def test_planted_chain_comes_back(data):
     grid, chain = planted_int_grid(random.Random(seed), n, rank, 12 * n)
     factors = smith_normal_form(DenseMatrix(ZZ, grid)).factors
     assert [v.payload for v in factors] == chain
+
+
+@settings(max_examples=20)
+@given(ks=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       m=st.integers(3, 4))
+def test_moore_wedge_torsion_comes_back(ks, m):
+    grid = moore_wedge(ks, m, 1)
+    factors = [v.payload for v in smith_normal_form(DenseMatrix(ZZ, grid)).factors]
+    chain = invariant_chain(ks)
+    assert factors == [1] * (len(grid[0]) - len(chain)) + chain
 
 
 @st.composite

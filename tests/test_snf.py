@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from conftest import int_grid, minors_gcd_int_brute, planted_int_grid
+from conftest import (
+    int_grid,
+    minors_gcd_int_brute,
+    moore_wedge,
+    planted_int_grid,
+    surface_grid,
+)
 from todasnf import (
     DenseMatrix,
     GcdTodaState,
@@ -348,6 +354,27 @@ def test_scale_ladder_planted_rungs():
         elapsed = time.perf_counter() - start
         assert [v.payload for v in factors] == chain, f"{n}x{n}"
         assert elapsed < budget, f"planted {n}x{n} took {elapsed:.2f} s"
+
+
+def test_scale_ladder_sparse_boundary_rungs():
+    # Boundary maps whose torsion topology plants: the Klein bottle from
+    # a 10 x 10 grid (300 x 200, exactly one factor 2), the torus from
+    # the same grid (rank 199, no torsion) and the wedge of
+    # M(Z/4, 1) and M(Z/6, 1) on a 3-vertex circle with 2 rings (216 x
+    # 150, Z/4 + Z/6 = Z/2 + Z/12).  smith_normal_form took 0.06-0.08 s
+    # on each surface and 0.22-0.33 s on the wedge on a 2-vCPU Xeon VM,
+    # construction included; each budget is about five times the slower
+    # time.
+    for grid, shape, chain, budget in (
+            (surface_grid(10, True), (300, 200), [2], 0.4),
+            (surface_grid(10, False), (300, 200), [0], 0.4),
+            (moore_wedge((4, 6), 3, 2), (216, 150), [2, 12], 1.5)):
+        assert (len(grid), len(grid[0])) == shape
+        start = time.perf_counter()
+        factors = smith_normal_form(DenseMatrix(ZZ, grid)).factors
+        elapsed = time.perf_counter() - start
+        assert [v.payload for v in factors] == [1] * (shape[1] - len(chain)) + chain
+        assert elapsed < budget, f"{shape} took {elapsed:.2f} s"
 
 
 def _product_mod(a, b, d):

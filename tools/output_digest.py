@@ -45,6 +45,13 @@ And it covers the small random lattice seeds of tests/test_gcd_toda.py
 re-freeze their settled tail: per seed, the message and every q and e
 entry, in hexadecimal, of the capped.final of a run capped at half its
 steps.
+
+Last, it covers construction: for DenseMatrix(ring, rows) on rows that
+mix native data and RingValues (over ZZ ints, RingValues and an int
+subclass; over GF(p)[x] ints, lists, tuples, RingValues and negative
+coefficients), the payload grid, the type names of its payloads and the
+repr; and for each kind of invalid entry or shape, the type and text of
+the exception the constructor raises.
 """
 
 from __future__ import annotations
@@ -125,6 +132,60 @@ def small_seeds():
     return [GcdTodaState.from_payloads(
         ZZ, tuple(rng.randint(1, 30) for _ in range(n)),
         tuple(rng.randint(1, 30) for _ in range(n - 1))) for n in sizes]
+
+
+class _Int(int):
+    """An int subclass, which ZZ keeps as the object given."""
+
+
+def built_rows():
+    """(ring, rows) of mixed native and RingValue entries, Random(29)."""
+    rng = random.Random(29)
+    zz_forms = (int, ZZ, _Int)
+    out = [(ZZ, [[rng.choice(zz_forms)(rng.randint(-2**70, 2**70))
+                  for _ in range(n)] for _ in range(m)])
+           for m, n in ((1, 1), (3, 5), (6, 4))]
+    out.append((ZZ, [[0, -1, 2**80], [ZZ(0), _Int(-1), 2**80]]))
+    for p in (2, 5, 7):
+        ring = PolyModP(p)
+
+        def entry():
+            coeffs = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 4))]
+            return rng.choice((coeffs, tuple(coeffs), ring(coeffs),
+                               coeffs[0] if coeffs else 0))
+
+        out += [(ring, [[entry() for _ in range(4)] for _ in range(3)])]
+    return out
+
+
+def invalid_rows():
+    """(ring, rows) the constructor refuses, one per kind of fault."""
+    gf5, gf7 = PolyModP(5), PolyModP(7)
+    bad = [(ZZ, [[1, v]]) for v in (True, False, 1.5, "1", None, gf5(1), ())]
+    bad += [(gf5, [[[1, 2], v]])
+            for v in (True, [1, False], 1.5, "x", None, ZZ(1), gf7(1), [[1]])]
+    bad += [(ZZ, [[1, 2], [1.5, True]]), (ZZ, [[1, 2], [3]]),
+            (ZZ, [[1], [ZZ(2), 3]]), (ZZ, []), (ZZ, [[]]), (gf5, [[]]),
+            (ZZ, [1, 2]), (gf5, [1, 2]), (ZZ, None)]
+    return bad
+
+
+def construction_lines():
+    """Payloads, payload types and repr of built matrices, then the
+    exception type and text of each refused input."""
+    for ring, rows in built_rows():
+        matrix = DenseMatrix(ring, rows)
+        grid = matrix.payload_grid()
+        yield repr(grid)
+        yield " ".join(type(v).__name__ for row in grid for v in row)
+        yield repr(matrix)
+    for ring, rows in invalid_rows():
+        try:
+            DenseMatrix(ring, rows)
+        except (TypeError, ValueError) as error:
+            yield f"{type(error).__name__}: {error}"
+        else:
+            yield "accepted"
 
 
 def capped_lines(state, steps: int):
@@ -222,6 +283,8 @@ def main() -> None:
         digest.update(f"small/{k}\n".encode())
         for line in capped_lines(state, run(state).iterations):
             digest.update(f"{line}\n".encode())
+    for line in construction_lines():
+        digest.update(f"{line}\n".encode())
     print(digest.hexdigest())
 
 
