@@ -34,10 +34,9 @@ The sweeps do only the arithmetic a step changes.  The cofactors of
 xgcd(x, y) = (g, p, q, s, t) send the pair (x, y) itself to (g, 0), so
 after each gcd step _level writes that pivot pair, g as the kernel
 would store it (mod.residue), and the kernel starts one entry past it.
-And a kernel keeps a line whose block row is the identity's, (p, q) =
-(1, 0) for the first line or (t, s) = (0, 1) for the second: the first
-line of the elimination block xgcd returns when x divides y, most of
-the blocks of a sweep, and the second of the addition.
+And a kernel keeps the first line of a block whose first row is the
+identity's, (p, q) = (1, 0): the elimination block xgcd returns when x
+divides y, most of the blocks of a sweep.
 
 Over ZZ, smith_normal_form bounds coefficient growth by sweeping modulo
 D (Kannan and Bachem 1979; Domich, Kannan and Trotter 1987), and
@@ -91,8 +90,8 @@ class _Modulus:
     for cof = (p, q, s, t), of determinant p s - q t, from column start
     on; mix_cols does the same on columns (j1, j2) from row start on.
     xgcd(x[k], y[k])[1:] leaves the gcd in x[k] and zero in y[k], and
-    addition (1, 1, 1, 0) adds y to x.  Neither recomputes a kept line,
-    x where (p, q) = (1, 0) or y where (t, s) = (0, 1).
+    addition (1, 1, 1, 0) adds y to x.  Where (p, q) = (1, 0) neither
+    recomputes x.
 
     Over GF(p)[x] the kernels hand the two lines to ring.mix, which
     packs each operand once (see ring.py).  Over ZZ they run on Python's
@@ -145,8 +144,7 @@ class _Modulus:
         p, q, s, t = cof
         if p != 1 or q:
             r1[start:] = [p * x + q * y for x, y in zip(xs, ys)]
-        if s != 1 or t:
-            r2[start:] = [t * x + s * y for x, y in zip(xs, ys)]
+        r2[start:] = [t * x + s * y for x, y in zip(xs, ys)]
         d = self.d
         if d is not None:
             top = (1 << self.bits) - 1
@@ -167,9 +165,6 @@ class _Modulus:
         if p == 1 and not q:
             for row in rows:
                 row[j2] = row[j1] * t + row[j2] * s
-        elif s == 1 and not t:
-            for row in rows:
-                row[j1] = row[j1] * p + row[j2] * q
         else:
             for row in rows:
                 x, y = row[j1], row[j2]

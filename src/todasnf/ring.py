@@ -93,14 +93,8 @@ class RingValue:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         ring = self.ring
-        out, base = ring.coerce(1), self.payload
-        while exponent:
-            if exponent & 1:
-                out = ring.mul(out, base)
-            exponent >>= 1
-            if exponent:
-                base = ring.mul(base, base)
-        return RingValue(ring, out)
+        return RingValue(ring, _power(self.payload, exponent, ring.mul)
+                         if exponent else ring.coerce(1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingValue):
@@ -115,6 +109,18 @@ class RingValue:
 
     def __repr__(self) -> str:
         return f"{self.ring.name}({self.ring.render(self.payload)})"
+
+
+def _power(x, k, mul):
+    """x to the k-th power under mul, k >= 1, by a loop over k's bits
+    from the top down."""
+    out, i = x, k.bit_length() - 1
+    while i:
+        i -= 1
+        out = mul(out, out)
+        if k >> i & 1:
+            out = mul(out, x)
+    return out
 
 
 def _common_ring(a: RingValue, b: RingValue) -> "Ring":
@@ -365,17 +371,14 @@ class PolyModP(Ring):
         as the lists us and vs over the pairs of xs and ys.
 
         Each cofactor, x and y is packed once, and each u and v is two
-        big-int products and a sum, unpacked once.  A line whose block row
-        is the identity's, (p, q) = (1, 0) for us or (t, s) = (0, 1) for
-        vs, is not recomputed: it is xs or ys itself.
+        big-int products and a sum, unpacked once.  Where (p, q) = (1, 0),
+        us is not recomputed: it is xs itself.
         """
         pack, unpack = _pack, self._unpack
-        p, q, s, t = cof
         pp, pq, ps, pt = map(pack, cof)
         packed = [(pack(x), pack(y)) for x, y in zip(xs, ys)]
-        return (xs if p == (1,) and not q else
+        return (xs if pp == 1 and not pq else
                 [unpack(pp * x + pq * y) for x, y in packed],
-                ys if s == (1,) and not t else
                 [unpack(pt * x + ps * y) for x, y in packed])
 
     def xgcd(self, a, b):

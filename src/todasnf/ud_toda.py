@@ -29,21 +29,22 @@ The step divides before it multiplies, in one pass: q'_i = gcd(e_i, a_i)
 (or min) divides both (is at most both), so (a_i / q'_i) q_{i+1} equals
 a_i q_{i+1} / q'_i, and so for e'_i; only e_i = a_i = 0 fails to divide.
 
-The step can also carry a divisibility memo, which spares settled entries
-their gcd and division.  Write below(x, y) for add(x, y) == x: x divides
-y (is at most y).  Since e'_i = (e_i / q'_i) q_{i+1}, below(q'_i, q_{i+1})
-on the old q_{i+1} gives below(q'_i, e'_i), and the step records it as
-known[i].  At the next step, if known[i], a_i == q_i and below(q_i,
-q_{i+1}), then q'_i = add(e_i, q_i) is the canonical q_i itself, e'_i =
-e_i (q_{i+1} / q_i), a_{i+1} = q_{i+1}, and known[i] still holds; every
-other entry takes the full step.  These are the full step's canonical
-values, so states are the same entry for entry.  Over a ring a zero q_i
-never carries a true flag: it would need q'_i = q_{i+1} = 0, and the step
-that made it divided by that zero and raised.  The memo pays because the
-lattice sorts like the box-and-ball system, the large factors settling
-at the tail first.  From then on each step only rescales the tail's e_i
-by q_{i+1} / q_i, so they grow without bound (past 38 000 bits on 64 x 64
-benchmark inputs whose q_i stay under 200 bits).
+A _Stepper owns a divisibility memo, which spares settled entries their
+gcd and division from its second step on; toda_step steps a fresh one.
+Write below(x, y) for add(x, y) == x: x divides y (is at most y).
+Since e'_i = (e_i / q'_i) q_{i+1}, below(q'_i, q_{i+1}) on the old
+q_{i+1} gives below(q'_i, e'_i), and the step records it as known[i].
+At the next step, if known[i], a_i == q_i and below(q_i, q_{i+1}), then
+q'_i = add(e_i, q_i) is the canonical q_i itself, e'_i = e_i (q_{i+1} /
+q_i), a_{i+1} = q_{i+1}, and known[i] still holds; every other entry
+takes the full step.  These are the full step's canonical values, so
+states are the same entry for entry.  Over a ring a zero q_i never
+carries a true flag: it would need q'_i = q_{i+1} = 0, and the step
+that made it divided by that zero and raised.  The memo pays because
+the lattice sorts like the box-and-ball system, the large factors
+settling at the tail first.  From then on each step only rescales the
+tail's e_i by q_{i+1} / q_i, so they grow without bound (past 38 000
+bits on 64 x 64 benchmark inputs whose q_i stay under 200 bits).
 
 So the memo arm does no arithmetic: it hands on a = q_{i+1} and leaves
 e_i to lag.  A _Stepper keeps one step clock, now, and per entry the
@@ -84,7 +85,7 @@ import operator
 from dataclasses import dataclass
 from itertools import compress, groupby
 
-from .ring import ZZ
+from .ring import ZZ, _power
 
 #: (add, mul, div) of the min-plus semiring.
 MIN_PLUS = (min, operator.add, operator.sub)
@@ -148,41 +149,25 @@ def interleave(q, e) -> tuple:
     return (q[0],) + tuple(v for pair in zip(e, q[1:]) for v in pair)
 
 
-def toda_step(q, e, add, mul, div, known=None,
-              below=None) -> tuple[tuple, tuple]:
+def toda_step(q, e, add, mul, div) -> tuple[tuple, tuple]:
     """One time step over a semiring, returning the new (q, e).
 
     a_0 = q_0, a_{i+1} = (a_i / q'_i) q_{i+1};  q'_i = add(e_i, a_i) but
     q'_{N-1} = a_{N-1};  e'_i = (e_i / q'_i) q_{i+1}.  Each quotient is
     exact: its divisor add(e_i, a_i) is a gcd of both dividends, and over
-    min-plus div = sub is total.
-
-    known, if given, is a list of len(e) flags that the step reads and
-    rewrites in place, the divisibility memo of the module docstring: a
-    true known[i] must mean that q_i divides e_i (is at most e_i), and on
-    return it means so for the new state.  All false is always sound, so
-    an evolution starts with it and passes the same list to every step.
-    The result is the same with the memo or without it.  below, if
-    given, is the memo's test below(x, y) in place of add(x, y) == x,
-    for a ring whose divisibility test is cheaper than its gcd.
+    min-plus div = sub is total.  A fresh stepper's memo is all false, so
+    its first step takes the full arm everywhere and leaves no lag.
     """
-    lattice = _Stepper(q, e, add, mul, div, known, below)
+    lattice = _Stepper(q, e, add, mul, div)
     lattice.step()
-    return lattice.pay()
-
-
-def _power(x, k, mul):
-    """x to the k-th power under mul, k >= 1, by squaring."""
-    if k == 1:
-        return x
-    y = _power(mul(x, x), k >> 1, mul)
-    return mul(y, x) if k & 1 else y
+    return tuple(lattice.q), tuple(lattice.e)
 
 
 class _Stepper:
     """An evolution under toda_step's recurrence, stepped in place on
-    lists q and e with one memo known, deferring each memo-arm entry's
-    rescaling and ending a step at its frozen suffix (module docstring).
+    lists q and e.  It owns the memo known, defers each memo-arm entry's
+    rescaling and ends a step at its frozen suffix (module docstring);
+    below, if given, is a memo test cheaper than add(x, y) == x.
 
     now counts the steps taken.  e[j] is the true e_j after step since[j]
     and owes (q[j+1] / q[j]) ** (now - since[j]); q and known are always
@@ -192,11 +177,10 @@ class _Stepper:
 
     __slots__ = ("q", "e", "known", "since", "frozen", "now", "ops")
 
-    def __init__(self, q, e, add, mul, div, known=None, below=None):
+    def __init__(self, q, e, add, mul, div, below=None):
         self.q, self.e, self.ops = list(q), list(e), (add, mul, div, below)
-        n = len(self.e)
-        self.known = [False] * n if known is None else known
-        self.since, self.frozen, self.now = [0] * n, n, 0
+        n = self.frozen = len(self.e)
+        self.known, self.since, self.now = [False] * n, [0] * n, 0
 
     def step(self) -> None:
         """Advance one time step, ending it at the frozen suffix if the
@@ -260,8 +244,8 @@ def non_adjacent_totals(q, e, add, mul, one) -> tuple:
 def settled(q, e, below, known=None) -> bool:
     """Whether below(q_i, q_{i+1}) and below(q_i, e_i) hold for every i.
 
-    A true known[i] of toda_step's memo stands for the second test, so a
-    _Stepper's lagging e_i is never read.
+    A true known[i] of a _Stepper's memo stands for the second test, so
+    its lagging e_i is never read.
     """
     if not all(map(below, q, q[1:])):
         return False

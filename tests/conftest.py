@@ -98,6 +98,37 @@ def planted_int_grid(rng, n: int, rank: int, ops: int):
     return grid, chain
 
 
+def bareiss_rank_minor(grid) -> tuple[int, int]:
+    """(r, |D|) of an integer grid by one full-pivot Bareiss pass: each
+    pivot is the first nonzero entry, row by row, of the block left to
+    eliminate, swapped into place, and every remaining row is rescaled
+    at every step.  D is the minor on the pivot rows and columns (1 when
+    r is 0).  Leaves grid as it was.
+
+    Not an independent oracle: the eager pass elimination._rank_minor
+    ran before any lazier one, kept as the reference it must match.
+    """
+    grid = [list(row) for row in grid]
+    m, n = len(grid), len(grid[0])
+    prev, r = 1, 0
+    for t in range(min(m, n)):
+        at = next(((i, j) for i in range(t, m) for j in range(t, n)
+                   if grid[i][j]), None)
+        if at is None:
+            break
+        swap, col = at
+        for row in grid:
+            row[t], row[col] = row[col], row[t]
+        grid[t], grid[swap] = grid[swap], grid[t]
+        pivot, tail = grid[t][t], grid[t][t + 1:]
+        for row in grid[t + 1:]:
+            lead = row[t]
+            row[t + 1:] = [(pivot * x - lead * y) // prev
+                           for x, y in zip(row[t + 1:], tail)]
+        prev, r = pivot, t + 1
+    return r, abs(prev)
+
+
 # -- boundary matrices of simplicial complexes ------------------------------
 
 
@@ -132,6 +163,22 @@ def boundary_grid(triangles):
         for i, sign in col:
             grid[i][j] = sign
     return grid
+
+
+def random_complex(n: int, c: float, rng):
+    """d2 of a Linial-Meshulam random 2-complex Y(n, c / n): the full
+    1-skeleton on n vertices, and each triangle kept with probability
+    c / n, drawn from rng in lexicographic order.
+
+    One row per edge of K_n, C(n, 2) in all: the edges of kept triangles
+    as boundary_grid numbers them, then a zero row for each edge that
+    bounds no triangle.  With no triangle kept the rows are empty.
+    """
+    triangles = [t for t in itertools.combinations(range(n), 3)
+                 if rng.random() < c / n]
+    grid = boundary_grid(triangles) if triangles else []
+    return grid + [[0] * len(triangles)
+                   for _ in range(math.comb(n, 2) - len(grid))]
 
 
 def surface_grid(n: int, twist: bool):

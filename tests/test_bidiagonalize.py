@@ -73,8 +73,9 @@ def test_gcd_rotation_poly():
 
 
 def test_block_updates_match_matrix_products():
-    # Random blocks, and the sweeps' elimination blocks (1, 0, s, t) and
-    # addition (1, 1, 1, 0), whose kept line the kernels do not recompute.
+    # Random blocks, and the sweeps' addition (1, 1, 1, 0) and elimination
+    # blocks (1, 0, s, t), whose kept first line the kernels do not
+    # recompute.
     rng = random.Random(33)
     gf = PolyModP(7)
 

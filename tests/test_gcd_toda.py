@@ -448,9 +448,10 @@ def _memo_free_states(seed):
 
 
 def test_the_memo_of_iterate_changes_no_state(monkeypatch):
-    # iterate hands toda_step one divisibility memo for the whole
-    # evolution.  Chained without it, the step must give every state
-    # through run's final one, and split seeds must raise alike.  A
+    # iterate steps one stepper, whose divisibility memo lasts the whole
+    # evolution.  Chained memo-free toda_step calls must give every state
+    # through run's final one, and split seeds must raise alike; so must
+    # ud_step against one min-plus stepper, paid after each step.  A
     # full step costs two products and two gcds (the step's and its
     # flag's).  A settled entry costs at most its memo test, and none
     # from its second lagging step on; its rescaling waits for one
@@ -491,7 +492,6 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
         n = rng.randint(2, 12)
         state = UdTodaState([rng.randint(0, 9) for _ in range(n)],
                             [rng.randint(0, 9) for _ in range(n - 1)])
-        q, e, known = state.blocks, state.gaps, [False] * (n - 1)
         differences = 0
 
         def sub(a, b):
@@ -499,8 +499,11 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
             differences += 1
             return a - b
 
+        lattice = ud_toda._Stepper(state.blocks, state.gaps, min,
+                                   operator.add, sub)
         for _ in range(60):
-            q, e = ud_toda.toda_step(q, e, min, operator.add, sub, known)
+            lattice.step()
+            q, e = lattice.pay()
             state = ud_step(state)
             assert (q, e) == (state.blocks, state.gaps)
         assert differences < 2 * 60 * (n - 1)

@@ -292,8 +292,8 @@ def test_poly_mix_is_the_ring_call_kernel():
     # The packed sweep kernel equals the comprehension of ring calls it
     # replaced, on random rows at every prime, with long operands at the
     # largest prime (the slot bound), zero x or y, and rows that cancel.
-    # Elimination blocks (1, 0, s, t) keep x and addition (1, 1, 1, 0)
-    # keeps y: that line comes back as the row itself, not recomputed.
+    # Elimination blocks (1, 0, s, t) keep x: that line comes back as the
+    # row itself, not recomputed.  The addition (1, 1, 1, 0) keeps none.
     rng = random.Random(2405)
 
     def by_ring_calls(ring, cof, xs, ys):
@@ -316,10 +316,10 @@ def test_poly_mix_is_the_ring_call_kernel():
             addition = ((1,), (1,), (1,), ())
             for rows in ((xs, ys), (ys, xs), (xs, xs)):
                 assert ring.mix(cof, *rows) == by_ring_calls(ring, cof, *rows)
-                for block, kept in ((elimination, 0), (addition, 1)):
+                for block in (elimination, addition):
                     mixed = ring.mix(block, *rows)
                     assert mixed == by_ring_calls(ring, block, *rows)
-                    assert mixed[kept] is rows[kept]
+                assert ring.mix(elimination, *rows)[0] is rows[0]
         # p x + q y cancels to zero where (x, y) = (q, -p), and at the top
         # only where the leading terms of p x and q y cancel.
         x, y = _poly(rng, p, 7), _poly(rng, p, 5)
@@ -518,6 +518,20 @@ def test_power_matches_repeated_multiplication():
         for exponent in range(41):
             assert base ** exponent == RingValue(ring, expected), (base, exponent)
             expected = ring.mul(expected, base.payload)
+
+
+def test_power_takes_huge_exponents_of_units_and_zero():
+    # Square-and-multiply runs a loop over the exponent's bits, not a
+    # recursion as deep as its bit length (5001 here).
+    huge = 2**5000
+    assert ZZ(-1) ** (huge + 1) == ZZ(-1)
+    assert ZZ(-1) ** huge == ZZ(1)
+    assert ZZ(0) ** huge == ZZ(0)
+    ring = PolyModP(5)
+    assert ring([2]) ** 2**4000 == ring(pow(2, 2**4000, 5))
+    assert ring([4]) ** (huge + 1) == ring([4])
+    assert ring(0) ** huge == ring(0)
+    assert ZZ(7) ** 0 == ZZ(1) and ring(0) ** 0 == ring(1)
 
 
 def test_unit_detection():

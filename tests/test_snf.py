@@ -7,10 +7,12 @@ import time
 import pytest
 
 from conftest import (
+    bareiss_rank_minor,
     int_grid,
     minors_gcd_int_brute,
     moore_wedge,
     planted_int_grid,
+    random_complex,
     surface_grid,
 )
 from todasnf import (
@@ -31,7 +33,7 @@ from todasnf import (
     smith_normal_form,
     verify,
 )
-from todasnf.elimination import _Modulus, _reduced_form
+from todasnf.elimination import _Modulus, _rank_minor, _reduced_form
 from todasnf.snf import _det, _lattice_snf
 
 
@@ -375,6 +377,45 @@ def test_scale_ladder_sparse_boundary_rungs():
         elapsed = time.perf_counter() - start
         assert [v.payload for v in factors] == [1] * (shape[1] - len(chain)) + chain
         assert elapsed < budget, f"{shape} took {elapsed:.2f} s"
+
+
+def test_rank_minor_matches_the_eager_bareiss_pass():
+    # The (r, |D|) that the mod-D rule fixes, against the full-pivot pass
+    # kept in conftest, on each input and its transpose: dense +-20
+    # square, tall and wide, a rank-deficient product, a planted 24 x 24
+    # of rank 20 and two boundary maps.  Independently, r counts the
+    # nonzero factors of classical_snf and their product, the gcd of the
+    # r x r minors, divides D.
+    rng = random.Random(30)
+    grids = [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+             for m, n in ((10, 10), (12, 7), (7, 12))]
+    left, right = ([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+                   for m, n in ((11, 4), (4, 9)))
+    grids.append([[sum(a * b for a, b in zip(row, col))
+                   for col in zip(*right)] for row in left])
+    grids += [planted_int_grid(rng, 24, 20, 288)[0], surface_grid(5, True),
+              moore_wedge((2, 3), 3, 1)]
+    start = time.perf_counter()
+    for grid in grids + [[list(col) for col in zip(*g)] for g in grids]:
+        shape = f"{len(grid)}x{len(grid[0])}"
+        rank, d = _rank_minor([row[:] for row in grid])
+        assert (rank, d) == bareiss_rank_minor(grid), shape
+        factors = [v.payload for v in
+                   classical_snf(DenseMatrix(ZZ, grid)).factors if v]
+        assert rank == len(factors) and d % math.prod(factors) == 0, shape
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+def test_random_complexes_match_the_classical_route():
+    # Linial-Meshulam Y(n, c / n) near c = 2.75, where H_2 appears and
+    # torsion is largest: one C(n, 2)-row draw per (n, c), on both routes.
+    rng = random.Random(31)
+    for n in (10, 12, 14):
+        for c in (2.6, 2.8):
+            matrix = DenseMatrix(ZZ, random_complex(n, c, rng))
+            assert (smith_normal_form(matrix).factors
+                    == classical_snf(matrix).factors), (n, c)
 
 
 def _product_mod(a, b, d):

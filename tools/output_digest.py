@@ -52,6 +52,12 @@ subclass; over GF(p)[x] ints, lists, tuples, RingValues and negative
 coefficients), the payload grid, the type names of its payloads and the
 repr; and for each kind of invalid entry or shape, the type and text of
 the exception the constructor raises.
+
+And two kernels on their own, each payload in hexadecimal: RingValue
+powers over ZZ and GF(2), GF(5) and GF(65521)[x] of random bases, to
+the exponents 0 to 40 and 2^k + 1 for k in 6, 8 and 10; and chains of
+12 toda_step calls over the min-plus, ZZ and GF(p)[x] semirings on
+seeded states of 1 to 10 blocks.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ from todasnf import (  # noqa: E402
 )
 from todasnf.cli import main as cli_main, render_trace_line  # noqa: E402
 from todasnf.elimination import _Modulus, _reduced_form  # noqa: E402
+from todasnf.ud_toda import MIN_PLUS, toda_step  # noqa: E402
 
 SEEDS = (11, 12, 13)
 WORKLOADS = ("dense_zz", "lattice_smooth", "poly_gfp")
@@ -188,6 +195,43 @@ def construction_lines():
             yield "accepted"
 
 
+def power_lines():
+    """Each power of random bases over ZZ and three GF(p)[x], Random(31)."""
+    rng = random.Random(31)
+    exponents = list(range(41)) + [2**k + 1 for k in (6, 8, 10)]
+    bases = [ZZ(v) for v in (-1, 0, 1, 2)]
+    bases += [ZZ(rng.randint(-2**40, 2**40)) for _ in range(4)]
+    for p in (2, 5, 65521):
+        ring = PolyModP(p)
+        bases += [ring([rng.randrange(p) for _ in range(rng.randint(0, 4))])
+                  for _ in range(4)]
+    for base in bases:
+        for k in exponents:
+            yield f"{base!r}^{k}: {hex_payloads([(base ** k).payload])}"
+
+
+def step_lines():
+    """12 chained toda_step states from each of 8 seeded states per
+    semiring: min-plus on ints 0 to 30, and gcd-product on ZZ entries 1
+    to 2**20 and on monic GF(3)[x] and GF(65521)[x] cubics, Random(32)."""
+    rng = random.Random(32)
+    zz = ZZ.gcd, ZZ.mul, ZZ.exact_div
+    semirings = [(MIN_PLUS, lambda: rng.randint(0, 30)),
+                 (zz, lambda: rng.randint(1, 2**20))]
+    for ring in (PolyModP(3), PolyModP(65521)):
+        def cubic(ring=ring):
+            return ring.coerce([rng.randrange(ring.p) for _ in range(3)] + [1])
+
+        semirings.append(((ring.gcd, ring.mul, ring.exact_div), cubic))
+    for ops, draw in semirings:
+        for _ in range(8):
+            n = rng.randint(1, 10)
+            q, e = [draw() for _ in range(n)], [draw() for _ in range(n - 1)]
+            for _ in range(12):
+                q, e = toda_step(q, e, *ops)
+                yield hex_payloads(q + e)
+
+
 def capped_lines(state, steps: int):
     """The message and hexadecimal capped.final of run(state) capped at
     half its steps, if it takes at least 2."""
@@ -203,12 +247,16 @@ def factor_line(result) -> str:
     return f"toda {result.iterations}: {' '.join(map(str, result.factors))}"
 
 
-def hex_line(state) -> str:
-    """Every q and e entry of a state in hexadecimal, a polynomial's
-    coefficients joined by commas."""
+def hex_payloads(payloads) -> str:
+    """Payloads in hexadecimal, a polynomial's coefficients joined by
+    commas."""
     return " ".join(f"{v:x}" if isinstance(v, int)
-                    else ",".join(f"{c:x}" for c in v)
-                    for v in state.q + state.e)
+                    else ",".join(f"{c:x}" for c in v) for v in payloads)
+
+
+def hex_line(state) -> str:
+    """Every q and e entry of a state in hexadecimal."""
+    return hex_payloads(state.q + state.e)
 
 
 def lines(workload: str, matrix: DenseMatrix):
@@ -284,6 +332,10 @@ def main() -> None:
         for line in capped_lines(state, run(state).iterations):
             digest.update(f"{line}\n".encode())
     for line in construction_lines():
+        digest.update(f"{line}\n".encode())
+    for line in power_lines():
+        digest.update(f"{line}\n".encode())
+    for line in step_lines():
         digest.update(f"{line}\n".encode())
     print(digest.hexdigest())
 
