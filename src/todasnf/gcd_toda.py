@@ -33,17 +33,25 @@ the divisibility memo and carries it, with every memo-arm entry's lag,
 from each state to the next.  iterate pays every lag before each state
 it yields, so gcd_step and every trace see plain states.  run builds
 none: it tests termination on the stepper, reading q and only the e_i
-the memo does not vouch for, which never lag, and pays once, at the end
-or at the cap.  A replay costs more than its run: every settled entry
-takes its memo test and a one-step product at each step.  gcd_step
-steps a fresh iterate, so without a memo.
+the memo does not vouch for, which never lag.  It keeps a witness, the
+first pair (q_w, q_{w+1}) in which q_w did not divide q_{w+1} at the
+last full test, and tests that pair alone after each step; while it
+still fails, the state is not terminated and nothing else is read.  The
+lattice sorts like the box-and-ball system, one collision at a time, so
+a pair out of order usually stays so for many steps.  The witness can
+only reject: every stop is the full test's, so steps and states are
+those of the full test at every step.  run pays no lag either: its
+TodaRun keeps the stepper, and pays at the first read of final, which
+smith_normal_form never makes.  A replay costs more than its run: every
+settled entry takes its memo test and a one-step product at each step.
+gcd_step steps a fresh iterate, so without a memo.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 from .ring import (
@@ -74,7 +82,7 @@ class IterationLimitError(RuntimeError):
     def __init__(self, capped: TodaRun):
         super().__init__(
             f"no termination within {capped.iterations} steps; last diagonal "
-            f"{[_printable(str, v) for v in capped.final.diagonal]}"
+            f"{[_printable(str, v) for v in capped.factors]}"
         )
         self.limit = capped.iterations
         self.capped = capped
@@ -115,17 +123,20 @@ class GcdTodaState:
         for v in diagonal + subdiagonal:
             if v.ring is not ring:
                 raise ValueError("entries must all live in the same ring")
-        self.__setstate__((ring, tuple(v.payload for v in diagonal),
-                           tuple(v.payload for v in subdiagonal)))
+        self._fill(ring, tuple(v.payload for v in diagonal),
+                   tuple(v.payload for v in subdiagonal))
 
     @classmethod
     def from_payloads(cls, ring: Ring, q: tuple, e: tuple) -> GcdTodaState:
         """Trusted: q and e are payload tuples of ring, e one entry shorter."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "ring", ring)
-        object.__setattr__(out, "q", q)
-        object.__setattr__(out, "e", e)
-        return out
+        return object.__new__(cls)._fill(ring, q, e)
+
+    def _fill(self, ring: Ring, q: tuple, e: tuple) -> GcdTodaState:
+        """Set the fields of a new state past its frozen __setattr__."""
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "e", e)
+        return self
 
     @property
     def n(self) -> int:
@@ -142,7 +153,14 @@ class GcdTodaState:
 
 @dataclass(frozen=True, slots=True)
 class TodaRun:
-    """Outcome of iterating gcd_step to termination; trace is replayed."""
+    """Outcome of iterating gcd_step to termination; trace is replayed.
+
+    run stores the stepper it stopped on in final's slot.  final pays the
+    stepper's lags on its first read and keeps the paid state in its place
+    (_read_final); factors reads only the stepper's q, which never lags.
+    Equality, hashing, repr and pickling read final, so each sees the
+    paid state.
+    """
 
     seed: GcdTodaState
     iterations: int
@@ -150,11 +168,30 @@ class TodaRun:
 
     @property
     def factors(self) -> tuple[RingValue, ...]:
-        return self.final.diagonal
+        ring = self.seed.ring
+        return tuple(RingValue(ring, v) for v in _final_slot.__get__(self).q)
 
     @property
     def trace(self) -> tuple[GcdTodaState, ...]:
         return tuple(islice(iterate(self.seed), self.iterations + 1))
+
+
+_final_slot = TodaRun.final
+
+
+def _read_final(outcome: TodaRun) -> GcdTodaState:
+    """TodaRun.final: the state in its slot, where a _Stepper stored
+    there is first paid and replaced by the state it pays."""
+    final = _final_slot.__get__(outcome)
+    if isinstance(final, _Stepper):
+        final = GcdTodaState.from_payloads(outcome.seed.ring, *final.pay())
+        _final_slot.__set__(outcome, final)
+    return final
+
+
+# The dataclass's own __init__, __eq__, __hash__, __repr__ and pickling
+# all read and write the field by name, so they pass through here too.
+TodaRun.final = property(_read_final, _final_slot.__set__)
 
 
 def _evolve(state: GcdTodaState) -> Iterator[_Stepper]:
@@ -214,7 +251,10 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
 
     At least one step is always taken, so the returned diagonal is made of
     canonical associates even when the seed already passes the test.
-    Only the seed and the last state are kept; the trace is replayed.
+    Only the seed and the last state are kept; the trace is replayed, and
+    the last state's deferred rescalings are paid when final is first
+    read.  The test starts from the pair that failed it last (module
+    docstring), and runs in full only once that pair divides.
 
     A zero subdiagonal entry splits the lattice into blocks that no factor
     can cross, so such a seed could only spin to the cap; run refuses it,
@@ -229,12 +269,16 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     _check_cap(max_iters)
     if max_iters is None:
         max_iters = default_max_iters(state)
-    new, ring = GcdTodaState.from_payloads, state.ring
+    below, last, w = state.ring.divides, state.n - 1, 0
     for steps, lattice in enumerate(islice(_evolve(state), max_iters), 1):
-        if settled(lattice.q, lattice.e, ring.divides, lattice.known):
-            return TodaRun(state, steps, new(ring, *lattice.pay()))
-    raise IterationLimitError(
-        TodaRun(state, max_iters, new(ring, *lattice.pay())))
+        q = lattice.q
+        if w < last and not below(q[w], q[w + 1]):
+            continue
+        pairs = chain(map(below, q, islice(q, 1, None)), (False,))
+        w = operator.indexOf(pairs, False)
+        if w == last and settled(q, lattice.e, below, lattice.known):
+            return TodaRun(state, steps, lattice)
+    raise IterationLimitError(TodaRun(state, max_iters, lattice))
 
 
 def interleaved(state: GcdTodaState) -> tuple[RingValue, ...]:

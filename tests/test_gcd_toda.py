@@ -34,10 +34,11 @@ from todasnf import (
     gcd_step,
     iterate,
     run,
+    smith_normal_form,
     terminated,
     ud_step,
 )
-from todasnf import ud_toda
+from todasnf import gcd_toda, ud_toda
 from todasnf.cli import render_trace_line
 from todasnf.gcd_toda import interleaved
 
@@ -610,20 +611,23 @@ def test_iteration_limit_error_survives_pickling():
 
 
 def test_run_enters_no_generator_of_the_lattice_kernels():
-    # The step and the sortedness test run on every lattice step, each as
-    # a single pass: no generator frame of ud_toda.py is entered.
+    # The step, the witness and the sortedness test run on every lattice
+    # step, each as a single pass: no generator expression of ud_toda.py
+    # or gcd_toda.py is entered.
     entered = []
+    files = (ud_toda.__file__, gcd_toda.__file__)
 
     def profile(frame, event, arg):
         code = frame.f_code
         if (event == "call" and code.co_name == "<genexpr>"
-                and code.co_filename == ud_toda.__file__):
-            entered.append(code.co_firstlineno)
+                and code.co_filename in files):
+            entered.append((code.co_filename, code.co_firstlineno))
 
+    seed = _smooth_seed()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        outcome = run(_smooth_seed())
+        outcome = run(seed)
     finally:
         sys.setprofile(previous)
     assert outcome.iterations > 1
@@ -673,21 +677,96 @@ def test_a_capped_run_pays_every_lag_at_every_cap():
         assert (outcome.final.q, outcome.final.e) == states[-1]
 
 
+def _first_unsorted(state):
+    """The first i where q_i does not divide q_{i+1}, or None."""
+    pairs = zip(state.q, state.q[1:])
+    return next((i for i, (a, b) in enumerate(pairs)
+                 if not state.ring.divides(a, b)), None)
+
+
 def test_run_stops_on_the_first_terminated_state_of_iterate():
     # run skips "q_i divides e_i" wherever the memo knows it and so never
     # reads a lagging e_i; it must stop at the first terminated state.
     # Small random seeds often reach a dividing diagonal whose e_i are not
     # all divided yet, and some end on a step that stopped at the frozen
-    # suffix, whose lag run must pay; the seeds above do neither.
+    # suffix, whose lag run must pay; the seeds above do neither.  run
+    # also skips the full test while the first pair that failed it last
+    # time still fails: in some ZZ seeds an earlier pair fails later, so
+    # that witness is stale, and it must still stop nowhere but here.
+    # GF(2)[x] and GF(5)[x] seeds take the ring's own divides, and one-
+    # and two-level seeds have no pair or a single one to witness.
     rng = random.Random(26)
     seeds = [seed for seed, _ in _lattice_seeds()]
     for _ in range(60):
         n = rng.randint(2, 6)
         seeds.append(_int_state([rng.randint(1, 30) for _ in range(n)],
                                 [rng.randint(1, 30) for _ in range(n - 1)]))
+    for _ in range(12):
+        n = rng.choice((1, 2))
+        seeds.append(_int_state([rng.randint(1, 30) for _ in range(n)],
+                                [rng.randint(1, 30) for _ in range(n - 1)]))
+    for p in (2, 5):
+        ring = PolyModP(p)
+
+        def poly():
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(0, 2))]
+            return ring(coeffs + [rng.randrange(1, p)])
+
+        for n in (1, 2, 2, 3, 5, 6, 8):
+            seeds.append(GcdTodaState([poly() for _ in range(n)],
+                                      [poly() for _ in range(n - 1)]))
+    moved = 0
     for seed in seeds:
         outcome = run(seed)
         states = list(islice(iterate(seed), 1, outcome.iterations + 1))
         assert not any(map(terminated, states[:-1]))
         assert terminated(states[-1])
+        assert outcome.factors == states[-1].diagonal
         assert outcome.final == states[-1]
+        firsts = [_first_unsorted(state) for state in states]
+        moved += seed.ring is ZZ and any(
+            later is not None and earlier is not None and later < earlier
+            for earlier, later in zip(firsts, firsts[1:]))
+    assert moved
+
+
+def test_run_pays_its_final_state_on_first_read(monkeypatch):
+    # smith_normal_form reads only the diagonal of run's last state, so
+    # run leaves that state's lags unpaid: factors reads the stepper's q,
+    # and the first read of final pays once and keeps the paid state.
+    # Equality, hashing, repr and pickling see the paid state whether or
+    # not final was read, and a capped run still ends on its trace.
+    pays = 0
+
+    def counting(self, original=ud_toda._Stepper.pay):
+        nonlocal pays
+        pays += 1
+        return original(self)
+
+    monkeypatch.setattr(ud_toda._Stepper, "pay", counting)
+    seed = _smooth_seed(64)
+    outcome = run(seed)
+    factors = outcome.factors
+    assert pays == 0
+    final = outcome.final
+    assert pays == 1
+    assert outcome.final is final and pays == 1
+    result = smith_normal_form(bidiagonal_matrix(_smooth_seed()))
+    assert result.factors and pays == 1
+    monkeypatch.undo()
+    trace = outcome.trace
+    assert final == trace[-1] and factors == final.diagonal
+    assert result.lattice.final == result.trace[-1]
+    for unread in (run(seed), pickle.loads(pickle.dumps(run(seed)))):
+        assert unread == outcome and hash(unread) == hash(outcome)
+    poly = run(_poly_seed())
+    assert repr(poly) == (f"TodaRun(seed={_poly_seed()!r}, iterations="
+                          f"{poly.iterations!r}, final={poly.final!r})")
+    with pytest.raises(FrozenInstanceError):
+        outcome.final = seed
+    cap = outcome.iterations // 2
+    with pytest.raises(IterationLimitError) as info:
+        run(seed, max_iters=cap)
+    assert info.value.capped.final == trace[cap]
+    assert str(info.value).endswith(
+        f"{[str(v) for v in trace[cap].diagonal]}")
