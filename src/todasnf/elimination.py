@@ -96,19 +96,22 @@ class _Modulus:
     Over GF(p)[x] the kernels hand the two lines to ring.mix, which
     packs each operand once (see ring.py).  Over ZZ they run on Python's
     int operators and d is the rule's one state: exact while d is None,
-    and once d = |D| is set each entry of either line of more than bits
-    bits, kept or written, is stored as its residue in (0, d], so a zero
-    stays zero and a nonzero entry stays nonzero.  residue(v) is that
-    map on one entry, which _level applies to the gcd it writes.
+    and once d = |D| is set each entry of either line of magnitude above
+    top, kept or written, is stored as its residue in (0, d], so a zero
+    stays zero and a nonzero entry stays nonzero.  top, the largest
+    magnitude stored as is, is then 2^b - 1 for b the bit length of d.
+    residue(v) is that map on one entry, which _level applies to the gcd
+    it writes.
 
-    watch, which only a ZZ modulus given the input matrix runs, sets
-    rank, d and bits when the rule goes live.  It computes the Hadamard
-    bound only on a pivot row with something right of its pivot, so an
-    input whose sweeps call no kernel pays nothing.  Passing rank and d
-    makes the rule live at once.
+    watch, which only a ZZ modulus given the input matrix runs, first
+    sets top to 2^h - 1 for h = _hadamard_bits, and sets rank, d and top
+    when a pivot row holds an entry above it and the rule goes live.  It
+    computes the Hadamard bound only on a pivot row with something right
+    of its pivot, so an input whose sweeps call no kernel pays nothing.
+    Passing rank and d makes the rule live at once.
     """
 
-    __slots__ = ("addition", "bits", "d", "matrix", "rank", "ring", "xgcd")
+    __slots__ = ("addition", "d", "matrix", "rank", "ring", "top", "xgcd")
 
     def __init__(self, ring: Ring, matrix: DenseMatrix | None = None,
                  rank: int | None = None, d: int | None = None):
@@ -117,22 +120,22 @@ class _Modulus:
         self.addition = (one, one, one, zero)  # x += y
         self.matrix, self.rank = (matrix if ring is ZZ else None), rank
         self.d = None if d is None else abs(d)
-        self.bits = None if d is None else self.d.bit_length()
+        self.top = None if d is None else (1 << self.d.bit_length()) - 1
 
     def watch(self, row: list[int], t: int) -> None:
         """Go live if row, the pivot row of level t, outgrows the bound."""
         if self.matrix is None or self.d is not None or not any(row[t + 1:]):
             return
-        if self.bits is None:
-            self.bits = _hadamard_bits(self.matrix)
-        if max(map(int.bit_length, row)) > self.bits:
+        if self.top is None:
+            self.top = (1 << _hadamard_bits(self.matrix)) - 1
+        if max(map(abs, row)) > self.top:
             self.rank, self.d = _rank_minor(self.matrix.payload_grid())
-            self.bits = self.d.bit_length()
+            self.top = (1 << self.d.bit_length()) - 1
 
     def residue(self, v):
-        """v as a kernel stores it: in (0, d] past bits bits once live."""
-        d = self.d
-        return v if d is None or v.bit_length() <= self.bits else v % d or d
+        """v as a kernel stores it: in (0, d] past top once live."""
+        d, top = self.d, self.top
+        return v if d is None or -top <= v <= top else v % d or d
 
     def mix_rows(self, grid: list[list], i1: int, i2: int, cof,
                  start: int = 0) -> None:
@@ -145,9 +148,8 @@ class _Modulus:
         if p != 1 or q:
             r1[start:] = [p * x + q * y for x, y in zip(xs, ys)]
         r2[start:] = [t * x + s * y for x, y in zip(xs, ys)]
-        d = self.d
+        d, top = self.d, self.top
         if d is not None:
-            top = (1 << self.bits) - 1
             for r in r1, r2:
                 r[start:] = [v if -top <= v <= top else v % d or d
                              for v in r[start:]]
@@ -169,9 +171,8 @@ class _Modulus:
             for row in rows:
                 x, y = row[j1], row[j2]
                 row[j1], row[j2] = x * p + y * q, x * t + y * s
-        d = self.d
+        d, top = self.d, self.top
         if d is not None:
-            top = (1 << self.bits) - 1
             for row in rows:
                 u, v = row[j1], row[j2]
                 row[j1] = u if -top <= u <= top else u % d or d

@@ -20,38 +20,36 @@ which are exactly the determinantal divisors of the bidiagonal matrix.
 
 The step, the divisor program, the termination test and the word are the
 semiring kernels of ud_toda.py, run on raw payloads with the bound methods
-ring.gcd and ring.mul.  The step divides with ring.exact_div over
-GF(p)[x], and with floor division over ZZ, where each quotient is by a
-gcd of its dividend and so exact.  Over GF(p)[x] the step's memo tests
-divisibility with ring.divides, one remainder where a gcd is a Euclidean
-loop; over ZZ it keeps the inline gcd test, which enters no Python
-frame.  Like a DenseMatrix, a GcdTodaState stores payloads and wraps
-them into RingValues only when read.  _evolve is the one loop over the
-step: it makes the seed canonical once, which keeps every kernel result
-canonical (see ud_toda.py), and steps one ud_toda stepper, which owns
-the divisibility memo and carries it, with every memo-arm entry's lag,
-from each state to the next.  iterate pays every lag before each state
-it yields, so gcd_step and every trace see plain states.  run builds
-none: it tests termination on the stepper, reading q and only the e_i
-the memo does not vouch for, which never lag.  It keeps a witness, the
-first pair (q_w, q_{w+1}) in which q_w did not divide q_{w+1} at the
-last full test, and tests that pair alone after each step; while it
-still fails, the state is not terminated and nothing else is read.  The
-lattice sorts like the box-and-ball system, one collision at a time, so
-a pair out of order usually stays so for many steps.  The witness can
-only reject: every stop is the full test's, so steps and states are
-those of the full test at every step.  run pays no lag either: its
-TodaRun keeps the stepper, and pays at the first read of final, which
-smith_normal_form never makes.  A replay costs more than its run: every
-settled entry takes its memo test and a one-step product at each step.
-gcd_step steps a fresh iterate, so without a memo.
+ring.gcd and ring.mul.  The step divides with floor division over ZZ,
+where each quotient is by a gcd of its dividend and so exact, and with
+ring.exact_div over GF(p)[x], where the stepper's memo tests divisibility
+with ring.divides, one remainder where a gcd is a Euclidean loop; over ZZ
+the memo keeps its inline gcd test, which enters no Python frame.  Like a
+DenseMatrix, a GcdTodaState stores payloads and wraps them into
+RingValues only when read.
+
+_evolve is the one loop over the step: it makes the seed canonical once,
+which keeps every kernel result canonical, and steps one ud_toda stepper,
+whose memo and deferred rescalings (lags) ud_toda.py describes.  iterate
+pays every lag before each state it yields, so gcd_step and every trace
+see plain states; gcd_step steps a fresh iterate, so without a memo.
+run builds no state.  It keeps a witness, the first pair (q_w, q_{w+1})
+in which q_w did not divide q_{w+1} at the last full test, and tests that
+pair alone after each step; while it still fails, nothing else is read.
+The lattice sorts like the box-and-ball system, one collision at a time,
+so a pair out of order usually stays so for many steps.  Once no pair
+fails, run tests q_i | e_i only where the memo does not vouch for it, so
+it reads no lagging e_i.  The witness can only reject: every stop is the
+full test's, so steps and states are those of terminated at every step.
+run's TodaRun keeps the stepper and pays its lags at the first read of
+final, which smith_normal_form never makes.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice, starmap
 from typing import Iterator, Sequence
 
 from .ring import (
@@ -137,6 +135,12 @@ class GcdTodaState:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "e", e)
         return self
+
+    def __repr__(self) -> str:
+        """The dataclass's text, a tuple past the digit limit shown as
+        _printable's placeholder."""
+        return (f"GcdTodaState(ring={self.ring!r}, "
+                f"q={_printable(repr, self.q)}, e={_printable(repr, self.e)})")
 
     @property
     def n(self) -> int:
@@ -253,8 +257,9 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     canonical associates even when the seed already passes the test.
     Only the seed and the last state are kept; the trace is replayed, and
     the last state's deferred rescalings are paid when final is first
-    read.  The test starts from the pair that failed it last (module
-    docstring), and runs in full only once that pair divides.
+    read.  The test starts from the pair that failed it last; once no
+    pair of the diagonal fails, it tests q_i | e_i only where the
+    stepper's memo does not vouch for it (module docstring).
 
     A zero subdiagonal entry splits the lattice into blocks that no factor
     can cross, so such a seed could only spin to the cap; run refuses it,
@@ -276,7 +281,8 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
             continue
         pairs = chain(map(below, q, islice(q, 1, None)), (False,))
         w = operator.indexOf(pairs, False)
-        if w == last and settled(q, lattice.e, below, lattice.known):
+        if w == last and all(starmap(below, compress(
+                zip(q, lattice.e), map(operator.not_, lattice.known)))):
             return TodaRun(state, steps, lattice)
     raise IterationLimitError(TodaRun(state, max_iters, lattice))
 

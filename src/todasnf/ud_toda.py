@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import groupby
 
 from .ring import ZZ, _power
 
@@ -241,18 +241,14 @@ def non_adjacent_totals(q, e, add, mul, one) -> tuple:
     return tuple(prev[1:])
 
 
-def settled(q, e, below, known=None) -> bool:
+def settled(q, e, below) -> bool:
     """Whether below(q_i, q_{i+1}) and below(q_i, e_i) hold for every i.
 
-    A true known[i] of a _Stepper's memo stands for the second test, so
-    its lagging e_i is never read.
+    terminated and is_sorted call it on plain states.  gcd_toda.run tests
+    a _Stepper itself: there a true known[i] stands for below(q_i, e_i),
+    whose e_i may lag, and its witness has already tested the chain of q.
     """
-    if not all(map(below, q, q[1:])):
-        return False
-    if known is not None:
-        unknown = list(map(operator.not_, known))
-        q, e = compress(q, unknown), compress(e, unknown)
-    return all(map(below, q, e))
+    return all(map(below, q, q[1:])) and all(map(below, q, e))
 
 
 def interleaved(state: UdTodaState) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from todasnf import (
     run,
     seed_state,
 )
-from todasnf.elimination import _level, _Modulus
+from todasnf.elimination import _hadamard_bits, _level, _Modulus
 
 
 def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
@@ -119,7 +119,7 @@ def test_block_updates_match_matrix_products():
 def test_live_kernels_reduce_the_kept_line():
     # Entries can predate the modulus, so under a live one a kept line
     # comes back as the residues the full 2x2 kernel stores: each entry
-    # of more than bits bits as its residue in (0, d].
+    # of magnitude above top as its residue in (0, d].
     rng = random.Random(34)
     for _ in range(40):
         n = rng.randint(2, 5)
@@ -135,7 +135,7 @@ def test_live_kernels_reduce_the_kept_line():
             p, q, s, t = cof
 
             def fit(v):
-                return v if v.bit_length() <= mod.bits else v % d or d
+                return v if -mod.top <= v <= mod.top else v % d or d
 
             grid = [list(row) for row in a]
             mod.mix_rows(grid, i1, i2, cof)
@@ -150,6 +150,40 @@ def test_live_kernels_reduce_the_kept_line():
                 x, y = row[i1], row[i2]
                 row[i1], row[i2] = fit(p * x + q * y), fit(t * x + s * y)
             assert grid == full, (cof, i1, i2)
+
+
+def test_the_store_rule_keeps_magnitudes_up_to_top():
+    # d = 1000 has 10 bits, so a live modulus keeps every magnitude up to
+    # top = 1023 as it is and stores any larger one as its residue in
+    # (0, d]; residue and both kernels, a kept line included, agree.
+    d = 1000
+    values = [0, 1, -1, 1000, -1000, 1023, -1023, 1024, -1024, 10**30 + 7]
+    stored = [0, 1, -1, 1000, -1000, 1023, -1023, 24, 976, 7]
+    mod = _Modulus(ZZ, DenseMatrix(ZZ, [[d]]), 1, d)
+    assert mod.top == 1023
+    assert [mod.residue(v) for v in values] == stored
+    # (1, 0, 1, 1) keeps the first line and adds it to a zero second.
+    grid = [list(values), [0] * len(values)]
+    mod.mix_rows(grid, 0, 1, (1, 0, 1, 1))
+    assert grid == [stored, stored]
+    grid = [[v, 0] for v in values]
+    mod.mix_cols(grid, 0, 1, (1, 0, 1, 1))
+    assert grid == [[v, v] for v in stored]
+
+
+def test_the_watch_goes_live_just_past_the_hadamard_bound():
+    # Rows of squared norms 25 and 5 bound every minor by sqrt(125), so
+    # by 4 bits: a pivot row may hold magnitudes up to 15 and stay exact.
+    matrix = DenseMatrix(ZZ, [[3, 4], [1, 2]])
+    assert _hadamard_bits(matrix) == 4
+    for row in ([15, 1], [-15, 1], [0, 15]):
+        mod = _Modulus(ZZ, matrix)
+        mod.watch(row, 0)
+        assert mod.d is None and mod.top == 15, row
+    for row in ([16, 1], [1, -16]):
+        mod = _Modulus(ZZ, matrix)
+        mod.watch(row, 0)
+        assert (mod.rank, mod.d, mod.top) == (2, 2, 3), row
 
 
 def test_live_levels_write_the_pivot_pair_as_residues():

@@ -770,3 +770,56 @@ def test_run_pays_its_final_state_on_first_read(monkeypatch):
     assert info.value.capped.final == trace[cap]
     assert str(info.value).endswith(
         f"{[str(v) for v in trace[cap].diagonal]}")
+
+
+def test_state_repr_shows_a_placeholder_past_the_digit_limit():
+    # A long run's e entries pass the 4300 digits Python renders an int
+    # in, so repr shows _printable's placeholder there instead of raising;
+    # with the limit lifted it is the dataclass's text, and small states
+    # print as they always have.
+    outcome = run(_smooth_seed(64))
+    final = outcome.final
+    assert repr(final) == (f"GcdTodaState(ring=ZZ, q={final.q!r}, "
+                           "e=<too many digits to print>)")
+    assert repr(outcome) == (f"TodaRun(seed={outcome.seed!r}, iterations="
+                             f"{outcome.iterations!r}, final={final!r})")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for state in (final, outcome.seed):
+            assert repr(state) == (f"GcdTodaState(ring={state.ring!r}, "
+                                   f"q={state.q!r}, e={state.e!r})")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    ring = PolyModP(5)
+    x, x1 = ring([0, 1]), ring([1, 1])
+    assert repr(run(_int_state((2, 6, 9), (4, 3)))) == (
+        "TodaRun(seed=GcdTodaState(ring=ZZ, q=(2, 6, 9), e=(4, 3)), "
+        "iterations=4, final=GcdTodaState(ring=ZZ, q=(1, 6, 18), "
+        "e=(81, 972)))")
+    assert repr(GcdTodaState((x * x1, x), (x1,))) == (
+        "GcdTodaState(ring=GF(5)[x], q=((0, 1, 1), (0, 1)), e=((1, 1),))")
+
+
+def test_run_keeps_its_ring_call_savings(monkeypatch):
+    # run's ring calls on the smooth seeds, each count exact and
+    # repeatable.  Three savings keep them down: the stepper's clock
+    # vouches for a lagging entry's memo test (no gcd), the witness pair
+    # skips the full termination test while it still fails, and the last
+    # test reads q_i | e_i only where the memo does not vouch for it,
+    # with the chain of q already known to hold (no divides).  Giving any
+    # of them back raises a count past its bound.
+    seeds = {n: _smooth_seed(n) for n in (32, 64)}
+    calls = Counter()
+    for name in ("divides", "gcd", "mul"):
+        def counting(a, b, name=name, original=getattr(ZZ, name)):
+            calls[name] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(type(ZZ), name, staticmethod(counting))
+    bounds = {32: (180, {"divides": 253, "gcd": 4694, "mul": 5063}),
+              64: (366, {"divides": 566, "gcd": 17054, "mul": 18406})}
+    for n, (steps, most) in bounds.items():
+        calls.clear()
+        assert run(seeds[n]).iterations == steps
+        assert all(calls[name] <= most[name] for name in most), (n, calls)

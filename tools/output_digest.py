@@ -42,9 +42,9 @@ once it is live.
 
 And it covers the small random lattice seeds of tests/test_gcd_toda.py
 (60 of 2 to 12 blocks, entries 1 to 30), whose runs often break and
-re-freeze their settled tail: per seed, the message and every q and e
-entry, in hexadecimal, of the capped.final of a run capped at half its
-steps.
+re-freeze their settled tail: per seed, the repr of its run, and the
+message and every q and e entry, in hexadecimal, of the capped.final of
+a run capped at half its steps.
 
 Last, it covers construction: for DenseMatrix(ring, rows) on rows that
 mix native data and RingValues (over ZZ ints, RingValues and an int
@@ -329,7 +329,8 @@ def main() -> None:
             digest.update(f"{line}\n".encode())
     for k, state in enumerate(small_seeds()):
         digest.update(f"small/{k}\n".encode())
-        for line in capped_lines(state, run(state).iterations):
+        outcome = run(state)
+        for line in (repr(outcome), *capped_lines(state, outcome.iterations)):
             digest.update(f"{line}\n".encode())
     for line in construction_lines():
         digest.update(f"{line}\n".encode())
