@@ -32,14 +32,14 @@ _evolve is the one loop over the step: it makes the seed canonical once,
 which keeps every kernel result canonical, and steps one ud_toda stepper,
 whose memo and deferred rescalings (lags) ud_toda.py describes.  iterate
 pays every lag before each state it yields, so gcd_step and every trace
-see plain states; gcd_step steps a fresh iterate, so without a memo.
+see plain states, yet steps as run does: paying moves no memo flag.
 run builds no state.  It keeps a witness, the first pair (q_w, q_{w+1})
 in which q_w did not divide q_{w+1} at the last full test, and tests that
 pair alone after each step; while it still fails, nothing else is read.
 The lattice sorts like the box-and-ball system, one collision at a time,
 so a pair out of order usually stays so for many steps.  Once no pair
-fails, run tests q_i | e_i only where the memo does not vouch for it, so
-it reads no lagging e_i.  The witness can only reject: every stop is the
+fails, run tests q_i | e_i only where the memo flag is false, so it reads
+no lagging e_i.  The witness can only reject: every stop is the
 full test's, so steps and states are those of terminated at every step.
 run's TodaRun keeps the stepper and pays its lags at the first read of
 final, which smith_normal_form never makes.
@@ -259,7 +259,7 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     the last state's deferred rescalings are paid when final is first
     read.  The test starts from the pair that failed it last; once no
     pair of the diagonal fails, it tests q_i | e_i only where the
-    stepper's memo does not vouch for it (module docstring).
+    stepper's memo flag is false (module docstring).
 
     A zero subdiagonal entry splits the lattice into blocks that no factor
     can cross, so such a seed could only spin to the cap; run refuses it,

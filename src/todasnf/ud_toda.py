@@ -31,52 +31,46 @@ a_i q_{i+1} / q'_i, and so for e'_i; only e_i = a_i = 0 fails to divide.
 
 A _Stepper owns a divisibility memo, which spares settled entries their
 gcd and division from its second step on; toda_step steps a fresh one.
-Write below(x, y) for add(x, y) == x: x divides y (is at most y).
-Since e'_i = (e_i / q'_i) q_{i+1}, below(q'_i, q_{i+1}) on the old
-q_{i+1} gives below(q'_i, e'_i), and the step records it as known[i].
-At the next step, if known[i], a_i == q_i and below(q_i, q_{i+1}), then
-q'_i = add(e_i, q_i) is the canonical q_i itself, e'_i = e_i (q_{i+1} /
-q_i), a_{i+1} = q_{i+1}, and known[i] still holds; every other entry
-takes the full step.  These are the full step's canonical values, so
-states are the same entry for entry.  Over a ring a zero q_i never
-carries a true flag: it would need q'_i = q_{i+1} = 0, and the step
-that made it divided by that zero and raised.  The memo pays because
-the lattice sorts like the box-and-ball system, the large factors
-settling at the tail first.  From then on each step only rescales the
-tail's e_i by q_{i+1} / q_i, so they grow without bound (past 38 000
-bits on 64 x 64 benchmark inputs whose q_i stay under 200 bits).
+Write below(x, y) for add(x, y) == x: x divides y (is at most y).  Its
+flag known[i] is always current: proved (True) is below(q_i, e_i) and
+below(q_i, q_{i+1}), stale (the truthy _STALE) is below(q_i, e_i) alone,
+and False proves nothing.  A full arm at i sets stale if below(q'_i,
+q_{i+1}) on the old q_{i+1}, as e'_i = (e_i / q'_i) q_{i+1}, else False;
+one at i + 1 that changes q_{i+1} after a memo arm at i sets known[i]
+stale; q_{N-1} changes only after a full arm at N - 2.  At the next
+step, if a_i == q_i, a stale flag is tested once and keeps the result;
+if known[i] is then true, q'_i = add(e_i, q_i) is the canonical q_i,
+e'_i = e_i (q_{i+1} / q_i), a_{i+1} = q_{i+1}, and the flag stays
+proved.  Every other entry takes the full step.  These are the full
+step's canonical values, so states are the same entry for entry, and a
+read changes no later step.  Over a ring a zero q_i never carries a
+truthy flag: the full arm that made it divided by zero and raised.  The
+memo pays because the lattice sorts like the box-and-ball system, the
+large factors settling at the tail first, whose e_i each step then only
+rescales by q_{i+1} / q_i, so they grow without bound (past 38 000 bits
+on 64 x 64 benchmark inputs whose q_i stay under 200 bits).
 
 So the memo arm does no arithmetic: it hands on a = q_{i+1} and leaves
 e_i to lag.  A _Stepper keeps one step clock, now, and per entry the
 step since[i] after which e[i] was true, so that e[i] owes r_i^(now -
 since[i]), r_i = q_{i+1} / q_i.  The ratio holds still while the lag
-grows: the memo arm keeps q_i, and when a full arm at i + 1 changes q_{i+1}
-it first pays e[i] with the old q_{i+1}, since that ratio rescaled e_i on
-every lagged step up to and including the current one, and marks e[i]
-current.  A full arm at i first pays e[i]'s own lag, through the last
-step, on the q_i and q_{i+1} that the current step has not yet touched,
-and then steps the true e_i.  mul is associative and commutative in all
-three semirings, and products of canonical payloads are canonical, so
-e_i times r_i^k formed by squaring is the very payload that the k steps
-would have made one factor at a time.  Only the memo arm lags an entry,
-and only with known[i] true, so e[i] is current wherever known[i] is
-false.
-
-The clock also vouches for the memo's test.  If since[i] < now - 1 when
-step now reaches entry i, then e[i] lagged through step since[i] + 1, so
-entry i took the memo arm there, walked or in the frozen suffix below:
-known[i] and below(q_i, q_{i+1}) held.
-Neither q_i, q_{i+1} nor known[i] has changed since, or e[i] would have
-been paid and marked, so the test reduces to a == q_i, with no gcd.
+grows: the memo arm keeps q_i, and a full arm at i + 1 that changes
+q_{i+1} first pays e[i] with the old ratio, which rescaled e_i on every
+lagged step through the current one.  A full arm at i first pays e[i]'s
+own lag through the last step, on the q_i and q_{i+1} the current step
+has not yet touched, and then steps the true e_i.  mul is associative
+and commutative in all three semirings, and products of canonical
+payloads are canonical, so e_i times r_i^k formed by squaring is the
+very payload that the k steps would have made one factor at a time.
+Only the memo arm lags an entry, and only with known[i] proved, so e[i]
+is current wherever the flag is stale or false.
 
 The lag also ends the walk early.  Call [s, N) frozen when every entry
 j >= s took the memo arm on the last step.  If the next step's carrier
-reaches s equal to q_s, entry s takes the memo arm again, since known[s],
-q_s and q_{s+1} are as they were when it last took it, and hands on a =
-q_{s+1}, so every later entry of the suffix does the same.
-That changes nothing but the lags, which the clock already counts, so
-the step ends at s.  A _Stepper pays the lags only when a caller reads
-the state.
+reaches s equal to q_s, known[s] is still proved, so entry s and every
+later one take the memo arm again, which changes nothing but the lags
+the clock already counts: the step ends at s.  A _Stepper pays the lags
+only when a caller reads the state, and paying changes no flag.
 """
 
 from __future__ import annotations
@@ -89,6 +83,8 @@ from .ring import ZZ, _power
 
 #: (add, mul, div) of the min-plus semiring.
 MIN_PLUS = (min, operator.add, operator.sub)
+#: A _Stepper's stale known[i], which proves below(q_i, e_i) alone.
+_STALE = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,8 +167,8 @@ class _Stepper:
 
     now counts the steps taken.  e[j] is the true e_j after step since[j]
     and owes (q[j+1] / q[j]) ** (now - since[j]); q and known are always
-    current, and so is e[j] wherever known[j] is false.  Entries j >=
-    frozen took the memo arm on the last step.  pay() clears every lag.
+    current, and so is e[j] unless known[j] is proved.  Entries j >= frozen
+    took the memo arm on the last step.  pay() clears every lag, keeps known.
     """
 
     __slots__ = ("q", "e", "known", "since", "frozen", "now", "ops")
@@ -187,26 +183,29 @@ class _Stepper:
         carrier reaches it unchanged."""
         q, e, known, since = self.q, self.e, self.known, self.since
         add, mul, div, below = self.ops
-        prev = self.now
+        prev, stale = self.now, _STALE
         self.now = now = prev + 1
         s, a, last = self.frozen, q[0], -1
         for i in range(len(e)):
             qi, qn = q[i], q[i + 1]
-            if a == qi and (since[i] < prev or i == s or known[i] and (
-                    below(qi, qn) if below else add(qi, qn) == qi)):
-                if i == s:
-                    break
-                a = qn
-                continue
+            if a == qi:
+                if known[i] is stale:
+                    known[i] = below(qi, qn) if below else add(qi, qn) == qi
+                if known[i]:
+                    if i == s:
+                        break
+                    a = qn
+                    continue
             if since[i] < prev:
                 e[i] = mul(e[i], _power(div(qn, qi), prev - since[i], mul))
             q[i] = new = add(e[i], a)
             e[i], a = mul(div(e[i], new), qn), mul(div(a, new), qn)
-            known[i] = below(new, qn) if below else add(new, qn) == new
+            held = below(new, qn) if below else add(new, qn) == new
+            known[i] = held and stale
             if new != qi and last < i - 1:
                 e[i - 1] = mul(e[i - 1], _power(div(qi, q[i - 1]),
                                                 now - since[i - 1], mul))
-                since[i - 1] = now
+                since[i - 1], known[i - 1] = now, stale
             since[i], last = now, i
         else:
             q[-1] = a
@@ -245,7 +244,7 @@ def settled(q, e, below) -> bool:
     """Whether below(q_i, q_{i+1}) and below(q_i, e_i) hold for every i.
 
     terminated and is_sorted call it on plain states.  gcd_toda.run tests
-    a _Stepper itself: there a true known[i] stands for below(q_i, e_i),
+    a _Stepper itself: there a truthy known[i] stands for below(q_i, e_i),
     whose e_i may lag, and its witness has already tested the chain of q.
     """
     return all(map(below, q, q[1:])) and all(map(below, q, e))

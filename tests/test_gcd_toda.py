@@ -448,29 +448,33 @@ def _memo_free_states(seed):
         yield q, e
 
 
+def _ring_calls(monkeypatch, ring, names):
+    """A Counter of the calls to ring's named methods, patched on its
+    class; each counted method calls the original bound to ring."""
+    calls = Counter()
+    for name in names:
+        def counting(*args, name=name, original=getattr(ring, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(type(ring), name, staticmethod(counting))
+    return calls
+
+
 def test_the_memo_of_iterate_changes_no_state(monkeypatch):
     # iterate steps one stepper, whose divisibility memo lasts the whole
-    # evolution.  Chained memo-free toda_step calls must give every state
+    # evolution, and pays every lag before each state, which sets no
+    # flag.  Chained memo-free toda_step calls must give every state
     # through run's final one, and split seeds must raise alike; so must
-    # ud_step against one min-plus stepper, paid after each step.  A
+    # ud_step against one min-plus stepper, paid after each step.  So a
+    # flag left proved once q_i or q_{i+1} changed would show here.  A
     # full step costs two products and two gcds (the step's and its
-    # flag's).  A settled entry costs at most its memo test, and none
-    # from its second lagging step on; its rescaling waits for one
-    # product by a power.  So fewer than one product and 0.9 gcds per
-    # entry and step show that the memo arm defers its product and does
-    # not repeat a test it passed.
-    calls, counters = Counter(), {}
-    for name in ("mul", "gcd"):
-        def counting(a, b, name=name, original=getattr(ZZ, name)):
-            calls[name] += 1
-            return original(a, b)
-
-        counters[name] = staticmethod(counting)
-
+    # flag's).  A settled entry costs at most its stale flag's one test;
+    # its rescaling waits for one product by a power.  So fewer than one
+    # product and 0.9 gcds per entry and step of run show that the memo
+    # arm defers its product and does not repeat a test it passed.
     for seed, _ in _lattice_seeds():
-        calls.clear()
-        for name, counting in counters.items():
-            monkeypatch.setattr(type(ZZ), name, counting)
+        calls = _ring_calls(monkeypatch, ZZ, ("mul", "gcd"))
         outcome = run(seed)
         monkeypatch.undo()
         steps = islice(iterate(seed), 1, outcome.iterations + 1)
@@ -803,23 +807,46 @@ def test_state_repr_shows_a_placeholder_past_the_digit_limit():
 
 def test_run_keeps_its_ring_call_savings(monkeypatch):
     # run's ring calls on the smooth seeds, each count exact and
-    # repeatable.  Three savings keep them down: the stepper's clock
-    # vouches for a lagging entry's memo test (no gcd), the witness pair
+    # repeatable.  Three savings keep them down: a proved memo flag
+    # spares a settled entry its memo test (no gcd), the witness pair
     # skips the full termination test while it still fails, and the last
-    # test reads q_i | e_i only where the memo does not vouch for it,
-    # with the chain of q already known to hold (no divides).  Giving any
-    # of them back raises a count past its bound.
+    # test reads q_i | e_i only where the memo flag is false, with the
+    # chain of q already known to hold (no divides).  Giving any of them
+    # back raises a count past its bound.
     seeds = {n: _smooth_seed(n) for n in (32, 64)}
-    calls = Counter()
-    for name in ("divides", "gcd", "mul"):
-        def counting(a, b, name=name, original=getattr(ZZ, name)):
-            calls[name] += 1
-            return original(a, b)
-
-        monkeypatch.setattr(type(ZZ), name, staticmethod(counting))
+    calls = _ring_calls(monkeypatch, ZZ, ("divides", "gcd", "mul"))
     bounds = {32: (180, {"divides": 253, "gcd": 4694, "mul": 5063}),
               64: (366, {"divides": 566, "gcd": 17054, "mul": 18406})}
     for n, (steps, most) in bounds.items():
         calls.clear()
         assert run(seeds[n]).iterations == steps
         assert all(calls[name] <= most[name] for name in most), (n, calls)
+
+
+def test_reading_a_state_changes_no_memo_test(monkeypatch):
+    # Paying a lag to read a state leaves every memo flag as it is, so
+    # iterate, which reads each state, makes run's gcd calls through
+    # run's steps (4694 and 17054 on the smooth seeds), and a stepper
+    # paid after every step makes the memo tests of one never paid:
+    # gcds over ZZ, where the test is inline, and divides over GF(5)[x].
+    names = ("gcd", "divides")
+    for n in (32, 64):
+        seed = _smooth_seed(n)
+        calls = _ring_calls(monkeypatch, ZZ, names)
+        steps = run(seed).iterations
+        ran = calls.pop("gcd")
+        for _ in islice(iterate(seed), 1, steps + 1):
+            pass
+        monkeypatch.undo()
+        assert calls["gcd"] == ran > 0
+    for seed in (_smooth_seed(32), _smooth_seed(64), _poly_seed()):
+        steps, counts = run(seed).iterations, []
+        for paid in (False, True):
+            calls = _ring_calls(monkeypatch, seed.ring, names)
+            for lattice in islice(gcd_toda._evolve(seed), steps):
+                if paid:
+                    lattice.pay()
+            monkeypatch.undo()
+            counts.append(calls)
+        assert counts[0] == counts[1]
+        assert counts[0]["gcd" if seed.ring is ZZ else "divides"] > 0

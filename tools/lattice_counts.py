@@ -6,15 +6,18 @@ The seeds are the 18 lattice_smooth matrices of benchmark seed 61, built
 by perfbench/corpus.py (imported only; no bytecode is written next to
 it) and seeded as smith_normal_form seeds them, and the n = 32 and
 n = 64 smooth seeds of tests/test_gcd_toda.py (Random(60), entries
-2^a 3^b 5^c).  All are over ZZ.  For each set and route it prints the
-steps, the entry-steps (steps times N - 1, summed over the seeds) and
-the calls to ZZ.divides, ZZ.gcd and ZZ.mul per step and per entry-step:
+2^a 3^b 5^c), all over ZZ; and the 16-level GF(5)[x] seed of the same
+file (Random(23), products x^i (x + 1)^j).  For each set and route it
+prints the steps, the entry-steps (steps times N - 1, summed over the
+seeds) and the calls to the ring's divides, gcd and mul per step and per
+entry-step:
 
 - run: run(seed), to termination, its final state left unread;
 - iterate: the same number of states of iterate(seed), each one read.
 
 Over ZZ the stepper tests its memo inline, so every ZZ.divides call of
-run is its termination test, and iterate makes none.  Last, it prints
+run is its termination test, and iterate makes none; over GF(5)[x] the
+memo tests by PolyModP.divides on both routes.  Last, it prints
 the _Stepper.pay calls that smith_normal_form makes on the lattice_smooth
 matrices.  Every count is exact and repeats on every run.
 """
@@ -36,6 +39,7 @@ import corpus  # noqa: E402
 from todasnf import (  # noqa: E402
     DenseMatrix,
     GcdTodaState,
+    PolyModP,
     ZZ,
     iterate,
     run,
@@ -50,10 +54,10 @@ NAMES = ("divides", "gcd", "mul")
 
 
 @contextmanager
-def counting(calls: Counter):
-    """Count the ZZ.divides, ZZ.gcd and ZZ.mul calls and the _Stepper.pay
+def counting(calls: Counter, ring=ZZ):
+    """Count the ring's divides, gcd and mul calls and the _Stepper.pay
     calls into calls while the block runs."""
-    ring, originals = type(ZZ), {}
+    cls, originals = type(ring), {}
 
     def counted(name, original):
         def call(*args):
@@ -62,9 +66,9 @@ def counting(calls: Counter):
         return call
 
     for name in NAMES:
-        originals[name] = ring.__dict__.get(name)
-        wrapped = counted(name, getattr(ZZ, name))
-        setattr(ring, name, staticmethod(wrapped))
+        originals[name] = cls.__dict__.get(name)
+        wrapped = counted(name, getattr(ring, name))
+        setattr(cls, name, staticmethod(wrapped))
     pay = _Stepper.pay
     _Stepper.pay = counted("pay", pay)
     try:
@@ -73,9 +77,9 @@ def counting(calls: Counter):
         _Stepper.pay = pay
         for name, original in originals.items():
             if original is None:
-                delattr(ring, name)
+                delattr(cls, name)
             else:
-                setattr(ring, name, original)
+                setattr(cls, name, original)
 
 
 def matrices() -> list[DenseMatrix]:
@@ -94,6 +98,16 @@ def smooth_seed(n: int) -> GcdTodaState:
                                       tuple(smooth() for _ in range(n - 1)))
 
 
+def poly_seed() -> GcdTodaState:
+    """The 16-level GF(5)[x] seed of tests/test_gcd_toda.py."""
+    ring = PolyModP(5)
+    x, x1 = ring([0, 1]), ring([1, 1])
+    powers = [x ** i * x1 ** j for i in range(4) for j in range(4)]
+    rng = random.Random(23)
+    return GcdTodaState([rng.choice(powers) for _ in range(16)],
+                        [rng.choice(powers) for _ in range(15)])
+
+
 def lattice_seeds() -> list[GcdTodaState]:
     """The seeds smith_normal_form runs on the lattice_smooth matrices."""
     forms = (_reduced_form(m, _Modulus(ZZ, m)) for m in matrices())
@@ -108,7 +122,7 @@ def count_routes(seeds) -> dict[str, tuple[int, int, Counter]]:
         calls = Counter()
         for seed in seeds:
             iterations = run(seed).iterations
-            with counting(calls):
+            with counting(calls, seed.ring):
                 if route == "run":
                     run(seed)
                 else:
@@ -123,7 +137,8 @@ def count_routes(seeds) -> dict[str, tuple[int, int, Counter]]:
 def main() -> None:
     sets = ((f"lattice_smooth/{SEED}", lattice_seeds()),
             ("smooth n=32", [smooth_seed(32)]),
-            ("smooth n=64", [smooth_seed(64)]))
+            ("smooth n=64", [smooth_seed(64)]),
+            ("GF(5)[x] n=16", [poly_seed()]))
     print(f"{'seeds':18} {'route':8} {'steps':>6} {'entry-steps':>11}  "
           + "  ".join(f"{name + '/step':>12}" for name in NAMES) + "  "
           + "  ".join(f"{name + '/entry':>12}" for name in NAMES))

@@ -42,9 +42,10 @@ once it is live.
 
 And it covers the small random lattice seeds of tests/test_gcd_toda.py
 (60 of 2 to 12 blocks, entries 1 to 30), whose runs often break and
-re-freeze their settled tail: per seed, the repr of its run, and the
-message and every q and e entry, in hexadecimal, of the capped.final of
-a run capped at half its steps.
+re-freeze their settled tail: per seed, the repr of its run, every q and
+e entry, in hexadecimal, of each state of iterate through the run's
+steps, where reads interleave with steps, and the message and every q
+and e entry of the capped.final of a run capped at half its steps.
 
 Last, it covers construction: for DenseMatrix(ring, rows) on rows that
 mix native data and RingValues (over ZZ ints, RingValues and an int
@@ -330,7 +331,9 @@ def main() -> None:
     for k, state in enumerate(small_seeds()):
         digest.update(f"small/{k}\n".encode())
         outcome = run(state)
-        for line in (repr(outcome), *capped_lines(state, outcome.iterations)):
+        states = islice(iterate(state), 1, outcome.iterations + 1)
+        for line in (repr(outcome), *map(hex_line, states),
+                     *capped_lines(state, outcome.iterations)):
             digest.update(f"{line}\n".encode())
     for line in construction_lines():
         digest.update(f"{line}\n".encode())
