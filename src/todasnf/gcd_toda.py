@@ -324,8 +324,8 @@ def exponent_lift(state: GcdTodaState, base: RingValue) -> UdTodaState:
             k += 1
         if not v.is_unit():
             raise ValueError(
-                f"entry {v} is not a unit multiple of a power of {base}"
-            )
+                f"entry {_printable(str, v)} is not a unit multiple of a "
+                f"power of {_printable(str, base)}")
         return k
 
     return UdTodaState(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Sequence
 
-from .ring import Ring, RingValue
+from .ring import Ring, RingValue, _printable
 
 
 class DenseMatrix:
@@ -126,7 +126,6 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         render = self.ring.render
-        body = "; ".join(
-            " ".join(render(v) for v in row) for row in self._rows
-        )
+        body = _printable(lambda rows: "; ".join(
+            " ".join(render(v) for v in row) for row in rows), self._rows)
         return f"DenseMatrix({self.ring.name}, {self.nrows}x{self.ncols}: {body})"

@@ -21,7 +21,7 @@ from itertools import combinations
 from .elimination import _Modulus, _reduced_form, seed_state
 from .gcd_toda import GcdTodaState, TodaRun, _check_cap, run
 from .matrix import DenseMatrix
-from .ring import RingValue, canonical, divides, gcd
+from .ring import RingValue, _printable, canonical, divides, gcd
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,9 +45,11 @@ class SnfResult:
             raise ValueError("a result needs at least one factor")
         for v in self.factors:
             if v != canonical(v):
-                raise ValueError(f"factor {v} is not canonical")
+                raise ValueError(
+                    f"factor {_printable(str, v)} is not canonical")
         for a, b in zip(self.factors, self.factors[1:]):
             if not divides(a, b):
+                a, b = _printable(str, a), _printable(str, b)
                 raise ValueError(f"factor chain broken: {a} does not divide {b}")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")

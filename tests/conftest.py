@@ -4,17 +4,21 @@ The oracle functions here are deliberately independent of the package:
 they work on plain ints and coefficient tuples, use enumeration where
 the package uses algebra, and exist so expected values are computed by a
 second route.  Builder helpers at the bottom construct package objects
-for convenience and are not oracles.
+for convenience and are not oracles; with the call counter after them they
+are also the seeds and the instrument of tools/lattice_counts.py and
+tools/output_digest.py.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from collections import Counter
 
 from hypothesis import settings
 
-from todasnf import DenseMatrix, GcdTodaState, RingValue, ZZ
+from todasnf import DenseMatrix, GcdTodaState, PolyModP, RingValue, ZZ
 
 # Property tests replay the same examples on every run and keep no
 # example database, so the suite stays deterministic and bounded in time.
@@ -424,3 +428,102 @@ def int_grid(matrix: DenseMatrix) -> list[list[int]]:
         [matrix[i, j].payload for j in range(matrix.ncols)]
         for i in range(matrix.nrows)
     ]
+
+
+def int_state(diag, sub) -> GcdTodaState:
+    return GcdTodaState(int_values(*diag), int_values(*sub))
+
+
+def random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
+    return DenseMatrix(ZZ, [
+        [0 if rng.random() < zero_prob else rng.randint(-bound, bound)
+         for _ in range(n)]
+        for _ in range(m)
+    ])
+
+
+def smooth_seed(n=32):
+    """The n = 32 lattice seed of 2^a 3^b 5^c entries, a, b, c <= 6,
+    drawn from Random(60), or one of n."""
+    rng = random.Random(60)
+
+    def smooth():
+        return 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 6) * 5 ** rng.randint(0, 6)
+
+    return int_state([smooth() for _ in range(n)],
+                     [smooth() for _ in range(n - 1)])
+
+
+def poly_seed():
+    """A 16-level GF(5)[x] seed of products x**i (x + 1)**j, i, j < 4."""
+    ring = PolyModP(5)
+    x, x1 = ring([0, 1]), ring([1, 1])
+    powers = [x ** i * x1 ** j for i in range(4) for j in range(4)]
+    rng = random.Random(23)
+    return GcdTodaState([rng.choice(powers) for _ in range(16)],
+                        [rng.choice(powers) for _ in range(15)])
+
+
+def small_seeds():
+    """60 random ZZ seeds of 2 to 12 blocks, entries 1 to 30."""
+    rng = random.Random(27)
+    sizes = [rng.randint(2, 12) for _ in range(60)]
+    return [int_state([rng.randint(1, 30) for _ in range(n)],
+                      [rng.randint(1, 30) for _ in range(n - 1)])
+            for n in sizes]
+
+
+def ladder_draws():
+    """The dense draws the scale measurements use, as (ring, grids, budget).
+
+    ZZ: Random(1), five randint(-20, 20) n x n grids per n in 4, 8, 12,
+    16, 20; the rungs are n = 16 and n = 20.  Random(2), one such grid at
+    n = 32 and the next one at n = 48, the largest rung.  GF(p)[x]:
+    Random(3), three grids of degree < 3 entries per n in 8, 10, 12, 14,
+    for p = 2 then 5; the rungs are GF(2)[x] at 12 and GF(5)[x] at 14.
+    Without the mod-D sweeps of smith_normal_form the ZZ 20 x 20 draws
+    took 0.7-5.2 s each in coefficient growth; with them they take about
+    10 ms.  The GF(2)[x] 14 x 14 draws still stall (over 30 s for one),
+    so they are not a rung yet.  Each budget is about five times the
+    rung's measured wall time, both routes included.
+    """
+    rng = random.Random(1)
+    zz = {n: [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+              for _ in range(5)] for n in (4, 8, 12, 16, 20)}
+    rng = random.Random(2)
+    for n in (32, 48):
+        zz[n] = [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]]
+    rng = random.Random(3)
+    gf = {(p, n): [[[[rng.randrange(p) for _ in range(3)] for _ in range(n)]
+                    for _ in range(n)] for _ in range(3)]
+          for p in (2, 5) for n in (8, 10, 12, 14)}
+    return [(ZZ, zz[16], 5.0), (ZZ, zz[20], 0.5), (ZZ, zz[32], 0.4),
+            (ZZ, zz[48], 1.5),
+            (PolyModP(2), gf[2, 12], 3.0), (PolyModP(5), gf[5, 14], 3.0)]
+
+
+# -- the call counter --------------------------------------------------------
+
+
+def call_counter(monkeypatch, owner, names) -> Counter:
+    """A Counter of the calls to owner's named methods, patched through
+    monkeypatch (a pytest.MonkeyPatch) until it is undone.
+
+    owner is a class, whose methods are counted on every instance, or a
+    ring, whose class gets static methods that call the ring's own.
+    """
+    calls = Counter()
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in names:
+        call = counted(name, getattr(owner, name))
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, call)
+        else:
+            monkeypatch.setattr(type(owner), name, staticmethod(call))
+    return calls

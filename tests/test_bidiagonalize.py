@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import todasnf
-from conftest import int_grid
+from conftest import int_grid, random_int_matrix
 from todasnf import (
     BidiagonalForm,
     DenseMatrix,
@@ -24,14 +24,6 @@ from todasnf import (
     seed_state,
 )
 from todasnf.elimination import _hadamard_bits, _level, _Modulus
-
-
-def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
-    return DenseMatrix(ZZ, [
-        [0 if rng.random() < zero_prob else rng.randint(-bound, bound)
-         for _ in range(n)]
-        for _ in range(m)
-    ])
 
 
 def cofactors(a, b):
@@ -354,10 +346,10 @@ def _larger_draws(rng, draw):
 
 def test_reduction_shape_and_transforms():
     rng = random.Random(43)
-    cases = [_random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+    cases = [random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
              for _ in range(150)]
     cases += _larger_draws(
-        rng, lambda m, n: _random_int_matrix(rng, m, n, bound=9))
+        rng, lambda m, n: random_int_matrix(rng, m, n, bound=9))
     for a in cases:
         form, p, q = bidiagonalize(a, transforms=True)
         padded = a.padded_square()
@@ -400,11 +392,11 @@ def test_transforms_at_pipeline_sizes():
     rng = random.Random(45)
     cases = []
     for n in range(6, 11):
-        cases.append(_random_int_matrix(rng, n, n))
-        cases.append(_random_int_matrix(rng, n, rng.randint(6, 10)))
+        cases.append(random_int_matrix(rng, n, n))
+        cases.append(random_int_matrix(rng, n, rng.randint(6, 10)))
         rank = rng.randint(2, n - 2)
-        cases.append(_random_int_matrix(rng, n, rank, bound=5, zero_prob=0)
-                     @ _random_int_matrix(rng, rank, n, bound=5, zero_prob=0))
+        cases.append(random_int_matrix(rng, n, rank, bound=5, zero_prob=0)
+                     @ random_int_matrix(rng, rank, n, bound=5, zero_prob=0))
     for p in (2, 5, 7):
         ring = PolyModP(p)
         for n in (6, 8, 10):
@@ -465,7 +457,7 @@ def test_already_bidiagonal_is_untouched():
 def test_seed_shapes():
     rng = random.Random(45)
     for _ in range(100):
-        a = _random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        a = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         form = bidiagonalize(a)
         if form.k == 0:
             continue

@@ -5,7 +5,6 @@ import pickle
 import random
 import sys
 import traceback
-from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import islice
 
@@ -13,9 +12,14 @@ import pytest
 
 from conftest import (
     bidiagonal_matrix,
+    call_counter,
+    int_state,
     int_values,
     minors_gcd_int_brute,
     non_adjacent_gcd_brute,
+    poly_seed,
+    small_seeds,
+    smooth_seed,
 )
 from todasnf import (
     ExactDivisionError,
@@ -53,10 +57,6 @@ GOLDEN_TRACE = [
 ]
 
 
-def _int_state(diag, sub) -> GcdTodaState:
-    return GcdTodaState(int_values(*diag), int_values(*sub))
-
-
 def test_state_validation():
     with pytest.raises(ValueError):
         GcdTodaState((), ())
@@ -69,7 +69,7 @@ def test_state_validation():
 
 
 def test_golden_trace_and_termination():
-    outcome = run(_int_state(*GOLDEN_TRACE[0]))
+    outcome = run(int_state(*GOLDEN_TRACE[0]))
     assert len(outcome.trace) == len(GOLDEN_TRACE)
     for state, (diag, sub) in zip(outcome.trace, GOLDEN_TRACE):
         assert state.diagonal == int_values(*diag)
@@ -81,13 +81,13 @@ def test_golden_trace_and_termination():
 
 
 def test_run_always_takes_one_step():
-    outcome = run(_int_state((1, 1, 1), (1, 1)))
+    outcome = run(int_state((1, 1, 1), (1, 1)))
     assert outcome.iterations == 1
     assert outcome.factors == int_values(1, 1, 1)
 
 
 def test_run_canonicalizes_single_entry():
-    outcome = run(_int_state((-5,), ()))
+    outcome = run(int_state((-5,), ()))
     assert outcome.factors == int_values(5)
     assert outcome.iterations == 1
 
@@ -96,7 +96,7 @@ def test_step_outputs_are_canonical():
     rng = random.Random(21)
     for _ in range(100):
         n = rng.randint(2, 5)
-        state = _int_state(
+        state = int_state(
             [rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(n)],
             [rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(n - 1)],
         )
@@ -110,7 +110,7 @@ def test_step_division_by_zero_is_exact_division_error():
     # the step divides with //, whose ZeroDivisionError is replaced by the
     # error exact_div raises, its context suppressed as there.
     ring = PolyModP(3)
-    for state in (_int_state((0, 3), (0,)), _int_state((2, 0, 5), (2, 0)),
+    for state in (int_state((0, 3), (0,)), int_state((2, 0, 5), (2, 0)),
                   GcdTodaState((ring(0), ring([1, 1])), (ring(0),))):
         with pytest.raises(ExactDivisionError) as info:
             gcd_step(state)
@@ -137,24 +137,24 @@ def test_integer_iterate_is_the_checked_generic_step():
     # iterate divides ZZ payloads with //; step for step it yields what the
     # generic step with exact division does, so no quotient was floored.
     rng = random.Random(19)
-    seeds = [_smooth_seed(), _int_state(*GOLDEN_TRACE[0])]
+    seeds = [smooth_seed(), int_state(*GOLDEN_TRACE[0])]
     for n in (2, 3, 5, 8, 13, 21):
         for _ in range(4):
             bound = rng.choice((9, 10 ** 6, 10 ** 40))
             diag = [rng.choice((-1, 1)) * rng.randint(1, bound)
                     for _ in range(n)]
             sub = [rng.randint(-bound, bound) for _ in range(n - 1)]
-            seeds.append(_int_state(diag, sub))
+            seeds.append(int_state(diag, sub))
             sub = [v if rng.random() < 0.5 else 0 for v in sub]
-            seeds.append(_int_state(diag, sub))
-            seeds.append(_int_state(diag[:-1] + [0], sub))
+            seeds.append(int_state(diag, sub))
+            seeds.append(int_state(diag[:-1] + [0], sub))
     for seed in seeds:
         states = islice(iterate(seed), 1, 61)
         assert [(s.q, s.e) for s in states] == _checked_chain(seed, 60)
 
 
 def test_iteration_cap_raises_with_trace():
-    seed = _int_state(*GOLDEN_TRACE[0])
+    seed = int_state(*GOLDEN_TRACE[0])
     with pytest.raises(IterationLimitError) as info:
         run(seed, max_iters=2)
     assert info.value.limit == 2
@@ -166,8 +166,8 @@ def test_iteration_cap_raises_with_trace():
 
 def test_interior_zero_rejected():
     with pytest.raises(ValueError):
-        run(_int_state((0, 3), (2,)))
-    run(_int_state((3, 0), (2,)))
+        run(int_state((0, 3), (2,)))
+    run(int_state((3, 0), (2,)))
 
 
 def test_split_seed_rejected():
@@ -176,21 +176,21 @@ def test_split_seed_rejected():
     # while iterate still steps a split seed.
     for q in ((6, 35), (2, 6)):
         with pytest.raises(ValueError, match="splits the lattice"):
-            run(_int_state(q, (0,)))
+            run(int_state(q, (0,)))
     with pytest.raises(ValueError, match="splits the lattice"):
-        run(_int_state((1, 2, 3), (1, 0)))
-    split = next(islice(iterate(_int_state((6, 35), (0,))), 1, None))
+        run(int_state((1, 2, 3), (1, 0)))
+    split = next(islice(iterate(int_state((6, 35), (0,))), 1, None))
     assert split.q == (6, 35) and split.e == (0,)
 
 
 def test_default_cap_formula():
-    assert default_max_iters(_int_state((1,), ())) == 64
-    big = _int_state((2**40, 2**40), (2**40,))
+    assert default_max_iters(int_state((1,), ())) == 64
+    big = int_state((2**40, 2**40), (2**40,))
     assert default_max_iters(big) == 2 * (3 * 41)
 
 
 def test_divisors_golden():
-    assert determinantal_divisors(_int_state(*GOLDEN_TRACE[0])) == int_values(
+    assert determinantal_divisors(int_state(*GOLDEN_TRACE[0])) == int_values(
         1, 6, 108
     )
 
@@ -199,7 +199,7 @@ def test_divisors_match_subset_enumeration():
     rng = random.Random(22)
     for _ in range(150):
         n = rng.randint(1, 5)
-        state = _int_state(
+        state = int_state(
             [rng.randint(-40, 40) for _ in range(n)],
             [rng.randint(-40, 40) for _ in range(n - 1)],
         )
@@ -214,7 +214,7 @@ def test_divisors_equal_minor_gcds_of_bidiagonal():
     rng = random.Random(23)
     for _ in range(60):
         n = rng.randint(1, 4)
-        state = _int_state(
+        state = int_state(
             [rng.randint(-15, 15) for _ in range(n)],
             [rng.randint(-15, 15) for _ in range(n - 1)],
         )
@@ -232,7 +232,7 @@ def test_divisors_invariant_under_step():
     rng = random.Random(24)
     for _ in range(100):
         n = rng.randint(2, 5)
-        state = _int_state(
+        state = int_state(
             [rng.randint(1, 80) for _ in range(n)],
             [rng.randint(1, 80) for _ in range(n - 1)],
         )
@@ -258,23 +258,23 @@ def test_poly_run_terminates_sorted():
 
 
 def test_exponent_lift_valuations():
-    state = _int_state((4, 8, 2), (1, 16))
+    state = int_state((4, 8, 2), (1, 16))
     lifted = exponent_lift(state, ZZ(2))
     assert lifted == UdTodaState((2, 3, 1), (0, 4))
-    signed = _int_state((-4, 8, -2), (1, 16))
+    signed = int_state((-4, 8, -2), (1, 16))
     assert exponent_lift(signed, ZZ(2)) == lifted
 
 
 def test_exponent_lift_errors():
-    state = _int_state((4, 6), (2,))
+    state = int_state((4, 6), (2,))
     with pytest.raises(ValueError):
         exponent_lift(state, ZZ(2))
     with pytest.raises(ValueError):
-        exponent_lift(_int_state((4, 0), (2,)), ZZ(2))
+        exponent_lift(int_state((4, 0), (2,)), ZZ(2))
     with pytest.raises(ValueError):
-        exponent_lift(_int_state((4, 8), (2,)), ZZ(1))
+        exponent_lift(int_state((4, 8), (2,)), ZZ(1))
     with pytest.raises(ValueError):
-        exponent_lift(_int_state((4, 8), (2,)), ZZ(0))
+        exponent_lift(int_state((4, 8), (2,)), ZZ(0))
 
 
 def test_lift_commutes_with_step():
@@ -283,7 +283,7 @@ def test_lift_commutes_with_step():
         base = ZZ(prime)
         for _ in range(60):
             n = rng.randint(2, 5)
-            state = _int_state(
+            state = int_state(
                 [
                     rng.choice([-1, 1]) * prime ** rng.randint(0, 5)
                     for _ in range(n)
@@ -324,7 +324,7 @@ def test_divisors_lift_to_conserved_quantities():
     for prime in (2, 3, 5):
         for _ in range(40):
             n = rng.randint(1, 6)
-            state = _int_state(
+            state = int_state(
                 [
                     rng.choice([-1, 1]) * prime ** rng.randint(0, 6)
                     for _ in range(n)
@@ -365,38 +365,22 @@ def _gcd_step_chain(seed, steps):
     return tuple(chain)
 
 
-def test_run_wraps_only_the_final_state_and_replays_its_trace():
+def test_run_wraps_only_the_final_state_and_replays_its_trace(monkeypatch):
     # run steps on payloads; wrapping every visited state would build
     # 2n - 1 RingValues per step, far above 4n over 40 steps.
-    rng = random.Random(60)
-
-    def smooth():
-        return 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 6) * 5 ** rng.randint(0, 6)
-
     n = 32
-    seed = _int_state([smooth() for _ in range(n)],
-                      [smooth() for _ in range(n - 1)])
-    count = 0
-    original = RingValue.__init__
-
-    def counting(self, ring, payload):
-        nonlocal count
-        count += 1
-        original(self, ring, payload)
-
-    RingValue.__init__ = counting
-    try:
-        outcome = run(seed)
-    finally:
-        RingValue.__init__ = original
+    seed = smooth_seed(n)
+    wraps = call_counter(monkeypatch, RingValue, ("__init__",))
+    outcome = run(seed)
+    monkeypatch.undo()
     assert outcome.iterations >= 40
-    assert count <= 4 * n
+    assert wraps["__init__"] <= 4 * n
 
     ring = PolyModP(5)
     x = ring([0, 1])
     x1 = ring([1, 1])
     poly_seed = GcdTodaState((x * x1, x, x1 * x1, x), (x1, x * x, x1))
-    for state in (seed, poly_seed, _int_state(*GOLDEN_TRACE[0])):
+    for state in (seed, poly_seed, int_state(*GOLDEN_TRACE[0])):
         outcome = run(state)
         assert outcome.trace == _gcd_step_chain(state, outcome.iterations)
         assert outcome.trace[-1] == outcome.final
@@ -406,34 +390,13 @@ def test_run_wraps_only_the_final_state_and_replays_its_trace():
         assert info.value.trace == _gcd_step_chain(state, cap)
 
 
-def _smooth_seed(n=32):
-    """The n = 32 seed of 2^a 3^b 5^c entries used above, or one of n."""
-    rng = random.Random(60)
-
-    def smooth():
-        return 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 6) * 5 ** rng.randint(0, 6)
-
-    return _int_state([smooth() for _ in range(n)],
-                      [smooth() for _ in range(n - 1)])
-
-
-def _poly_seed():
-    """A 16-level GF(5)[x] seed of products x**i (x + 1)**j, i, j < 4."""
-    ring = PolyModP(5)
-    x, x1 = ring([0, 1]), ring([1, 1])
-    powers = [x ** i * x1 ** j for i in range(4) for j in range(4)]
-    rng = random.Random(23)
-    return GcdTodaState([rng.choice(powers) for _ in range(16)],
-                        [rng.choice(powers) for _ in range(15)])
-
-
 def _lattice_seeds():
     """(seed, stride) pairs: the seeds above, the n = 64 smooth one and
     the n = 32 one with a zero last diagonal entry; the stride says how
     many of its capped runs a test can afford, every one or every 7th."""
-    smooth = _smooth_seed()
+    smooth = smooth_seed()
     zero_last = GcdTodaState.from_payloads(ZZ, smooth.q[:-1] + (0,), smooth.e)
-    return ((smooth, 1), (_poly_seed(), 1), (_smooth_seed(64), 7),
+    return ((smooth, 1), (poly_seed(), 1), (smooth_seed(64), 7),
             (zero_last, 7))
 
 
@@ -446,19 +409,6 @@ def _memo_free_states(seed):
     while True:
         q, e = ud_toda.toda_step(q, e, ring.gcd, ring.mul, ring.exact_div)
         yield q, e
-
-
-def _ring_calls(monkeypatch, ring, names):
-    """A Counter of the calls to ring's named methods, patched on its
-    class; each counted method calls the original bound to ring."""
-    calls = Counter()
-    for name in names:
-        def counting(*args, name=name, original=getattr(ring, name)):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(type(ring), name, staticmethod(counting))
-    return calls
 
 
 def test_the_memo_of_iterate_changes_no_state(monkeypatch):
@@ -474,7 +424,7 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
     # product and 0.9 gcds per entry and step of run show that the memo
     # arm defers its product and does not repeat a test it passed.
     for seed, _ in _lattice_seeds():
-        calls = _ring_calls(monkeypatch, ZZ, ("mul", "gcd"))
+        calls = call_counter(monkeypatch, ZZ, ("mul", "gcd"))
         outcome = run(seed)
         monkeypatch.undo()
         steps = islice(iterate(seed), 1, outcome.iterations + 1)
@@ -486,7 +436,7 @@ def test_the_memo_of_iterate_changes_no_state(monkeypatch):
             assert calls["mul"] < 1.0 * entry_steps
             assert calls["gcd"] < 0.9 * entry_steps
 
-    for seed in (_int_state((2, 0, 5), (2, 0)), _int_state((0, 3), (0,))):
+    for seed in (int_state((2, 0, 5), (2, 0)), int_state((0, 3), (0,))):
         memo = islice(iterate(seed), 1, None)
         for states in (memo, _memo_free_states(seed)):
             with pytest.raises(ExactDivisionError, match="division by zero"):
@@ -521,7 +471,7 @@ def test_the_poly_memo_tests_divisibility_by_remainder(monkeypatch):
     # a_i), and the step's next two calls divide e_i and a_i by g; a
     # memo test through ring.gcd is followed by no such pair.  There are
     # fewer such gcds than entries and steps once the memo skips some.
-    seed = _poly_seed()
+    seed = poly_seed()
     calls = []
     for name in ("gcd", "exact_div", "divides"):
         def logging(ring, a, b, name=name, original=getattr(PolyModP, name)):
@@ -543,37 +493,21 @@ def test_the_poly_memo_tests_divisibility_by_remainder(monkeypatch):
 def test_iterate_wraps_nothing_until_a_diagonal_is_read(monkeypatch):
     # States hold payloads; wrapping every stepped state would build
     # (2n - 1) * 40 RingValues for 40 steps.
-    seed = _smooth_seed()
-    count = 0
-    original = RingValue.__init__
-
-    def counting(self, ring, payload):
-        nonlocal count
-        count += 1
-        original(self, ring, payload)
-
-    monkeypatch.setattr(RingValue, "__init__", counting)
+    seed = smooth_seed()
+    wraps = call_counter(monkeypatch, RingValue, ("__init__",))
     states = list(islice(iterate(seed), 41))
-    assert count == 0
+    assert wraps["__init__"] == 0
     assert all(not v.is_zero() for v in states[-1].diagonal)
-    assert count == seed.n
+    assert wraps["__init__"] == seed.n
 
 
 def test_trace_lines_render_payloads(monkeypatch):
     # A line renders the stored payloads; wrapping each entry only to
     # call str on it would build 2n - 1 = 63 RingValues per line.
-    states = list(islice(iterate(_smooth_seed()), 41))
-    count = 0
-    original = RingValue.__init__
-
-    def counting(self, ring, payload):
-        nonlocal count
-        count += 1
-        original(self, ring, payload)
-
-    monkeypatch.setattr(RingValue, "__init__", counting)
+    states = list(islice(iterate(smooth_seed()), 41))
+    wraps = call_counter(monkeypatch, RingValue, ("__init__",))
     lines = [render_trace_line(state) for state in states]
-    assert count == 0
+    assert wraps["__init__"] == 0
     monkeypatch.undo()
     for state, line in zip(states, lines):
         q = " ".join(str(v) for v in state.diagonal)
@@ -585,7 +519,7 @@ def test_state_is_a_frozen_picklable_payload_record():
     ring = PolyModP(5)
     x, x1 = ring([0, 1]), ring([1, 1])
     poly = gcd_step(GcdTodaState((x * x1, x, x1 * x1, x), (x1, x * x, x1)))
-    for state in (poly, gcd_step(_smooth_seed())):
+    for state in (poly, gcd_step(smooth_seed())):
         assert state.q == tuple(v.payload for v in state.diagonal)
         assert state.e == tuple(v.payload for v in state.subdiagonal)
         twin = GcdTodaState.from_payloads(state.ring, state.q, state.e)
@@ -604,7 +538,7 @@ def test_state_is_a_frozen_picklable_payload_record():
 
 
 def test_iteration_limit_error_survives_pickling():
-    seed = _int_state(*GOLDEN_TRACE[0])
+    seed = int_state(*GOLDEN_TRACE[0])
     with pytest.raises(IterationLimitError) as info:
         run(seed, max_iters=2)
     restored = pickle.loads(pickle.dumps(info.value))
@@ -627,7 +561,7 @@ def test_run_enters_no_generator_of_the_lattice_kernels():
                 and code.co_filename in files):
             entered.append((code.co_filename, code.co_firstlineno))
 
-    seed = _smooth_seed()
+    seed = smooth_seed()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -655,22 +589,13 @@ def test_a_capped_run_ends_on_the_last_state_of_its_trace():
         assert run(seed, max_iters=outcome.iterations) == outcome
 
 
-def _small_seeds():
-    """60 random ZZ seeds of 2 to 12 blocks, entries 1 to 30."""
-    rng = random.Random(27)
-    sizes = [rng.randint(2, 12) for _ in range(60)]
-    return [_int_state([rng.randint(1, 30) for _ in range(n)],
-                       [rng.randint(1, 30) for _ in range(n - 1)])
-            for n in sizes]
-
-
 def test_a_capped_run_pays_every_lag_at_every_cap():
     # run defers each memo-arm entry's rescaling until the entry next
     # takes the full step, the q_{i+1} it owes changes, or the run ends
     # or hits its cap.  Small seeds break and re-freeze their suffix
     # often; every capped state must be the memo-free chain's, which
     # takes no lagging path of the stepper.
-    for seed in _small_seeds() + [_poly_seed()]:
+    for seed in small_seeds() + [poly_seed()]:
         outcome = run(seed)
         states = list(islice(_memo_free_states(seed), outcome.iterations))
         for cap in range(1, outcome.iterations):
@@ -703,12 +628,12 @@ def test_run_stops_on_the_first_terminated_state_of_iterate():
     seeds = [seed for seed, _ in _lattice_seeds()]
     for _ in range(60):
         n = rng.randint(2, 6)
-        seeds.append(_int_state([rng.randint(1, 30) for _ in range(n)],
-                                [rng.randint(1, 30) for _ in range(n - 1)]))
+        seeds.append(int_state([rng.randint(1, 30) for _ in range(n)],
+                               [rng.randint(1, 30) for _ in range(n - 1)]))
     for _ in range(12):
         n = rng.choice((1, 2))
-        seeds.append(_int_state([rng.randint(1, 30) for _ in range(n)],
-                                [rng.randint(1, 30) for _ in range(n - 1)]))
+        seeds.append(int_state([rng.randint(1, 30) for _ in range(n)],
+                               [rng.randint(1, 30) for _ in range(n - 1)]))
     for p in (2, 5):
         ring = PolyModP(p)
 
@@ -740,31 +665,24 @@ def test_run_pays_its_final_state_on_first_read(monkeypatch):
     # and the first read of final pays once and keeps the paid state.
     # Equality, hashing, repr and pickling see the paid state whether or
     # not final was read, and a capped run still ends on its trace.
-    pays = 0
-
-    def counting(self, original=ud_toda._Stepper.pay):
-        nonlocal pays
-        pays += 1
-        return original(self)
-
-    monkeypatch.setattr(ud_toda._Stepper, "pay", counting)
-    seed = _smooth_seed(64)
+    pays = call_counter(monkeypatch, ud_toda._Stepper, ("pay",))
+    seed = smooth_seed(64)
     outcome = run(seed)
     factors = outcome.factors
-    assert pays == 0
+    assert pays["pay"] == 0
     final = outcome.final
-    assert pays == 1
-    assert outcome.final is final and pays == 1
-    result = smith_normal_form(bidiagonal_matrix(_smooth_seed()))
-    assert result.factors and pays == 1
+    assert pays["pay"] == 1
+    assert outcome.final is final and pays["pay"] == 1
+    result = smith_normal_form(bidiagonal_matrix(smooth_seed()))
+    assert result.factors and pays["pay"] == 1
     monkeypatch.undo()
     trace = outcome.trace
     assert final == trace[-1] and factors == final.diagonal
     assert result.lattice.final == result.trace[-1]
     for unread in (run(seed), pickle.loads(pickle.dumps(run(seed)))):
         assert unread == outcome and hash(unread) == hash(outcome)
-    poly = run(_poly_seed())
-    assert repr(poly) == (f"TodaRun(seed={_poly_seed()!r}, iterations="
+    poly = run(poly_seed())
+    assert repr(poly) == (f"TodaRun(seed={poly_seed()!r}, iterations="
                           f"{poly.iterations!r}, final={poly.final!r})")
     with pytest.raises(FrozenInstanceError):
         outcome.final = seed
@@ -781,7 +699,7 @@ def test_state_repr_shows_a_placeholder_past_the_digit_limit():
     # in, so repr shows _printable's placeholder there instead of raising;
     # with the limit lifted it is the dataclass's text, and small states
     # print as they always have.
-    outcome = run(_smooth_seed(64))
+    outcome = run(smooth_seed(64))
     final = outcome.final
     assert repr(final) == (f"GcdTodaState(ring=ZZ, q={final.q!r}, "
                            "e=<too many digits to print>)")
@@ -797,7 +715,7 @@ def test_state_repr_shows_a_placeholder_past_the_digit_limit():
         sys.set_int_max_str_digits(limit)
     ring = PolyModP(5)
     x, x1 = ring([0, 1]), ring([1, 1])
-    assert repr(run(_int_state((2, 6, 9), (4, 3)))) == (
+    assert repr(run(int_state((2, 6, 9), (4, 3)))) == (
         "TodaRun(seed=GcdTodaState(ring=ZZ, q=(2, 6, 9), e=(4, 3)), "
         "iterations=4, final=GcdTodaState(ring=ZZ, q=(1, 6, 18), "
         "e=(81, 972)))")
@@ -813,8 +731,8 @@ def test_run_keeps_its_ring_call_savings(monkeypatch):
     # test reads q_i | e_i only where the memo flag is false, with the
     # chain of q already known to hold (no divides).  Giving any of them
     # back raises a count past its bound.
-    seeds = {n: _smooth_seed(n) for n in (32, 64)}
-    calls = _ring_calls(monkeypatch, ZZ, ("divides", "gcd", "mul"))
+    seeds = {n: smooth_seed(n) for n in (32, 64)}
+    calls = call_counter(monkeypatch, ZZ, ("divides", "gcd", "mul"))
     bounds = {32: (180, {"divides": 253, "gcd": 4694, "mul": 5063}),
               64: (366, {"divides": 566, "gcd": 17054, "mul": 18406})}
     for n, (steps, most) in bounds.items():
@@ -831,18 +749,18 @@ def test_reading_a_state_changes_no_memo_test(monkeypatch):
     # gcds over ZZ, where the test is inline, and divides over GF(5)[x].
     names = ("gcd", "divides")
     for n in (32, 64):
-        seed = _smooth_seed(n)
-        calls = _ring_calls(monkeypatch, ZZ, names)
+        seed = smooth_seed(n)
+        calls = call_counter(monkeypatch, ZZ, names)
         steps = run(seed).iterations
         ran = calls.pop("gcd")
         for _ in islice(iterate(seed), 1, steps + 1):
             pass
         monkeypatch.undo()
         assert calls["gcd"] == ran > 0
-    for seed in (_smooth_seed(32), _smooth_seed(64), _poly_seed()):
+    for seed in (smooth_seed(32), smooth_seed(64), poly_seed()):
         steps, counts = run(seed).iterations, []
         for paid in (False, True):
-            calls = _ring_calls(monkeypatch, seed.ring, names)
+            calls = call_counter(monkeypatch, seed.ring, names)
             for lattice in islice(gcd_toda._evolve(seed), steps):
                 if paid:
                     lattice.pay()

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import det_int_brute, det_poly_brute, int_grid
+from conftest import call_counter, det_int_brute, det_poly_brute, int_grid
 from todasnf import (
     DenseMatrix,
     PolyModP,
@@ -33,22 +33,14 @@ def test_construction_and_shape():
 
 
 def test_construction_builds_no_ring_values(monkeypatch):
-    count = 0
-    original = RingValue.__init__
-
-    def counting(self, ring, payload):
-        nonlocal count
-        count += 1
-        original(self, ring, payload)
-
     rng = random.Random(33)
     grid = [[rng.randint(-99, 99) for _ in range(64)] for _ in range(64)]
     poly = [[[rng.randint(-9, 9) for _ in range(3)] for _ in range(8)]
             for _ in range(8)]
-    monkeypatch.setattr(RingValue, "__init__", counting)
+    wraps = call_counter(monkeypatch, RingValue, ("__init__",))
     DenseMatrix(ZZ, grid)
     DenseMatrix(PolyModP(5), poly)
-    assert count == 0
+    assert wraps["__init__"] == 0
 
 
 class _Int(int):

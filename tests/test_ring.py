@@ -10,6 +10,7 @@ import pytest
 from conftest import (euclid_xgcd, int_gcd_brute, padd, pdivmod,
                       pgcd_brute, pmul, pneg)
 from todasnf import (
+    BidiagonalForm,
     DenseMatrix,
     ExactDivisionError,
     GcdTodaState,
@@ -19,11 +20,13 @@ from todasnf import (
     Ring,
     RingMismatchError,
     RingValue,
+    SnfResult,
     ZZ,
     bidiagonalize,
     canonical,
     divides,
     exact_div,
+    exponent_lift,
     gcd,
     run,
     seed_state,
@@ -630,3 +633,34 @@ def test_error_texts_of_printable_values(int_digit_limit):
         with pytest.raises((ExactDivisionError, TypeError)) as info:
             call()
         assert str(info.value) == text
+
+
+def test_diagnostic_texts_past_the_int_digit_limit(int_digit_limit):
+    # Result checks, exponent_lift and the matrix reprs render payloads
+    # through _printable: past the digit limit each text shows its
+    # placeholder instead of a ValueError about the limit, and below it
+    # each reads as it always has.
+    big, odd = 2**20000, 3**10000
+    wide = "<too many digits to print>"
+    texts = {
+        f"factor {wide} is not canonical":
+            lambda: SnfResult((ZZ(-odd),), 0, "toda"),
+        "factor -3 is not canonical": lambda: SnfResult((ZZ(-3),), 0, "toda"),
+        f"factor chain broken: {wide} does not divide 3":
+            lambda: SnfResult((ZZ(big), ZZ(3)), 0, "toda"),
+        "factor chain broken: 2 does not divide 3":
+            lambda: SnfResult((ZZ(2), ZZ(3)), 0, "toda"),
+        f"entry {wide} is not a unit multiple of a power of 2":
+            lambda: exponent_lift(GcdTodaState((ZZ(odd),), ()), ZZ(2)),
+        "entry 3 is not a unit multiple of a power of 2":
+            lambda: exponent_lift(GcdTodaState((ZZ(3),), ()), ZZ(2)),
+    }
+    for text, call in texts.items():
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == text
+    for entry, body in ((odd, wide), (3, "3 0; 1 2")):
+        matrix = DenseMatrix(ZZ, [[entry, 0], [1, 2]])
+        assert repr(matrix) == f"DenseMatrix(ZZ, 2x2: {body})"
+        assert repr(BidiagonalForm(matrix)) == (
+            f"BidiagonalForm(matrix={matrix!r}, k=2, corner=False)")

@@ -8,11 +8,14 @@ import pytest
 
 from conftest import (
     bareiss_rank_minor,
+    call_counter,
     int_grid,
+    ladder_draws,
     minors_gcd_int_brute,
     moore_wedge,
     planted_int_grid,
     random_complex,
+    random_int_matrix,
     surface_grid,
 )
 from todasnf import (
@@ -35,14 +38,6 @@ from todasnf import (
 )
 from todasnf.elimination import _Modulus, _rank_minor, _reduced_form
 from todasnf.snf import _det, _lattice_snf
-
-
-def _random_int_matrix(rng, m, n, bound=20, zero_prob=0.2) -> DenseMatrix:
-    return DenseMatrix(ZZ, [
-        [0 if rng.random() < zero_prob else rng.randint(-bound, bound)
-         for _ in range(n)]
-        for _ in range(m)
-    ])
 
 
 def test_frozen_small_cases():
@@ -94,7 +89,7 @@ def test_routes_agree_on_random_dense():
     rng = random.Random(51)
     for _ in range(150):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        matrix = _random_int_matrix(rng, m, n)
+        matrix = random_int_matrix(rng, m, n)
         a = smith_normal_form(matrix)
         b = classical_snf(matrix)
         assert a.factors == b.factors, (
@@ -107,7 +102,7 @@ def test_factor_products_match_brute_minors():
     rng = random.Random(52)
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        matrix = _random_int_matrix(rng, m, n, bound=9)
+        matrix = random_int_matrix(rng, m, n, bound=9)
         factors = smith_normal_form(matrix).factors
         product = 1
         for k in range(1, min(m, n) + 1):
@@ -119,7 +114,7 @@ def test_minors_gcd_matches_enumeration():
     rng = random.Random(53)
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        matrix = _random_int_matrix(rng, m, n, bound=9)
+        matrix = random_int_matrix(rng, m, n, bound=9)
         for k in range(1, min(m, n) + 1):
             expected = minors_gcd_int_brute(int_grid(matrix), k)
             assert minors_gcd(matrix, k) == ZZ(expected)
@@ -234,27 +229,17 @@ def test_max_iters_must_be_an_int():
 
 def _wraps(call) -> int:
     """How many RingValues a call builds."""
-    count = 0
-    original = RingValue.__init__
-
-    def counting(self, ring, payload):
-        nonlocal count
-        count += 1
-        original(self, ring, payload)
-
-    RingValue.__init__ = counting
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        wraps = call_counter(patch, RingValue, ("__init__",))
         call()
-    finally:
-        RingValue.__init__ = original
-    return count
+    return wraps["__init__"]
 
 
 def test_elimination_wraps_values_only_at_the_boundary():
     # The sweeps run on payloads; a RingValue per 2x2 update would build
     # thousands of wrappers here instead of about one per entry.
     n = 12
-    a = _random_int_matrix(random.Random(58), n, n, zero_prob=0)
+    a = random_int_matrix(random.Random(58), n, n, zero_prob=0)
     assert _wraps(lambda: bidiagonalize(a)) <= 2 * n * n
     assert _wraps(lambda: bidiagonalize(a, transforms=True)) <= 4 * n * n
     assert _wraps(lambda: classical_snf(a)) <= 2 * n * n
@@ -301,37 +286,8 @@ def test_bareiss_never_divides_by_one(monkeypatch):
         monkeypatch.undo()
 
 
-def _ladder_draws():
-    """The dense draws the scale measurements use, as (ring, grids, budget).
-
-    ZZ: Random(1), five randint(-20, 20) n x n grids per n in 4, 8, 12,
-    16, 20; the rungs are n = 16 and n = 20.  Random(2), one such grid at
-    n = 32 and the next one at n = 48, the largest rung.  GF(p)[x]:
-    Random(3), three grids of degree < 3 entries per n in 8, 10, 12, 14,
-    for p = 2 then 5; the rungs are GF(2)[x] at 12 and GF(5)[x] at 14.
-    Without the mod-D sweeps of smith_normal_form the ZZ 20 x 20 draws
-    took 0.7-5.2 s each in coefficient growth; with them they take about
-    10 ms.  The GF(2)[x] 14 x 14 draws still stall (over 30 s for one),
-    so they are not a rung yet.  Each budget is about five times the
-    rung's measured wall time, both routes included.
-    """
-    rng = random.Random(1)
-    zz = {n: [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-              for _ in range(5)] for n in (4, 8, 12, 16, 20)}
-    rng = random.Random(2)
-    for n in (32, 48):
-        zz[n] = [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]]
-    rng = random.Random(3)
-    gf = {(p, n): [[[[rng.randrange(p) for _ in range(3)] for _ in range(n)]
-                    for _ in range(n)] for _ in range(3)]
-          for p in (2, 5) for n in (8, 10, 12, 14)}
-    return [(ZZ, zz[16], 5.0), (ZZ, zz[20], 0.5), (ZZ, zz[32], 0.4),
-            (ZZ, zz[48], 1.5),
-            (PolyModP(2), gf[2, 12], 3.0), (PolyModP(5), gf[5, 14], 3.0)]
-
-
 def test_scale_ladder_above_the_lattice_sizes():
-    for ring, grids, budget in _ladder_draws():
+    for ring, grids, budget in ladder_draws():
         start = time.perf_counter()
         for k, grid in enumerate(grids):
             matrix = DenseMatrix(ring, grid)
@@ -436,7 +392,7 @@ def test_mod_d_transforms_certify_the_factors():
     # draws.  The 14 inputs took 1.8 s on a 2-vCPU Xeon VM, 0.9 s of it at
     # 48 x 48, where the Bareiss det P alone would take about 15 s, so the
     # unit check stops at n = 24; the budget is about five times 1.8 s.
-    inputs = [(grid, None) for ring, grids, _ in _ladder_draws()
+    inputs = [(grid, None) for ring, grids, _ in ladder_draws()
               if ring is ZZ and len(grids[0]) in (16, 20) for grid in grids]
     rng = random.Random(7)
     inputs += [planted_int_grid(rng, n, rank, ops)
@@ -496,7 +452,7 @@ def test_mod_d_sweeps_stay_within_the_size_of_d(monkeypatch):
 
     for name in live:
         monkeypatch.setattr(elimination._Modulus, name, bounded(name))
-    grids = next(grids for ring, grids, _ in _ladder_draws()
+    grids = next(grids for ring, grids, _ in ladder_draws()
                  if ring is ZZ and len(grids[0]) == 20)
     for k, grid in enumerate(grids):
         matrix = DenseMatrix(ZZ, grid)
@@ -523,8 +479,8 @@ def test_untriggered_inputs_keep_the_exact_route():
     rng = random.Random(62)
     quiet = 0
     for _ in range(80):
-        a = _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
-                               bound=rng.choice((1, 3, 20)))
+        a = random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
+                              bound=rng.choice((1, 3, 20)))
         mod = _Modulus(ZZ, a)
         form = _reduced_form(a, mod)
         result = smith_normal_form(a)
@@ -552,7 +508,7 @@ def test_only_the_zz_lattice_route_watches(monkeypatch):
 
     monkeypatch.setattr(elimination, "_hadamard_bits", watched)
     monkeypatch.setattr(elimination, "_rank_minor", watched)
-    grids = next(grids for ring, grids, _ in _ladder_draws()
+    grids = next(grids for ring, grids, _ in ladder_draws()
                  if ring is not ZZ and ring.p == 2)
     for k, grid in enumerate(grids):
         matrix = DenseMatrix(PolyModP(2), grid)

@@ -5,24 +5,28 @@
 A change that claims to leave every output byte-identical should print
 the same digest before and after it.  The inputs are the perfbench
 corpora dense_zz, lattice_smooth and poly_gfp of seeds 11, 12 and 13,
-built by perfbench/corpus.py (imported only; no bytecode is written
-next to it).  Per input the digest covers:
+built by perfbench/corpus.py, and the seeds and draws of
+tests/conftest.py named below (both imported only; no bytecode is
+written next to them).  Per input the digest covers:
 
 - the bidiagonal form with its block size k and corner flag, and its P
   and Q when the padded size is at most 12;
 - the lattice factors and iteration count of smith_normal_form;
 - the factors of classical_snf;
 - the rendered --trace lines on dense_zz and poly_gfp;
-- the first 8 rendered states of iterate(seed_state(form)) on
-  lattice_smooth, and every q and e entry of run(seed_state(form)).final
-  in hexadecimal (its e entries run past the 4300 digits str renders);
-  there too, for a run capped at half its steps, the IterationLimitError
-  message and every q and e entry of its capped.final in hexadecimal;
+- on lattice_smooth, from the seed smith_normal_form ran
+  (result.lattice.seed), the first 8 rendered states of iterate, and
+  every q and e entry of run's final state in hexadecimal (its e entries
+  run past the 4300 digits str renders); there too, for a run capped at
+  half its steps, the IterationLimitError message and every q and e
+  entry of its capped.final in hexadecimal;
 - on dense_zz and poly_gfp inputs that take at least 2 steps, the message
-  and rendered trace of the IterationLimitError of a run capped at half
-  its steps, and on the bidiagonal poly_gfp ones also every q and e
-  entry of its capped.final in hexadecimal (each coefficient of a
-  polynomial).
+  and rendered trace of the IterationLimitError of a run of
+  seed_state(bidiagonalize(matrix)) capped at half its steps, and on the
+  bidiagonal poly_gfp ones also every q and e entry of its capped.final
+  in hexadecimal (each coefficient of a polynomial).  That is the exact
+  route's seed, not smith_normal_form's: on most dense_zz inputs the
+  sweeps of smith_normal_form go live modulo D and seed another form.
 
 It also covers the CLI on short operands: the exit code, stdout and
 stderr of cli.main on every cli_small call of the same seeds (snf
@@ -30,8 +34,8 @@ stderr of cli.main on every cli_small call of the same seeds (snf
 on a few fixed bidiagonal inputs with a zero subdiagonal, a zero last
 diagonal entry or a zero interior diagonal entry.
 
-Last, it covers scale-ladder draws of tests/test_snf.py: the dense ZZ
-ones whose sweeps run modulo D for many levels (the five Random(1)
+Last, it covers scale-ladder draws of conftest.ladder_draws: the dense
+ZZ ones whose sweeps run modulo D for many levels (the five Random(1)
 20 x 20 draws and the Random(2) 32 x 32 one), and the Random(3)
 GF(2)[x] 12 x 12 and GF(5)[x] 14 x 14 ones, the GF(p)[x] sweeps of the
 highest degrees in the suite.  Per draw it hashes the form
@@ -40,7 +44,7 @@ and the P and Q of the same sweep bordered by identities
 (_reduced_form with transforms), whose border lines the modulus reduces
 once it is live.
 
-And it covers the small random lattice seeds of tests/test_gcd_toda.py
+And it covers the small random lattice seeds of conftest.small_seeds
 (60 of 2 to 12 blocks, entries 1 to 30), whose runs often break and
 re-freeze their settled tail: per seed, the repr of its run, every q and
 e entry, in hexadecimal, of each state of iterate through the run's
@@ -74,12 +78,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / name) for name in ("src", "perfbench", "tests")]
 
 import corpus  # noqa: E402
+from conftest import ladder_draws, small_seeds  # noqa: E402
 from todasnf import (  # noqa: E402
     DenseMatrix,
-    GcdTodaState,
     IterationLimitError,
     PolyModP,
     ZZ,
@@ -109,37 +113,6 @@ FIXED_TRACES = tuple(
         ((0, 0), (3, 5)),
     ))
 )
-
-
-def ladder_draws():
-    """(ring, row-major grid) of the ladder draws: the Random(1) 20 x 20
-    draws (after the 4 to 16 ones) and the Random(2) 32 x 32 draw, each
-    randint(-20, 20); then of the Random(3) draws, three per n in 8, 10,
-    12, 14 for p = 2 then 5 with entries of degree < 3, the GF(2)[x]
-    12 x 12 and the GF(5)[x] 14 x 14 ones."""
-    rng = random.Random(1)
-    draws = [[[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-             for n in (4, 8, 12, 16, 20) for _ in range(5)][-5:]
-    rng = random.Random(2)
-    draws.append([[rng.randint(-20, 20) for _ in range(32)]
-                  for _ in range(32)])
-    rng = random.Random(3)
-    poly = {(p, n): [[[[rng.randrange(p) for _ in range(3)] for _ in range(n)]
-                      for _ in range(n)] for _ in range(3)]
-            for p in (2, 5) for n in (8, 10, 12, 14)}
-    return ([(ZZ, grid) for grid in draws]
-            + [(PolyModP(2), grid) for grid in poly[2, 12]]
-            + [(PolyModP(5), grid) for grid in poly[5, 14]])
-
-
-def small_seeds():
-    """The 60 random ZZ lattice seeds of tests/test_gcd_toda.py: 2 to 12
-    blocks, entries 1 to 30, drawn from Random(27)."""
-    rng = random.Random(27)
-    sizes = [rng.randint(2, 12) for _ in range(60)]
-    return [GcdTodaState.from_payloads(
-        ZZ, tuple(rng.randint(1, 30) for _ in range(n)),
-        tuple(rng.randint(1, 30) for _ in range(n - 1))) for n in sizes]
 
 
 class _Int(int):
@@ -272,8 +245,8 @@ def lines(workload: str, matrix: DenseMatrix):
     yield f"classical: {' '.join(map(str, factors))}"
     if workload in TRACED and result.trace is not None:
         yield from map(render_trace_line, result.trace)
-    if workload == "lattice_smooth" and form.k:
-        state = seed_state(form)
+    if workload == "lattice_smooth" and result.lattice is not None:
+        state = result.lattice.seed
         prefix = islice(iterate(state), LATTICE_PREFIX)
         yield from map(render_trace_line, prefix)
         outcome = run(state)
@@ -320,7 +293,9 @@ def main() -> None:
             digest.update(f"{label}\n".encode())
             for line in cli_call(argv, matrix, workdir):
                 digest.update(f"{line}\n".encode())
-    for k, (ring, rows) in enumerate(ladder_draws()):
+    draws = [(ring, grid) for ring, grids, _ in ladder_draws()
+             if ring is not ZZ or len(grids[0]) in (20, 32) for grid in grids]
+    for k, (ring, rows) in enumerate(draws):
         matrix = DenseMatrix(ring, rows)
         digest.update(f"ladder/{k}\n".encode())
         _, p, q = _reduced_form(matrix, _Modulus(ring, matrix), True)
