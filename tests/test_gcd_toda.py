@@ -379,8 +379,8 @@ def test_run_wraps_only_the_final_state_and_replays_its_trace(monkeypatch):
     ring = PolyModP(5)
     x = ring([0, 1])
     x1 = ring([1, 1])
-    poly_seed = GcdTodaState((x * x1, x, x1 * x1, x), (x1, x * x, x1))
-    for state in (seed, poly_seed, int_state(*GOLDEN_TRACE[0])):
+    poly = GcdTodaState((x * x1, x, x1 * x1, x), (x1, x * x, x1))
+    for state in (seed, poly, int_state(*GOLDEN_TRACE[0])):
         outcome = run(state)
         assert outcome.trace == _gcd_step_chain(state, outcome.iterations)
         assert outcome.trace[-1] == outcome.final
