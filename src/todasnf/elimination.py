@@ -76,6 +76,12 @@ reduces: its form, P and Q are exact.
 
 from __future__ import annotations
 
+__all__ = [
+    "BidiagonalForm",
+    "bidiagonalize",
+    "seed_state",
+]
+
 from dataclasses import dataclass, field
 
 from .matrix import DenseMatrix

@@ -47,6 +47,19 @@ final, which smith_normal_form never makes.
 
 from __future__ import annotations
 
+__all__ = [
+    "GcdTodaState",
+    "IterationLimitError",
+    "TodaRun",
+    "default_max_iters",
+    "determinantal_divisors",
+    "exponent_lift",
+    "gcd_step",
+    "iterate",
+    "run",
+    "terminated",
+]
+
 import operator
 from dataclasses import dataclass
 from itertools import chain, compress, islice, starmap

@@ -12,6 +12,10 @@ is built on the way.  Readers of a bidiagonal matrix call bands instead.
 
 from __future__ import annotations
 
+__all__ = [
+    "DenseMatrix",
+]
+
 from functools import reduce
 from typing import Sequence
 

@@ -27,6 +27,20 @@ ring provides is written once, in :class:`Ring`.
 
 from __future__ import annotations
 
+__all__ = [
+    "ExactDivisionError",
+    "IntegerRing",
+    "PolyModP",
+    "Ring",
+    "RingMismatchError",
+    "RingValue",
+    "ZZ",
+    "canonical",
+    "divides",
+    "exact_div",
+    "gcd",
+]
+
 import math
 import operator
 import re

@@ -15,6 +15,15 @@ factors it gives are the input's.
 
 from __future__ import annotations
 
+__all__ = [
+    "SnfResult",
+    "classical_snf",
+    "determinant",
+    "minors_gcd",
+    "smith_normal_form",
+    "verify",
+]
+
 from dataclasses import dataclass, field
 from itertools import combinations
 

@@ -75,6 +75,20 @@ only when a caller reads the state, and paying changes no flag.
 
 from __future__ import annotations
 
+__all__ = [
+    "BbsState",
+    "UdTodaState",
+    "bbs_step",
+    "conserved_quantities",
+    "from_bbs",
+    "is_sorted",
+    "parse_state_literal",
+    "render_bbs",
+    "render_state_literal",
+    "to_bbs",
+    "ud_step",
+]
+
 import operator
 from dataclasses import dataclass
 from itertools import groupby
@@ -312,24 +326,20 @@ def bbs_step(state: BbsState) -> BbsState:
     """
     if not state.cells:
         return state
-    moved: list[int] = []
+    cells: list[int] = []
     load = 0
-    pos = state.offset
     for u in state.cells:
-        if u == 1:
+        if u:
             load += 1
+            cells.append(0)
         elif load:
-            moved.append(pos)
             load -= 1
-        pos += 1
-    while load:
-        moved.append(pos)
-        pos += 1
-        load -= 1
-    cells = [0] * (moved[-1] - moved[0] + 1)
-    for site in moved:
-        cells[site - moved[0]] = 1
-    return BbsState(moved[0], tuple(cells))
+            cells.append(1)
+        else:
+            cells.append(0)
+    cells += [1] * load
+    start = cells.index(1)
+    return BbsState(state.offset + start, tuple(cells[start:]))
 
 
 def render_bbs(state: BbsState, start: int | None = None,

@@ -20,13 +20,15 @@ written next to them).  Per input the digest covers:
   run past the 4300 digits str renders); there too, for a run capped at
   half its steps, the IterationLimitError message and every q and e
   entry of its capped.final in hexadecimal;
-- on dense_zz and poly_gfp inputs that take at least 2 steps, the message
-  and rendered trace of the IterationLimitError of a run of
-  seed_state(bidiagonalize(matrix)) capped at half its steps, and on the
-  bidiagonal poly_gfp ones also every q and e entry of its capped.final
-  in hexadecimal (each coefficient of a polynomial).  That is the exact
-  route's seed, not smith_normal_form's: on most dense_zz inputs the
-  sweeps of smith_normal_form go live modulo D and seed another form.
+- on dense_zz and poly_gfp, for the exact route's seed
+  seed_state(bidiagonalize(matrix)) when its run takes at least 2
+  steps, the message and rendered trace of the IterationLimitError of
+  that run capped at half its own steps, and on the bidiagonal poly_gfp
+  inputs also every q and e entry of its capped.final in hexadecimal
+  (each coefficient of a polynomial).  The step count is the exact
+  run's, not smith_normal_form's: on most dense_zz inputs the sweeps of
+  smith_normal_form go live modulo D and seed another form, which often
+  takes fewer steps.
 
 It also covers the CLI on short operands: the exit code, stdout and
 stderr of cli.main on every cli_small call of the same seeds (snf
@@ -206,15 +208,21 @@ def step_lines():
                 yield hex_payloads(q + e)
 
 
-def capped_lines(state, steps: int):
-    """The message and hexadecimal capped.final of run(state) capped at
-    half its steps, if it takes at least 2."""
+def capped_lines(state, steps: int, trace: bool = False,
+                 final: bool = True):
+    """Given run(state)'s own step count, the IterationLimitError of a
+    run capped at half of it, if it takes at least 2 steps: its message,
+    then its rendered trace if trace, and every q and e entry of its
+    capped.final in hexadecimal if final."""
     if steps >= 2:
         try:
             run(state, steps // 2)
         except IterationLimitError as capped:
             yield str(capped)
-            yield hex_line(capped.capped.final)
+            if trace:
+                yield from map(render_trace_line, capped.trace)
+            if final:
+                yield hex_line(capped.capped.final)
 
 
 def factor_line(result) -> str:
@@ -252,14 +260,10 @@ def lines(workload: str, matrix: DenseMatrix):
         outcome = run(state)
         yield hex_line(outcome.final)
         yield from capped_lines(state, outcome.iterations)
-    if workload in TRACED and result.iterations >= 2:
-        try:
-            run(seed_state(form), result.iterations // 2)
-        except IterationLimitError as capped:
-            yield str(capped)
-            yield from map(render_trace_line, capped.trace)
-            if workload == "poly_gfp" and matrix.is_lower_bidiagonal():
-                yield hex_line(capped.capped.final)
+    if workload in TRACED:
+        state = seed_state(form)
+        final = workload == "poly_gfp" and matrix.is_lower_bidiagonal()
+        yield from capped_lines(state, run(state).iterations, True, final)
 
 
 def cli_call(argv, matrix: corpus.MatrixInput | None, workdir: str):
