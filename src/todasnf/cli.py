@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from itertools import islice
 from math import comb
@@ -55,9 +54,6 @@ EXIT_INTERNAL = 4
 #: What main reports as ``error: ...``, with its exit code; first match wins.
 ERROR_EXITS = {IterationLimitError: EXIT_CAP, ExactDivisionError: EXIT_INTERNAL,
                ValueError: EXIT_PARSE, OSError: EXIT_PARSE}
-
-#: Overrides the default iteration cap when set to a positive integer.
-MAX_ITERS_ENV = "TODASNF_MAX_ITERS"
 
 #: --verify refuses an m x n input with more square minors, C(m + n, m) - 1,
 #: than a square one of this size has.
@@ -94,12 +90,13 @@ def _parse_ring(lineno: int, selector: str) -> Ring:
 
 def parse_matrix_text(text: str) -> DenseMatrix:
     """Parse the matrix file format; MatrixParseError carries the line."""
+    raw_lines = text.splitlines()
     lines = iter([
         (lineno, body)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
+        for lineno, raw in enumerate(raw_lines, start=1)
         if (body := raw.strip()) and not body.startswith("#")
     ])
-    eof = (len(text.splitlines()) + 1, None)
+    eof = (len(raw_lines) + 1, None)
 
     def take() -> tuple[int, str]:
         lineno, body = next(lines, eof)
@@ -155,8 +152,7 @@ def render_matrix_text(matrix: DenseMatrix) -> str:
     else:
         head = "ring: int"
     out = [head, f"rows: {matrix.nrows}", f"cols: {matrix.ncols}"]
-    for i in range(matrix.nrows):
-        out.append(" ".join(str(v) for v in matrix.row(i)))
+    out += (" ".join(map(ring.render, row)) for row in matrix.payload_grid())
     return "\n".join(out) + "\n"
 
 
@@ -171,17 +167,6 @@ def _load_matrix(path: str) -> DenseMatrix:
         return parse_matrix_text(handle.read())
 
 
-def _resolve_max_iters(flag: int | None) -> int | None:
-    raw = os.environ.get(MAX_ITERS_ENV)
-    if flag is not None or raw is None:
-        return flag
-    try:
-        return _positive(raw)
-    except argparse.ArgumentTypeError:
-        raise ValueError(f"{MAX_ITERS_ENV} must be a positive integer, "
-                         f"got {raw!r}") from None
-
-
 def cmd_snf(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.file)
     most = comb(2 * VERIFY_SIZE_LIMIT, VERIFY_SIZE_LIMIT)
@@ -193,7 +178,7 @@ def cmd_snf(args: argparse.Namespace) -> int:
     if args.method == "classical":
         result = classical_snf(matrix)
     else:
-        result = smith_normal_form(matrix, _resolve_max_iters(args.max_iters))
+        result = smith_normal_form(matrix, args.max_iters)
     if args.trace:
         if result.trace is None:
             print("note: no lattice trace for this run", file=sys.stderr)
@@ -278,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_snf.add_argument(
         "--max-iters", type=_positive, default=None, metavar="N",
-        help=f"lattice step cap (default scales with the seed; "
-             f"{MAX_ITERS_ENV} overrides)",
+        help="lattice step cap (default scales with the seed)",
     )
     p_snf.add_argument(
         "--trace", action="store_true",

@@ -18,7 +18,14 @@ from collections import Counter
 
 from hypothesis import settings
 
-from todasnf import DenseMatrix, GcdTodaState, PolyModP, RingValue, ZZ
+from todasnf import (
+    DenseMatrix,
+    GcdTodaState,
+    PolyModP,
+    RingValue,
+    UdTodaState,
+    ZZ,
+)
 
 # Property tests replay the same examples on every run and keep no
 # example database, so the suite stays deterministic and bounded in time.
@@ -471,6 +478,12 @@ def small_seeds():
     return [int_state([rng.randint(1, 30) for _ in range(n)],
                       [rng.randint(1, 30) for _ in range(n - 1)])
             for n in sizes]
+
+
+def slow_sorting_state(v: int, n: int) -> UdTodaState:
+    """The min-plus state of n blocks (1, v, ..., v, 0) and gaps (v, ...,
+    v), the slowest family known: it sorts after v(2n - 3) + 1 steps."""
+    return UdTodaState((1,) + (v,) * (n - 2) + (0,), (v,) * (n - 1))
 
 
 def ladder_draws():

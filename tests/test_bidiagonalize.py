@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import todasnf
-from conftest import int_grid, random_int_matrix
+from conftest import call_counter, int_grid, random_int_matrix
 from todasnf import (
     BidiagonalForm,
     DenseMatrix,
@@ -23,7 +23,7 @@ from todasnf import (
     run,
     seed_state,
 )
-from todasnf.elimination import _hadamard_bits, _level, _Modulus
+from todasnf.elimination import _hadamard_bits, _level, _Modulus, _reduced_form
 
 
 def cofactors(a, b):
@@ -444,14 +444,49 @@ def test_tall_rank_one_column():
     assert run(seed).factors == (ZZ(3), ZZ(0))
 
 
-def test_already_bidiagonal_is_untouched():
-    a = DenseMatrix(ZZ, [[2, 0, 0], [4, 6, 0], [0, 3, 9]])
-    form = bidiagonalize(a)
-    assert form.matrix == a
-    assert form.k == 3 and not form.corner
-    assert seed_state(form) == GcdTodaState(
-        (ZZ(2), ZZ(6), ZZ(9)), (ZZ(4), ZZ(3))
-    )
+def lower_bidiagonal(ring, q, e) -> DenseMatrix:
+    """The square lower bidiagonal matrix of payload bands q and e."""
+    grid = [[ring.coerce(0)] * len(q) for _ in q]
+    for i, v in enumerate(q):
+        grid[i][i] = v
+    for i, v in enumerate(e):
+        grid[i + 1][i] = v
+    return DenseMatrix.from_payloads(ring, grid)
+
+
+def test_already_bidiagonal_is_untouched(monkeypatch):
+    # A bidiagonal input whose leading block is coupled (no zero on its
+    # subdiagonal) is its own reduced form over both rings, with either
+    # modulus and no kernel call, so its seed is its bands cut at
+    # k + corner.  Rows: ring, q, e, then the form's k and corner.
+    gf5 = PolyModP(5)
+    x, x1, three = gf5.coerce([0, 1]), gf5.coerce([1, 1]), gf5.coerce(3)
+    table = [
+        (ZZ, (2, 6, 9), (4, 3), 3, False),
+        (gf5, (x1, gf5.mul(x, x), three), (x, three), 3, False),
+        (ZZ, (2, 6, 0), (4, 3), 2, True),
+        (ZZ, (2, 6, 0), (4, 0), 2, False),
+        (ZZ, (0, 0, 0), (0, 0), 0, False),
+        (ZZ, tuple(range(1, 65)), tuple(range(2, 65)), 64, False),
+    ]
+    calls = call_counter(monkeypatch, _Modulus, ("mix_rows", "mix_cols"))
+    for ring, q, e, k, corner in table:
+        m = lower_bidiagonal(ring, q, e)
+        for mod in (_Modulus(ring), _Modulus(ring, m)):
+            form = _reduced_form(m, mod)
+            assert form.matrix == m and (form.k, form.corner) == (k, corner)
+            assert not calls and mod.d is None, (q, e)
+        if k == 0:
+            with pytest.raises(ValueError):
+                seed_state(form)
+            continue
+        cut = k + corner
+        assert seed_state(form) == GcdTodaState.from_payloads(
+            ring, q[:cut], e[:cut - 1])
+    # A zero subdiagonal entry inside the block is no reduced form: the
+    # sweeps couple it, through kernel calls.
+    m = lower_bidiagonal(ZZ, (2, 6, 9), (0, 3))
+    assert _reduced_form(m, _Modulus(ZZ, m)).matrix != m and calls
 
 
 def test_seed_shapes():

@@ -12,7 +12,6 @@ from todasnf.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFY,
-    MAX_ITERS_ENV,
     MatrixParseError,
     build_parser,
     main,
@@ -127,11 +126,10 @@ def test_files_accept_only_ascii_signed_decimals():
     assert matrix == DenseMatrix(ZZ, [[3, -4]])
 
 
-def test_cli_integers_accept_only_ascii_signed_decimals(example_file, capsys,
-                                                       monkeypatch):
-    # Flags, the cap variable and state-literal counts follow the matrix
-    # file rule; int(text, 10) reads each of these (FULLWIDTH DIGIT TWO,
-    # ARABIC-INDIC DIGIT FOUR, a digit-group underscore).
+def test_cli_integers_accept_only_ascii_signed_decimals(example_file, capsys):
+    # Flags and state-literal counts follow the matrix file rule;
+    # int(text, 10) reads each of these (FULLWIDTH DIGIT TWO, ARABIC-INDIC
+    # DIGIT FOUR, a digit-group underscore).
     bad = ("\uff12", "\u0664", "1_0")
     flags = [("bbs", "Q:4,3,1;E:3,2", "--steps"),
              ("bbs", "Q:1;E:", "--pad-left"), ("bbs", "Q:1;E:", "--pad-right"),
@@ -145,14 +143,8 @@ def test_cli_integers_accept_only_ascii_signed_decimals(example_file, capsys,
         assert main(["bbs", literal]) == EXIT_PARSE
         assert capsys.readouterr().err == (
             f"error: bad count in state literal: {literal!r}\n")
-    for raw in bad:
-        monkeypatch.setenv(MAX_ITERS_ENV, raw)
-        assert main(["snf", example_file]) == EXIT_PARSE
-        assert capsys.readouterr().err == (
-            f"error: {MAX_ITERS_ENV} must be a positive integer, got {raw!r}\n")
     # Signs and the spaces around commas still read as before.
-    monkeypatch.setenv(MAX_ITERS_ENV, "+8")
-    assert main(["snf", example_file]) == EXIT_OK
+    assert main(["snf", example_file, "--max-iters", "+8"]) == EXIT_OK
     capsys.readouterr()
     assert main(["bbs", "Q: 1 , +1 ;E: 1", "--steps", "+0"]) == EXIT_OK
     assert capsys.readouterr().out == "101\nconserved: 1 2\n"
@@ -259,26 +251,16 @@ def test_snf_cap_exceeded(example_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_env_cap_override(example_file, capsys, monkeypatch):
-    monkeypatch.setenv(MAX_ITERS_ENV, "2")
-    assert main(["snf", example_file]) == EXIT_CAP
-    capsys.readouterr()
-    # An explicit flag wins over the environment.
-    assert main(["snf", example_file, "--max-iters", "8"]) == EXIT_OK
-    capsys.readouterr()
-    monkeypatch.setenv(MAX_ITERS_ENV, "eight")
-    assert main(["snf", example_file]) == EXIT_PARSE
-    assert MAX_ITERS_ENV in capsys.readouterr().err
-    for raw in ("0", "-3"):
-        monkeypatch.setenv(MAX_ITERS_ENV, raw)
-        assert main(["snf", example_file]) == EXIT_PARSE
-        assert capsys.readouterr().err == (
-            f"error: {MAX_ITERS_ENV} must be a positive integer, got '{raw}'\n"
-        )
-    # The parser is built once, but the variable is read on every call.
-    monkeypatch.delenv(MAX_ITERS_ENV)
-    assert main(["snf", example_file]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == ["1", "6", "18"]
+def test_the_environment_sets_no_cap(example_file, capsys, monkeypatch):
+    # A run is its command line: the cap comes from --max-iters or scales
+    # with the seed, so TODASNF_MAX_ITERS, set to a cap too small or to
+    # no integer at all, changes nothing.
+    for raw in ("1", "eight"):
+        monkeypatch.setenv("TODASNF_MAX_ITERS", raw)
+        assert main(["snf", example_file]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["1", "6", "18"]
+        assert main(["snf", example_file, "--max-iters", "2"]) == EXIT_CAP
+        capsys.readouterr()
 
 
 def test_missing_file_is_parse_error(capsys):

@@ -18,6 +18,7 @@ from conftest import (
     minors_gcd_int_brute,
     non_adjacent_gcd_brute,
     poly_seed,
+    slow_sorting_state,
     small_seeds,
     smooth_seed,
 )
@@ -187,6 +188,27 @@ def test_default_cap_formula():
     assert default_max_iters(int_state((1,), ())) == 64
     big = int_state((2**40, 2**40), (2**40,))
     assert default_max_iters(big) == 2 * (3 * 41)
+
+
+def test_run_steps_stay_within_2n_times_the_largest_size_plus_1():
+    # The powers-of-2 seeds of min-plus states take the min-plus step
+    # counts: the 7-level one takes 71 steps, one above n (max size + 1)
+    # = 70 and well inside today's default cap of 588.  Every fixture
+    # seed stays within twice that measure; its largest share is 0.214.
+    def powers_of_2(state):
+        return int_state([2 ** b for b in state.blocks],
+                         [2 ** g for g in state.gaps])
+
+    assert run(powers_of_2(slow_sorting_state(4, 8))).iterations == 53
+    seed = powers_of_2(UdTodaState((1, 8, 7, 8, 7, 5, 0),
+                                   (8, 5, 4, 5, 6, 7)))
+    measure = seed.n * (max(map(ZZ.size, seed.q + seed.e)) + 1)
+    assert run(seed).iterations == 71 == measure + 1
+    assert default_max_iters(seed) == 588
+    for seed in small_seeds() + [smooth_seed(32), smooth_seed(64),
+                                 poly_seed()]:
+        size = max(map(seed.ring.size, seed.q + seed.e))
+        assert run(seed).iterations <= 2 * seed.n * (size + 1)
 
 
 def test_divisors_golden():

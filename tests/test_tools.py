@@ -83,3 +83,14 @@ class Box:
         return len(text) + len(os.sep)
 ''')
     assert tools["code_lines"].counts(source) == (16, 5)
+
+
+def test_code_lines_prints_the_tools_total(tools, capsys):
+    # The one-tree table ends with the summed counts of tools/*.py, the
+    # second line count the project tracks.
+    code_lines = tools["code_lines"]
+    assert code_lines.main([]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split()
+    summed = [sum(col) for col in zip(*map(code_lines.counts,
+                                            TOOLS.glob("*.py")))]
+    assert last == ["tools/*.py", *map(str, summed)]

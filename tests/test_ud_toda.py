@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import non_adjacent_min_brute
+from conftest import non_adjacent_min_brute, slow_sorting_state
 from todasnf import (
     BbsState,
     ExactDivisionError,
@@ -112,6 +113,35 @@ def test_sorting_is_reached_and_kept():
             state = ud_step(state)
             assert is_sorted(state)
             assert state.blocks == frozen, "sorted blocks changed"
+
+
+def _sort_steps(state: UdTodaState) -> int:
+    """The ud_steps taken before the state is first sorted."""
+    steps = 0
+    while not is_sorted(state):
+        state, steps = ud_step(state), steps + 1
+    return steps
+
+
+def test_the_slow_family_sorts_in_exactly_v_times_2n_minus_3_plus_1():
+    # The step counts the lattice's cap has to cover: as n grows the
+    # family needs almost 2 n v_max steps.  The 7-block state needs 71,
+    # one more than n (max size + 1) = 70 for its powers-of-2 seed.
+    for v, n, steps in ((2, 8, 27), (2, 16, 59), (4, 8, 53), (4, 16, 117),
+                        (16, 8, 209), (16, 16, 465)):
+        assert _sort_steps(slow_sorting_state(v, n)) == steps
+        assert steps == v * (2 * n - 3) + 1
+    assert _sort_steps(UdTodaState((1, 8, 7, 8, 7, 5, 0),
+                                   (8, 5, 4, 5, 6, 7))) == 71
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 12), min_size=n, max_size=n),
+    st.lists(st.integers(0, 12), min_size=n - 1, max_size=n - 1))))
+def test_random_states_sort_within_2n_times_v_max_plus_1(bands):
+    state = UdTodaState(*bands)
+    v_max = max(interleaved(state))
+    assert _sort_steps(state) <= 2 * state.n * (v_max + 1)
 
 
 def test_is_sorted_examples():

@@ -7,10 +7,12 @@ For each module of src/todasnf (or of PACKAGE_DIR) it prints the
 `wc -l` count and the code lines: every line that is not blank, not a
 comment line (first non-space character `#`) and not part of a
 docstring.  Docstrings are those of the AST: the leading string
-expression of a module, class or function body.  Given two package
-directories, it prints both counts before and after, and their deltas,
-for every module of either and in total; a module missing on one side
-counts zero there.
+expression of a module, class or function body.  Under that table it
+prints the same two totals over tools/*.py of the tree that holds the
+package (PACKAGE_DIR/../../tools; zeros when there is none).  Given two
+package directories, it prints both counts before and after, and their
+deltas, for every module of either and in total; a module missing on
+one side counts zero there.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ def main(argv: list[str]) -> int:
     print(f"{'module':<16} {'wc -l':>6} {'code':>6}")
     for name, (wc, code) in package_counts(package).items():
         print(f"{name:<16} {wc:>6} {code:>6}")
+    wc, code = package_counts(package.parent.parent / "tools")["total"]
+    print(f"{'tools/*.py':<16} {wc:>6} {code:>6}")
     return 0
 
 
