@@ -203,8 +203,8 @@ def cmd_bbs(args: argparse.Namespace) -> int:
     configs = [to_bbs(state)]
     for _ in range(args.steps):
         configs.append(bbs_step(configs[-1]))
-    start = min(c.offset for c in configs) - args.pad_left
-    stop = max(c.offset + len(c.cells) for c in configs) + args.pad_right
+    start = min(c.offset for c in configs)
+    stop = max(c.offset + len(c.cells) for c in configs)
     for config in configs:
         print(render_bbs(config, start, stop))
     footer = " ".join(str(v) for v in conserved_quantities(state))
@@ -284,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bbs.add_argument("state", help="state literal like 'Q:4,3,1;E:3,2'")
     p_bbs.add_argument("--steps", type=_nonnegative, default=4, metavar="K")
-    p_bbs.add_argument("--pad-left", type=_nonnegative, default=0, metavar="N")
-    p_bbs.add_argument("--pad-right", type=_nonnegative, default=0, metavar="N")
     p_bbs.set_defaults(func=cmd_bbs)
 
     p_trace = sub.add_parser(

@@ -18,8 +18,8 @@ The map also conserves N quantities: the gcd over products of l pairwise
 non-adjacent entries of the interleaved word (q_0, e_0, q_1, ..., q_{N-1}),
 which are exactly the determinantal divisors of the bidiagonal matrix.
 
-The step, the divisor program, the termination test and the word are the
-semiring kernels of ud_toda.py, run on raw payloads with the bound methods
+The step, the divisor program and the termination test are the semiring
+kernels of ud_toda.py, run on raw payloads with the bound methods
 ring.gcd and ring.mul.  The step divides with floor division over ZZ,
 where each quotient is by a gcd of its dividend and so exact, and with
 ring.exact_div over GF(p)[x], where the stepper's memo tests divisibility
@@ -77,7 +77,6 @@ from .ring import (
 from .ud_toda import (
     UdTodaState,
     _Stepper,
-    interleave,
     non_adjacent_totals,
     settled,
 )
@@ -86,8 +85,9 @@ from .ud_toda import (
 class IterationLimitError(RuntimeError):
     """The step cap was reached before the termination test fired.
 
-    capped is the run cut off at the cap, limit steps from the seed to the
-    last state; trace replays its states, seed included, for diagnostics.
+    capped is the run cut off at the cap, capped.iterations steps from the
+    seed to the last state; trace replays its states, seed included, for
+    diagnostics.
     """
 
     def __init__(self, capped: TodaRun):
@@ -95,7 +95,6 @@ class IterationLimitError(RuntimeError):
             f"no termination within {capped.iterations} steps; last diagonal "
             f"{[_printable(str, v) for v in capped.factors]}"
         )
-        self.limit = capped.iterations
         self.capped = capped
 
     def __reduce__(self):
@@ -300,11 +299,6 @@ def run(state: GcdTodaState, max_iters: int | None = None) -> TodaRun:
     raise IterationLimitError(TodaRun(state, max_iters, lattice))
 
 
-def interleaved(state: GcdTodaState) -> tuple[RingValue, ...]:
-    """The word (q_0, e_0, q_1, e_1, ..., q_{N-1})."""
-    return interleave(state.diagonal, state.subdiagonal)
-
-
 def determinantal_divisors(state: GcdTodaState) -> tuple[RingValue, ...]:
     """Gcd over products of l pairwise non-adjacent word entries, l=1..N.
 
@@ -325,11 +319,11 @@ def exponent_lift(state: GcdTodaState, base: RingValue) -> UdTodaState:
     turns gcd into min and multiplication into addition, so gcd_step on
     the state commutes with ud_step on the lift.
     """
-    if base.is_zero() or base.is_unit():
+    if not base or base.is_unit():
         raise ValueError("base must be a nonzero non-unit")
 
     def lift(v: RingValue) -> int:
-        if v.is_zero():
+        if not v:
             raise ValueError("zero entry has no finite valuation")
         k = 0
         while divides(base, v):

@@ -79,9 +79,6 @@ class RingValue:
         self.ring = ring
         self.payload = payload
 
-    def is_zero(self) -> bool:
-        return not self.payload
-
     def is_unit(self) -> bool:
         return self.ring.is_unit(self.payload)
 

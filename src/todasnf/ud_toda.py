@@ -264,11 +264,6 @@ def settled(q, e, below) -> bool:
     return all(map(below, q, q[1:])) and all(map(below, q, e))
 
 
-def interleaved(state: UdTodaState) -> tuple[int, ...]:
-    """The word (Q_0, E_0, Q_1, E_1, ..., Q_{N-1})."""
-    return interleave(state.blocks, state.gaps)
-
-
 def ud_step(state: UdTodaState) -> UdTodaState:
     """Advance one time step.
 

@@ -140,6 +140,57 @@ def bareiss_rank_minor(grid) -> tuple[int, int]:
     return r, abs(prev)
 
 
+def rank_mod_p(grid, p: int) -> int:
+    """The rank of an integer grid over GF(p), by sparse elimination.
+
+    Each row is held as a dict from column to nonzero residue.  The
+    shortest row left is the next pivot row, and it clears its first
+    column from every other row that holds that column.
+    """
+    rows = [row for row in ({j: v % p for j, v in enumerate(line) if v % p}
+                            for line in grid) if row]
+    rank = 0
+    while rows:
+        pivot = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        col = next(iter(pivot))
+        inverse = pow(pivot[col], -1, p)
+        for row in rows:
+            if col in row:
+                c = row[col] * inverse % p
+                for j, v in pivot.items():
+                    if w := (row.get(j, 0) - c * v) % p:
+                        row[j] = w
+                    else:
+                        row.pop(j, None)
+        rows = [row for row in rows if row]
+        rank += 1
+    return rank
+
+
+def primes_agree(grid, factors, primes=(2, 3, 65521)) -> bool:
+    """Whether r - rank_mod_p(grid, p) is the number of nonzero factors
+    that p divides, for each p in primes and each prime of a factor.
+
+    factors are the invariant factors of grid as ints and r counts the
+    nonzero ones.  Reducing the Smith form mod p keeps the factors that
+    p does not divide, so the rank over GF(p) counts them.  Shares no
+    code with the package; a prime outside the factors checks r itself.
+    """
+    nonzero = [abs(f) for f in factors if f]
+    primes = set(primes)
+    for f in nonzero:
+        d = 2
+        while d * d <= f:
+            while f % d == 0:
+                primes.add(d)
+                f //= d
+            d += 1
+        if f > 1:
+            primes.add(f)
+    return all(len(nonzero) - rank_mod_p(grid, p)
+               == sum(f % p == 0 for f in nonzero) for p in primes)
+
+
 # -- boundary matrices of simplicial complexes ------------------------------
 
 
@@ -414,27 +465,17 @@ def euclid_xgcd(ring, a, b):
 
 
 def bidiagonal_matrix(state: GcdTodaState) -> DenseMatrix:
-    """The lower bidiagonal matrix a lattice state reads off."""
-    ring = state.ring
-    n = state.n
-    grid = [[ring.zero for _ in range(n)] for _ in range(n)]
-    for i, v in enumerate(state.diagonal):
+    """The square lower bidiagonal matrix a lattice state reads off."""
+    grid = [[state.ring.coerce(0)] * state.n for _ in state.q]
+    for i, v in enumerate(state.q):
         grid[i][i] = v
-    for i, v in enumerate(state.subdiagonal):
+    for i, v in enumerate(state.e):
         grid[i + 1][i] = v
-    return DenseMatrix(ring, grid)
+    return DenseMatrix.from_payloads(state.ring, grid)
 
 
 def int_values(*payloads: int) -> tuple[RingValue, ...]:
     return tuple(ZZ(v) for v in payloads)
-
-
-def int_grid(matrix: DenseMatrix) -> list[list[int]]:
-    assert matrix.ring == ZZ
-    return [
-        [matrix[i, j].payload for j in range(matrix.ncols)]
-        for i in range(matrix.nrows)
-    ]
 
 
 def int_state(diag, sub) -> GcdTodaState:

@@ -35,8 +35,7 @@ from todasnf import (
     ud_step,
     verify,
 )
-from todasnf.gcd_toda import interleaved as gcd_word
-from todasnf.ud_toda import interleaved as ud_word
+from todasnf.ud_toda import interleave
 
 GOLDEN_TRACE = [
     ((2, 6, 9), (4, 3)),
@@ -233,7 +232,7 @@ def test_criterion_5_full_pipeline_equivalence():
             f"routes disagree on {matrix!r}"
         )
         assert verify(matrix, result), f"verification failed on {matrix!r}"
-        if result.factors[-1].is_zero():
+        if not result.factors[-1]:
             singular += 1
     elapsed = time.perf_counter() - start
     assert singular >= 10, f"only {singular} singular matrices"
@@ -279,14 +278,15 @@ def test_criterion_7_min_plus_properties():
             tuple(rng.randint(0, 8) for _ in range(n - 1)),
         )
         frozen = conserved_quantities(state)
+        word = interleave(state.blocks, state.gaps)
         if n <= 5:
             expected = tuple(
-                non_adjacent_min_brute(ud_word(state), count)
+                non_adjacent_min_brute(word, count)
                 for count in range(1, n + 1)
             )
             assert frozen == expected, f"conserved of {state} != enumeration"
             enumerated += 1
-        cap = state.n * max(1, sum(ud_word(state)))
+        cap = state.n * max(1, sum(word))
         steps = 0
         while not is_sorted(state):
             state = ud_step(state)
@@ -342,7 +342,11 @@ def test_criterion_9_padded_corner_seeds():
                        for _ in range(n - 1)]
         seed = GcdTodaState(tuple(diagonal), tuple(subdiagonal))
         outcome = run(seed)
-        assert outcome.factors[-1].is_zero(), "trailing factor must stay zero"
+        assert not outcome.factors[-1], "trailing factor must stay zero"
+        # Within 2 N (max size + 1) steps, the zero counting as size 0;
+        # the largest share is 10 of 80 steps.
+        size = max(map(ZZ.size, seed.q + seed.e))
+        assert outcome.iterations <= 2 * seed.n * (size + 1), seed
         expected = classical_snf(bidiagonal_matrix(seed)).factors
         assert outcome.factors == expected, (
             f"routes disagree on padded seed {seed}"

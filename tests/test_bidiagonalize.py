@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import todasnf
-from conftest import call_counter, int_grid, random_int_matrix
+from conftest import bidiagonal_matrix, call_counter, random_int_matrix
 from todasnf import (
     BidiagonalForm,
     DenseMatrix,
@@ -41,13 +41,13 @@ def test_gcd_rotation_contract():
         for _ in range(200)
     ]
     for a, b in cases:
-        if a.is_zero() and b.is_zero():
+        if not a and not b:
             continue
         p, q, s, t = cofactors(a, b)
         det = p * s - t * q
         assert det == ZZ(1), f"cofactors of ({a}, {b}) have det {det}"
         combined = (a * p + b * q, a * t + b * s)
-        assert combined[1].is_zero(), f"cofactors of ({a}, {b}) left {combined}"
+        assert not combined[1], f"cofactors of ({a}, {b}) left {combined}"
         assert combined[0] == gcd(a, b)
 
 
@@ -57,11 +57,11 @@ def test_gcd_rotation_poly():
     for _ in range(80):
         a = ring(tuple(rng.randrange(5) for _ in range(rng.randint(0, 4))))
         b = ring(tuple(rng.randrange(5) for _ in range(rng.randint(0, 4))))
-        if a.is_zero() and b.is_zero():
+        if not a and not b:
             continue
         p, q, s, t = cofactors(a, b)
         assert p * s - t * q == ring(1)
-        assert (a * t + b * s).is_zero()
+        assert not a * t + b * s
 
 
 def test_block_updates_match_matrix_products():
@@ -413,7 +413,7 @@ def test_transforms_at_pipeline_sizes():
 def test_subdiagonal_forced_when_mass_remains():
     form = bidiagonalize(DenseMatrix(ZZ, [[2, 0], [0, 3]]))
     assert form.k == 2 and not form.corner
-    assert not form.matrix[1, 0].is_zero(), "decoupled pivot freezes the lattice"
+    assert form.matrix[1, 0], "decoupled pivot freezes the lattice"
     outcome = run(seed_state(form))
     assert outcome.factors == (ZZ(1), ZZ(6))
 
@@ -421,7 +421,7 @@ def test_subdiagonal_forced_when_mass_remains():
 def test_zero_matrix_has_no_seed():
     form = bidiagonalize(DenseMatrix(ZZ, [[0, 0], [0, 0]]))
     assert form.k == 0 and not form.corner
-    assert int_grid(form.matrix) == [[0, 0], [0, 0]]
+    assert form.matrix.payload_grid() == [[0, 0], [0, 0]]
     with pytest.raises(ValueError):
         seed_state(form)
 
@@ -431,8 +431,8 @@ def test_corner_detection():
     assert form.k == 1 and form.corner
     seed = seed_state(form)
     assert seed.n == 2
-    assert seed.diagonal[1].is_zero()
-    assert not seed.subdiagonal[0].is_zero()
+    assert not seed.diagonal[1]
+    assert seed.subdiagonal[0]
     outcome = run(seed)
     assert outcome.factors == (ZZ(1), ZZ(0))
 
@@ -442,16 +442,6 @@ def test_tall_rank_one_column():
     assert form.k == 1 and form.corner
     seed = seed_state(form)
     assert run(seed).factors == (ZZ(3), ZZ(0))
-
-
-def lower_bidiagonal(ring, q, e) -> DenseMatrix:
-    """The square lower bidiagonal matrix of payload bands q and e."""
-    grid = [[ring.coerce(0)] * len(q) for _ in q]
-    for i, v in enumerate(q):
-        grid[i][i] = v
-    for i, v in enumerate(e):
-        grid[i + 1][i] = v
-    return DenseMatrix.from_payloads(ring, grid)
 
 
 def test_already_bidiagonal_is_untouched(monkeypatch):
@@ -471,7 +461,7 @@ def test_already_bidiagonal_is_untouched(monkeypatch):
     ]
     calls = call_counter(monkeypatch, _Modulus, ("mix_rows", "mix_cols"))
     for ring, q, e, k, corner in table:
-        m = lower_bidiagonal(ring, q, e)
+        m = bidiagonal_matrix(GcdTodaState.from_payloads(ring, q, e))
         for mod in (_Modulus(ring), _Modulus(ring, m)):
             form = _reduced_form(m, mod)
             assert form.matrix == m and (form.k, form.corner) == (k, corner)
@@ -485,7 +475,7 @@ def test_already_bidiagonal_is_untouched(monkeypatch):
             ring, q[:cut], e[:cut - 1])
     # A zero subdiagonal entry inside the block is no reduced form: the
     # sweeps couple it, through kernel calls.
-    m = lower_bidiagonal(ZZ, (2, 6, 9), (0, 3))
+    m = bidiagonal_matrix(GcdTodaState.from_payloads(ZZ, (2, 6, 9), (0, 3)))
     assert _reduced_form(m, _Modulus(ZZ, m)).matrix != m and calls
 
 
@@ -499,15 +489,15 @@ def test_seed_shapes():
         seed = seed_state(form)
         expected = form.k + 1 if form.corner else form.k
         assert seed.n == expected
-        assert all(not v.is_zero() for v in seed.diagonal[:form.k])
+        assert all(seed.diagonal[:form.k])
         if form.corner:
-            assert seed.diagonal[-1].is_zero()
+            assert not seed.diagonal[-1]
 
 
 def test_golden_transforms_of_a_dense_input():
     # Frozen output: any reordered or re-signed sweep changes B, P or Q.
     a = DenseMatrix(ZZ, [[4, -6, 2], [3, 5, -7], [-2, 8, 9]])
     form, p, q = bidiagonalize(a, transforms=True)
-    assert int_grid(form.matrix) == [[2, 0, 0], [1, 1, 0], [0, 36, 275]]
-    assert int_grid(p) == [[1, 0, 0], [0, -4, -3], [0, -9, -7]]
-    assert int_grid(q) == [[0, 5, 41], [0, -1, -8], [1, -13, -106]]
+    assert form.matrix.payload_grid() == [[2, 0, 0], [1, 1, 0], [0, 36, 275]]
+    assert p.payload_grid() == [[1, 0, 0], [0, -4, -3], [0, -9, -7]]
+    assert q.payload_grid() == [[0, 5, 41], [0, -1, -8], [1, -13, -106]]

@@ -1,7 +1,10 @@
 """Command-line behaviour: formats, exit codes, golden output."""
 
+import argparse
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +135,6 @@ def test_cli_integers_accept_only_ascii_signed_decimals(example_file, capsys):
     # DIGIT FOUR, a digit-group underscore).
     bad = ("\uff12", "\u0664", "1_0")
     flags = [("bbs", "Q:4,3,1;E:3,2", "--steps"),
-             ("bbs", "Q:1;E:", "--pad-left"), ("bbs", "Q:1;E:", "--pad-right"),
              ("snf", example_file, "--max-iters")]
     for argv in flags:
         for raw in bad:
@@ -333,6 +335,22 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def test_readme_names_every_cli_option():
+    # The long options of the three subcommands and the --flags named in
+    # README's CLI section are one set, so adding or deleting a flag
+    # updates README in the same change.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").partition("\n## CLI\n")[2]
+    named = set(re.findall(r"--[a-z][a-z-]*", section.partition("\n## ")[0]))
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    defined = {flag for command in sub.choices.values()
+               for action in command._actions
+               for flag in action.option_strings if flag.startswith("--")}
+    assert len(sub.choices) == 3 and named
+    assert defined - {"--help"} == named
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == EXIT_PARSE
     capsys.readouterr()
@@ -345,17 +363,14 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_bbs_golden(capsys):
-    assert main([
-        "bbs", "Q:4,3,1;E:3,2", "--steps", "4", "--pad-left", "1",
-        "--pad-right", "1",
-    ]) == EXIT_OK
+    assert main(["bbs", "Q:4,3,1;E:3,2", "--steps", "4"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out == [
-        "011110001110010000000000000000",
-        "000001110001101110000000000000",
-        "000000001110010001111000000000",
-        "000000000001101100000111100000",
-        "000000000000010011100000011110",
+        "1111000111001000000000000000",
+        "0000111000110111000000000000",
+        "0000000111001000111100000000",
+        "0000000000110110000011110000",
+        "0000000000001001110000001111",
         "conserved: 1 4 8",
     ]
 

@@ -1,5 +1,6 @@
 """Lattice dynamics over a ring: step, termination, invariants, lifting."""
 
+import importlib
 import operator
 import pickle
 import random
@@ -7,6 +8,7 @@ import sys
 import traceback
 from dataclasses import FrozenInstanceError
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from conftest import (
     smooth_seed,
 )
 from todasnf import (
+    DenseMatrix,
     ExactDivisionError,
     GcdTodaState,
     IterationLimitError,
@@ -45,7 +48,6 @@ from todasnf import (
 )
 from todasnf import gcd_toda, ud_toda
 from todasnf.cli import render_trace_line
-from todasnf.gcd_toda import interleaved
 
 # Frozen evolution of the integer seed q=(2,6,9), e=(4,3): four steps to
 # termination, diagonal sorted into (1, 6, 18).
@@ -158,7 +160,7 @@ def test_iteration_cap_raises_with_trace():
     seed = int_state(*GOLDEN_TRACE[0])
     with pytest.raises(IterationLimitError) as info:
         run(seed, max_iters=2)
-    assert info.value.limit == 2
+    assert info.value.capped.iterations == 2
     assert len(info.value.trace) == 3
     assert info.value.trace[0] == seed
     with pytest.raises(ValueError):
@@ -190,11 +192,19 @@ def test_default_cap_formula():
     assert default_max_iters(big) == 2 * (3 * 41)
 
 
-def test_run_steps_stay_within_2n_times_the_largest_size_plus_1():
+def test_run_steps_stay_within_2n_times_the_largest_size_plus_1(monkeypatch):
     # The powers-of-2 seeds of min-plus states take the min-plus step
     # counts: the 7-level one takes 71 steps, one above n (max size + 1)
-    # = 70 and well inside today's default cap of 588.  Every fixture
-    # seed stays within twice that measure; its largest share is 0.214.
+    # = 70 and well inside today's default cap of 588.  Every other run
+    # stays within twice that measure, where size(0) = 0 in both rings
+    # (the bit length of 0, the degree given to the zero polynomial), so
+    # a zero entry, such as a corner seed's last diagonal entry, adds
+    # nothing.  Largest shares: 0.214 on the fixture seeds, 0.30 on 2000
+    # corner seeds (n <= 12, 3-smooth entries, a zero last diagonal
+    # entry), and 0.125 (12 of 96 steps, poly_gfp seed 61's
+    # gf2.bidiag8.2) on the 364 runs smith_normal_form makes on the
+    # benchmark's dense_zz, lattice_smooth and poly_gfp corpora of seeds
+    # 11-13 and 61.
     def powers_of_2(state):
         return int_state([2 ** b for b in state.blocks],
                          [2 ** g for g in state.gaps])
@@ -205,10 +215,31 @@ def test_run_steps_stay_within_2n_times_the_largest_size_plus_1():
     measure = seed.n * (max(map(ZZ.size, seed.q + seed.e)) + 1)
     assert run(seed).iterations == 71 == measure + 1
     assert default_max_iters(seed) == 588
-    for seed in small_seeds() + [smooth_seed(32), smooth_seed(64),
-                                 poly_seed()]:
+    seeds = small_seeds() + [smooth_seed(32), smooth_seed(64), poly_seed()]
+    rng = random.Random(5)
+    entries = (1, 2, 3, 4, 6, 8, 9, 12, 16, 27)
+    for _ in range(2000):
+        n = rng.randint(2, 12)
+        seeds.append(GcdTodaState.from_payloads(
+            ZZ, tuple(rng.choice(entries) for _ in range(n - 1)) + (0,),
+            tuple(rng.choice(entries) for _ in range(n - 1))))
+    runs = [run(seed) for seed in seeds]
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent
+                                / "perfbench")
+    corpus = importlib.import_module("corpus")
+    for workload in (corpus.dense_zz, corpus.lattice_smooth, corpus.poly_gfp):
+        for corpus_seed in (11, 12, 13, 61):
+            for raw in workload(corpus_seed):
+                ring = ZZ if raw.p is None else PolyModP(raw.p)
+                matrix = DenseMatrix(ring, raw.rows)
+                runs.append(smith_normal_form(matrix).lattice)
+    runs = [outcome for outcome in runs if outcome is not None]
+    assert len(runs) == len(seeds) + 364
+    for outcome in runs:
+        seed = outcome.seed
         size = max(map(seed.ring.size, seed.q + seed.e))
-        assert run(seed).iterations <= 2 * seed.n * (size + 1)
+        assert outcome.iterations <= 2 * seed.n * (size + 1), seed
 
 
 def test_divisors_golden():
@@ -225,7 +256,7 @@ def test_divisors_match_subset_enumeration():
             [rng.randint(-40, 40) for _ in range(n)],
             [rng.randint(-40, 40) for _ in range(n - 1)],
         )
-        word = [v.payload for v in interleaved(state)]
+        word = ud_toda.interleave(state.q, state.e)
         expected = int_values(
             *(non_adjacent_gcd_brute(word, count) for count in range(1, n + 1))
         )
@@ -240,10 +271,7 @@ def test_divisors_equal_minor_gcds_of_bidiagonal():
             [rng.randint(-15, 15) for _ in range(n)],
             [rng.randint(-15, 15) for _ in range(n - 1)],
         )
-        grid = [
-            [v.payload for v in bidiagonal_matrix(state).row(i)]
-            for i in range(n)
-        ]
+        grid = bidiagonal_matrix(state).payload_grid()
         expected = int_values(
             *(minors_gcd_int_brute(grid, k) for k in range(1, n + 1))
         )
@@ -519,7 +547,7 @@ def test_iterate_wraps_nothing_until_a_diagonal_is_read(monkeypatch):
     wraps = call_counter(monkeypatch, RingValue, ("__init__",))
     states = list(islice(iterate(seed), 41))
     assert wraps["__init__"] == 0
-    assert all(not v.is_zero() for v in states[-1].diagonal)
+    assert all(states[-1].diagonal)
     assert wraps["__init__"] == seed.n
 
 
@@ -565,7 +593,7 @@ def test_iteration_limit_error_survives_pickling():
         run(seed, max_iters=2)
     restored = pickle.loads(pickle.dumps(info.value))
     assert isinstance(restored, IterationLimitError)
-    assert restored.limit == 2
+    assert restored.capped.iterations == 2
     assert str(restored) == str(info.value)
     assert restored.trace == info.value.trace
 

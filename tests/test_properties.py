@@ -33,6 +33,7 @@ from conftest import (
     invariant_chain,
     moore_wedge,
     planted_int_grid,
+    primes_agree,
 )
 from todasnf import (
     DenseMatrix,
@@ -198,6 +199,7 @@ def test_moore_wedge_torsion_comes_back(ks, m):
     factors = [v.payload for v in smith_normal_form(DenseMatrix(ZZ, grid)).factors]
     chain = invariant_chain(ks)
     assert factors == [1] * (len(grid[0]) - len(chain)) + chain
+    assert primes_agree(grid, factors)
 
 
 @st.composite
@@ -205,7 +207,7 @@ def lattice_seeds(draw):
     """A seed run accepts: only the last diagonal entry may be zero."""
     ring, _, entry = RINGS[draw(st.sampled_from(sorted(RINGS)))]
     n = draw(st.integers(1, 10))
-    nonzero = entry.map(ring).filter(lambda v: not v.is_zero())
+    nonzero = entry.map(ring).filter(bool)
     diag = draw(st.lists(nonzero, min_size=n - 1, max_size=n - 1))
     sub = draw(st.lists(nonzero, min_size=n - 1, max_size=n - 1))
     return GcdTodaState(diag + [draw(entry.map(ring))], sub)

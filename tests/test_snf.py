@@ -1,5 +1,6 @@
 """Smith normal form: lattice route against classical route and minors."""
 
+import itertools
 import math
 import random
 import time
@@ -9,13 +10,15 @@ import pytest
 from conftest import (
     bareiss_rank_minor,
     call_counter,
-    int_grid,
+    det_int_brute,
     ladder_draws,
     minors_gcd_int_brute,
     moore_wedge,
     planted_int_grid,
+    primes_agree,
     random_complex,
     random_int_matrix,
+    rank_mod_p,
     surface_grid,
 )
 from todasnf import (
@@ -93,7 +96,7 @@ def test_routes_agree_on_random_dense():
         a = smith_normal_form(matrix)
         b = classical_snf(matrix)
         assert a.factors == b.factors, (
-            f"routes disagree on {int_grid(matrix)}: "
+            f"routes disagree on {matrix.payload_grid()}: "
             f"{[str(v) for v in a.factors]} vs {[str(v) for v in b.factors]}"
         )
 
@@ -107,7 +110,7 @@ def test_factor_products_match_brute_minors():
         product = 1
         for k in range(1, min(m, n) + 1):
             product *= factors[k - 1].payload
-            assert product == minors_gcd_int_brute(int_grid(matrix), k)
+            assert product == minors_gcd_int_brute(matrix.payload_grid(), k)
 
 
 def test_minors_gcd_matches_enumeration():
@@ -116,7 +119,7 @@ def test_minors_gcd_matches_enumeration():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         matrix = random_int_matrix(rng, m, n, bound=9)
         for k in range(1, min(m, n) + 1):
-            expected = minors_gcd_int_brute(int_grid(matrix), k)
+            expected = minors_gcd_int_brute(matrix.payload_grid(), k)
             assert minors_gcd(matrix, k) == ZZ(expected)
     with pytest.raises(ValueError):
         minors_gcd(DenseMatrix(ZZ, [[1]]), 2)
@@ -312,6 +315,7 @@ def test_scale_ladder_planted_rungs():
         elapsed = time.perf_counter() - start
         assert [v.payload for v in factors] == chain, f"{n}x{n}"
         assert elapsed < budget, f"planted {n}x{n} took {elapsed:.2f} s"
+        assert primes_agree(grid, chain), f"{n}x{n}"
 
 
 def test_scale_ladder_sparse_boundary_rungs():
@@ -331,8 +335,10 @@ def test_scale_ladder_sparse_boundary_rungs():
         start = time.perf_counter()
         factors = smith_normal_form(DenseMatrix(ZZ, grid)).factors
         elapsed = time.perf_counter() - start
-        assert [v.payload for v in factors] == [1] * (shape[1] - len(chain)) + chain
+        payloads = [v.payload for v in factors]
+        assert payloads == [1] * (shape[1] - len(chain)) + chain
         assert elapsed < budget, f"{shape} took {elapsed:.2f} s"
+        assert primes_agree(grid, payloads), shape
 
 
 def test_rank_minor_matches_the_eager_bareiss_pass():
@@ -369,9 +375,38 @@ def test_random_complexes_match_the_classical_route():
     rng = random.Random(31)
     for n in (10, 12, 14):
         for c in (2.6, 2.8):
-            matrix = DenseMatrix(ZZ, random_complex(n, c, rng))
-            assert (smith_normal_form(matrix).factors
-                    == classical_snf(matrix).factors), (n, c)
+            grid = random_complex(n, c, rng)
+            matrix = DenseMatrix(ZZ, grid)
+            factors = classical_snf(matrix).factors
+            assert smith_normal_form(matrix).factors == factors, (n, c)
+            assert primes_agree(grid, [v.payload for v in factors]), (n, c)
+
+
+def test_rank_mod_p_is_the_largest_minor_nonzero_mod_p():
+    # Brute rank over GF(p): the largest k with a k x k minor that p does
+    # not divide.  Random +-6 grids up to 4 x 4, and products through an
+    # inner dimension of 1 or 2 with each entry times p at random, drop
+    # below full rank over GF(p).
+    rng = random.Random(32)
+
+    def draw(m, n):
+        return [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+
+    for _ in range(120):
+        m, n, inner = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 2)
+        left, right = draw(m, inner), draw(inner, n)
+        product = [[sum(a * b for a, b in zip(row, col))
+                    for col in zip(*right)] for row in left]
+        for grid in (draw(m, n), product):
+            for p in (2, 3, 5, 7):
+                scaled = [[v * rng.choice((1, 1, p)) for v in row]
+                          for row in grid]
+                rank = max((k for k in range(1, min(m, n) + 1)
+                            for rows in itertools.combinations(range(m), k)
+                            for cols in itertools.combinations(range(n), k)
+                            if det_int_brute([[scaled[i][j] for j in cols]
+                                              for i in rows]) % p), default=0)
+                assert rank_mod_p(scaled, p) == rank, (scaled, p)
 
 
 def _product_mod(a, b, d):

@@ -22,7 +22,7 @@ from todasnf import (
     to_bbs,
     ud_step,
 )
-from todasnf.ud_toda import MIN_PLUS, interleaved, toda_step
+from todasnf.ud_toda import MIN_PLUS, interleave, toda_step
 
 # Time evolution of the three-soliton state (4,3,1)/(3,2), frozen from a
 # worked example: blocks, gaps, and the conserved triple.
@@ -77,7 +77,7 @@ def test_conserved_matches_subset_enumeration():
     rng = random.Random(11)
     for _ in range(200):
         state = _random_state(rng, max_n=5)
-        word = interleaved(state)
+        word = interleave(state.blocks, state.gaps)
         expected = tuple(
             non_adjacent_min_brute(word, count)
             for count in range(1, state.n + 1)
@@ -102,7 +102,7 @@ def test_sorting_is_reached_and_kept():
     rng = random.Random(13)
     for _ in range(120):
         state = _random_state(rng)
-        cap = state.n * max(1, sum(interleaved(state)))
+        cap = state.n * max(1, sum(interleave(state.blocks, state.gaps)))
         steps = 0
         while not is_sorted(state):
             state = ud_step(state)
@@ -140,7 +140,7 @@ def test_the_slow_family_sorts_in_exactly_v_times_2n_minus_3_plus_1():
     st.lists(st.integers(0, 12), min_size=n - 1, max_size=n - 1))))
 def test_random_states_sort_within_2n_times_v_max_plus_1(bands):
     state = UdTodaState(*bands)
-    v_max = max(interleaved(state))
+    v_max = max(interleave(state.blocks, state.gaps))
     assert _sort_steps(state) <= 2 * state.n * (v_max + 1)
 
 
